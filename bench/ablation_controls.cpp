@@ -7,6 +7,8 @@
 // columns (via full construction on small n) and (b) the empirical number
 // of simulations until detection, averaged over trials.
 
+#include "common.hpp"
+
 #include "ec/diff_analysis.hpp"
 #include "ec/simulation_checker.hpp"
 #include "gen/random_circuits.hpp"
@@ -15,7 +17,9 @@
 
 using namespace qsimec;
 
-int main() {
+int main(int argc, char** argv) {
+  // only --threads applies; the workload is fixed
+  const bench::HarnessOptions options = bench::parseOptions(argc, argv);
   const std::size_t n = 8;
   const std::size_t trials = 20;
   std::printf("Ablation (Sec. IV-A): difference gate with c controls on "
@@ -46,6 +50,7 @@ int main() {
       ec::SimulationConfiguration config;
       config.maxSimulations = 1ULL << n;
       config.seed = 1000 + trial;
+      config.numThreads = options.numThreads;
       const ec::SimulationChecker checker(config);
       const auto result = checker.run(g, bad);
       if (result.equivalence == ec::Equivalence::NotEquivalent) {

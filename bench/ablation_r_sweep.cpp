@@ -3,6 +3,8 @@
 // the number of simulations r, reporting the empirical miss rate (fraction
 // of non-equivalent instances that r simulations fail to expose).
 
+#include "common.hpp"
+
 #include "ec/diff_analysis.hpp"
 #include "ec/simulation_checker.hpp"
 #include "gen/random_circuits.hpp"
@@ -13,7 +15,9 @@
 
 using namespace qsimec;
 
-int main() {
+int main(int argc, char** argv) {
+  // only --threads applies; the workload is fixed
+  const bench::HarnessOptions options = bench::parseOptions(argc, argv);
   const std::size_t n = 7;
   const std::size_t instances = 25;
   const std::vector<std::size_t> rValues{1, 2, 5, 10, 20};
@@ -67,6 +71,7 @@ int main() {
         ec::SimulationConfiguration config;
         config.maxSimulations = r;
         config.seed = 7000 + inst;
+        config.numThreads = options.numThreads;
         const ec::SimulationChecker checker(config);
         if (checker.run(originals[inst], injecteds[inst]).equivalence !=
             ec::Equivalence::NotEquivalent) {

@@ -8,6 +8,8 @@
 // empirical detection rate of r = 4 simulations per family as the control
 // count grows.
 
+#include "common.hpp"
+
 #include "ec/simulation_checker.hpp"
 #include "gen/random_circuits.hpp"
 
@@ -15,7 +17,9 @@
 
 using namespace qsimec;
 
-int main() {
+int main(int argc, char** argv) {
+  // only --threads applies; the workload is fixed
+  const bench::HarnessOptions options = bench::parseOptions(argc, argv);
   const std::size_t n = 8;
   const std::size_t trials = 20;
   const std::size_t r = 4;
@@ -48,6 +52,7 @@ int main() {
         config.maxSimulations = r;
         config.seed = 4000 + trial;
         config.stimuli = kind;
+        config.numThreads = options.numThreads;
         if (ec::SimulationChecker(config).run(g, bad).equivalence ==
             ec::Equivalence::NotEquivalent) {
           ++detected;

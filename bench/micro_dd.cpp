@@ -1,6 +1,7 @@
 // Micro-benchmarks of the decision-diagram substrate (google-benchmark):
-// node construction, gate DDs, matrix-vector application, inner products,
-// full functionality construction, and DD vs dense simulation.
+// package construction and the between-runs barrier, node construction,
+// gate DDs, matrix-vector application, inner products, full functionality
+// construction, and DD vs dense simulation.
 
 #include "gen/qft.hpp"
 #include "gen/random_circuits.hpp"
@@ -13,6 +14,34 @@
 using namespace qsimec;
 
 namespace {
+
+// What a package costs before it does any work: its tables are sized by
+// demand, so this stays flat in n and small next to a simulation.
+void BM_PackageConstruct(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    dd::Package pkg(n);
+    benchmark::DoNotOptimize(pkg.makeZeroState());
+  }
+}
+BENCHMARK(BM_PackageConstruct)->Arg(8)->Arg(16)->Arg(32);
+
+// One stimulus run's fixed costs around a small simulation: construct,
+// simulate, then the run barrier (resetComputationState: forced GC, table
+// invalidation, id rewind). The barrier sweeps only what the run left
+// behind, so its share stays small as n grows.
+void BM_RunBarrier(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto qc = gen::randomCircuit(n, 40, 11);
+  for (auto _ : state) {
+    dd::Package pkg(n);
+    const dd::vEdge out = sim::simulate(qc, pkg.makeZeroState(), pkg);
+    benchmark::DoNotOptimize(out);
+    pkg.resetComputationState();
+  }
+}
+BENCHMARK(BM_RunBarrier)->Arg(8)->Arg(16)->Arg(32)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_MakeBasisState(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

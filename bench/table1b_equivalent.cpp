@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
     ec::SimulationConfiguration simConfig;
     simConfig.maxSimulations = options.simulations;
     simConfig.seed = options.seed;
+    simConfig.numThreads = options.numThreads;
     // see table1a: t_sim is reported in full
     simConfig.timeoutSeconds = 20 * options.timeoutSeconds;
     const ec::SimulationChecker sim(simConfig);

@@ -10,6 +10,12 @@
 // equality is as exact as pointer equality was. Results still hold raw
 // node/real pointers, so every table must be cleared before the unique
 // tables or the real table collect garbage.
+//
+// Clearing is O(1): every entry carries the epoch it was written in, and
+// clear() just advances the table's epoch, so entries from before the last
+// clear() stop matching. The entries stay in place, stale pointers and
+// all, but are never returned again. The entry array itself is allocated
+// on the first insert, so a table a package never writes to costs nothing.
 
 #pragma once
 
@@ -74,21 +80,25 @@ template <class Key, class Result, std::size_t NBITS = 16> class ComputeTable {
 public:
   static constexpr std::size_t SIZE = 1ULL << NBITS;
 
-  ComputeTable() : entries_(SIZE) {}
-
   void insert(const Key& key, const Result& result) {
+    if (entries_.empty()) {
+      entries_.resize(SIZE);
+    }
     Entry& e = entries_[key.hash() & (SIZE - 1)];
     e.key = key;
     e.result = result;
-    e.valid = true;
+    e.epoch = epoch_;
   }
 
   /// Returns nullptr on miss. The pointer is invalidated by the next insert
   /// into the same slot — consume immediately.
   [[nodiscard]] const Result* lookup(const Key& key) {
     ++lookups_;
+    if (entries_.empty()) {
+      return nullptr;
+    }
     const Entry& e = entries_[key.hash() & (SIZE - 1)];
-    if (e.valid && e.key == key) {
+    if (e.epoch == epoch_ && e.key == key) {
       ++hits_;
       return &e.result;
     }
@@ -96,8 +106,12 @@ public:
   }
 
   void clear() noexcept {
-    for (Entry& e : entries_) {
-      e.valid = false;
+    if (++epoch_ == 0) {
+      // wrapped: an entry stamped 2^32 clears ago would match again
+      for (Entry& e : entries_) {
+        e.epoch = 0;
+      }
+      epoch_ = 1;
     }
   }
 
@@ -105,13 +119,16 @@ public:
   [[nodiscard]] std::size_t hits() const noexcept { return hits_; }
 
 private:
+  friend struct ComputeTableTestAccess; // defined by the unit tests only
+
   struct Entry {
     Key key{};
     Result result{};
-    bool valid{false};
+    std::uint32_t epoch{0}; // 0: never written
   };
 
-  std::vector<Entry> entries_;
+  std::vector<Entry> entries_; // empty until the first insert
+  std::uint32_t epoch_{1};
   std::size_t lookups_{0};
   std::size_t hits_{0};
 };

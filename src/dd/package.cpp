@@ -759,7 +759,8 @@ void Package::garbageCollect(bool force) {
       .num("pause_seconds", pause)
       .num("v_collected", static_cast<std::uint64_t>(vCollected))
       .num("m_collected", static_cast<std::uint64_t>(mCollected))
-      .num("reals_collected", static_cast<std::uint64_t>(realsCollected));
+      .num("reals_collected", static_cast<std::uint64_t>(realsCollected))
+      .num("lane", static_cast<std::uint64_t>(journalLane_));
   if (liveGauges_ != nullptr) {
     publishLiveGauges(); // node drops are most visible right after a GC
   }

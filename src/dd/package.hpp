@@ -199,9 +199,14 @@ public:
   void setTracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
 
   /// Attach (or detach, with nullptr) a journal: garbage collections then
-  /// emit a "dd.gc" line with the pause and per-table reclaim counts. Owner
-  /// thread only (the journal itself is thread-safe, the pointer is not).
-  void setJournal(obs::Journal* journal) noexcept { journal_ = journal; }
+  /// emit a "dd.gc" line with the pause, per-table reclaim counts and
+  /// `lane`, the index of the worker that owns the package (so a reader can
+  /// tell concurrent workers' pauses apart). Owner thread only (the journal
+  /// itself is thread-safe, the pointer is not).
+  void setJournal(obs::Journal* journal, unsigned lane = 0) noexcept {
+    journal_ = journal;
+    journalLane_ = lane;
+  }
 
   /// Attach (or detach, with nullptr) a live-gauge block for a concurrently
   /// polling obs::Sampler. The owning thread publishes node population and
@@ -309,6 +314,7 @@ private:
   double gcMaxPauseSeconds_{0.0};
   obs::Tracer* tracer_{nullptr};
   obs::Journal* journal_{nullptr};
+  unsigned journalLane_{0};
   obs::LiveGauges* liveGauges_{nullptr};
   obs::FlightRecorder* flight_{nullptr};
 

@@ -1,6 +1,7 @@
 #include "dd/real_table.hpp"
 
 #include "dd/complex_value.hpp"
+#include "dd/hash_chains.hpp"
 
 #include <algorithm>
 #include <cassert>
@@ -22,7 +23,8 @@ std::int64_t bucketOf(double val) noexcept {
 }
 } // namespace
 
-RealTable::RealTable() : slots_(NSLOTS, nullptr) {
+RealTable::RealTable()
+    : slots_(std::size_t{1} << INITIAL_SLOT_BITS, nullptr) {
   zero_ = allocate(0.0, bucketOf(0.0));
   one_ = allocate(1.0, bucketOf(1.0));
   sqrt12_ = allocate(SQRT1_2, bucketOf(SQRT1_2));
@@ -38,7 +40,11 @@ void RealTable::insert(RealEntry* e) {
   RealEntry*& head = slots_[slotOf(e->bucket)];
   e->next = head;
   head = e;
-  ++liveEntries_;
+  if (++liveEntries_ > slots_.size()) {
+    detail::doubleChains(slots_, slotBits_, [this](const RealEntry* entry) {
+      return slotOf(entry->bucket);
+    });
+  }
 }
 
 RealEntry* RealTable::searchBucket(std::int64_t bucket, double val,

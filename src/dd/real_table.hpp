@@ -8,11 +8,18 @@
 // caches rely on.
 //
 // Layout: values are binned into buckets of width BUCKET_WIDTH (much larger
-// than the tolerance); the bucket id hashes into a fixed power-of-two slot
-// array with per-slot chains. Neighbouring buckets only need probing when
-// the query lies within tolerance of a bucket boundary — essentially never,
-// so the common case is a single slot probe. This is the hot path of the
-// whole package.
+// than the tolerance); the bucket id hashes into a power-of-two slot array
+// with per-slot chains. Neighbouring buckets only need probing when the
+// query lies within tolerance of a bucket boundary — essentially never, so
+// the common case is a single slot probe. This is the hot path of the whole
+// package.
+//
+// The slot array starts small and doubles whenever the live population
+// passes the slot count, so a collection sweeps the high-water population,
+// not a fixed array. Within a slot, entries of one bucket id stay
+// newest-first across a doubling: lookup returns the first entry within
+// tolerance, so that order decides which of two nearby values a query
+// snaps to.
 //
 // Entries are reference counted: nodes stored in the unique tables hold
 // references on their child edge weights, and top-level edges held by user
@@ -95,22 +102,24 @@ public:
   }
 
 private:
-  static constexpr std::size_t NSLOTS = 1ULL << 20;
   static constexpr std::size_t INITIAL_GC_THRESHOLD = 262144;
+  static constexpr unsigned INITIAL_SLOT_BITS = 10;
 
   RealEntry* allocate(double val, std::int64_t bucket);
   [[nodiscard]] RealEntry* searchBucket(std::int64_t bucket, double val,
                                         double tol) const;
   void insert(RealEntry* e);
 
-  [[nodiscard]] static std::size_t slotOf(std::int64_t bucket) noexcept {
+  // The top slotBits_ bits of the multiplicative hash: doubling the array
+  // splits slot s into 2s and 2s + 1.
+  [[nodiscard]] std::size_t slotOf(std::int64_t bucket) const noexcept {
     return static_cast<std::size_t>(
-               static_cast<std::uint64_t>(bucket) * 0x9e3779b97f4a7c15ULL >>
-               44) &
-           (NSLOTS - 1);
+        (static_cast<std::uint64_t>(bucket) * 0x9e3779b97f4a7c15ULL) >>
+        (64 - slotBits_));
   }
 
   std::vector<RealEntry*> slots_;
+  unsigned slotBits_{INITIAL_SLOT_BITS};
 
   // chunked entry storage + free list (entries are never returned to the OS)
   std::vector<std::unique_ptr<RealEntry[]>> chunks_;

@@ -5,12 +5,20 @@
 // if a structurally identical node already exists the candidate is returned
 // to the pool and the existing node handed back — this is what makes DD
 // equality checks pointer comparisons.
+//
+// The bucket array is sized by demand: it starts small and doubles whenever
+// the live population passes the bucket count, so a collection sweeps the
+// table's high-water population rather than a fixed array. Bucket count
+// never feeds a counter: at most one node in a chain matches a lookup, ids
+// are assigned by insertion order, and GC thresholds are population-based.
 
 #pragma once
 
+#include "dd/hash_chains.hpp"
 #include "dd/node.hpp"
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -27,9 +35,7 @@ public:
 
 template <class NodeT> class UniqueTable {
 public:
-  static constexpr std::size_t NBUCKETS = 1ULL << 19;
-
-  UniqueTable() : buckets_(NBUCKETS, nullptr) {}
+  UniqueTable() : buckets_(std::size_t{1} << INITIAL_BUCKET_BITS, nullptr) {}
   UniqueTable(const UniqueTable&) = delete;
   UniqueTable& operator=(const UniqueTable&) = delete;
 
@@ -62,7 +68,7 @@ public:
   /// Hash-cons `candidate`: return the canonical node for its contents.
   NodeT* lookup(NodeT* candidate) {
     ++lookups_;
-    const std::size_t key = hash(candidate);
+    const std::size_t key = bucketOf(candidate);
     for (NodeT* n = buckets_[key]; n != nullptr; n = n->next) {
       if (n->v == candidate->v && n->e == candidate->e) {
         ++hits_;
@@ -75,6 +81,10 @@ public:
     buckets_[key] = candidate;
     if (++liveNodes_ > peakLiveNodes_) {
       peakLiveNodes_ = liveNodes_;
+    }
+    if (liveNodes_ > buckets_.size()) {
+      detail::doubleChains(buckets_, bucketBits_,
+                           [this](const NodeT* n) { return bucketOf(n); });
     }
     return candidate;
   }
@@ -144,11 +154,12 @@ public:
 private:
   static constexpr std::size_t CHUNK_SIZE = 4096;
   static constexpr std::size_t INITIAL_GC_THRESHOLD = 262144;
+  static constexpr unsigned INITIAL_BUCKET_BITS = 10;
 
   // Hashes serial ids, not addresses: bucket placement (and therefore probe
   // counts and insertion order) must not depend on where the allocator put a
   // node — see vNode::id.
-  static std::size_t hash(const NodeT* n) noexcept {
+  static std::uint64_t hash(const NodeT* n) noexcept {
     std::size_t h = static_cast<std::size_t>(n->v) * 0xff51afd7ed558ccdULL;
     for (const auto& edge : n->e) {
       h ^= (edge.p->id + 1) * 0x9e3779b97f4a7c15ULL;
@@ -156,10 +167,18 @@ private:
       h ^= (edge.w.i->id + 1) * 0x165667b19e3779f9ULL;
       h = (h << 7) | (h >> (sizeof(h) * 8 - 7));
     }
-    return h & (NBUCKETS - 1);
+    return h;
+  }
+
+  // The top bucketBits_ bits of the multiplicatively spread hash: doubling
+  // the table then splits bucket b into 2b and 2b + 1.
+  [[nodiscard]] std::size_t bucketOf(const NodeT* n) const noexcept {
+    return static_cast<std::size_t>((hash(n) * 0x9e3779b97f4a7c15ULL) >>
+                                    (64 - bucketBits_));
   }
 
   std::vector<NodeT*> buckets_;
+  unsigned bucketBits_{INITIAL_BUCKET_BITS};
   std::vector<std::unique_ptr<NodeT[]>> chunks_;
   std::size_t chunkFill_{0};
   NodeT* freeList_{nullptr};

@@ -190,7 +190,7 @@ CheckResult runStimuliPortfolio(const SimulationConfiguration& config,
       if (!pkg) {
         pkg.emplace(n);
         pkg->setTracer(obs.tracer);
-        pkg->setJournal(obs.journal);
+        pkg->setJournal(obs.journal, workerIndex);
         pkg->setLiveGauges(obs.live);
         pkg->setFlightRecorder(obs.flight);
         pkg->setInterruptHook(
@@ -287,7 +287,8 @@ CheckResult runStimuliPortfolio(const SimulationConfiguration& config,
             .num("seed", stimulusSeed)
             .num("fidelity", fidelity)
             .num("deviation", deviation)
-            .flag("mismatch", mismatch);
+            .flag("mismatch", mismatch)
+            .num("lane", static_cast<std::uint64_t>(workerIndex));
         const std::size_t done =
             completedRuns.fetch_add(1, std::memory_order_relaxed) + 1;
         if (obs.live != nullptr) {
@@ -318,7 +319,8 @@ CheckResult runStimuliPortfolio(const SimulationConfiguration& config,
         runSpan.arg("cancelled", std::uint64_t{1});
         obs.log(obs::JournalLevel::Debug, "sim.stimulus.cancelled")
             .num("index", static_cast<std::uint64_t>(i))
-            .num("seed", stimulusSeed);
+            .num("seed", stimulusSeed)
+            .num("lane", static_cast<std::uint64_t>(workerIndex));
         continue;
       }
     }

@@ -1,5 +1,6 @@
 # Smoke test for tools/journal2folded.py: run one real check with
-# --journal, fold the journal, and require the flow stage frames in the
+# --journal, once on one thread and once on a four-worker stimuli
+# portfolio, fold each journal, and require the flow stage frames in the
 # output. Driven from tests/CMakeLists.txt (test name tools.journal2folded).
 
 file(MAKE_DIRECTORY ${WORK_DIR})
@@ -10,27 +11,31 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "gen failed (${rc})")
 endif()
 
-# --no-prescreen: ghz vs itself is decided statically otherwise, and the
-# folded output must contain the general flow's stage frames
-execute_process(
-  COMMAND ${QSIMEC_CLI} check ${WORK_DIR}/g.qasm ${WORK_DIR}/g.qasm
-          --timeout 60 --no-prescreen --journal ${WORK_DIR}/run.jsonl
-  RESULT_VARIABLE rc OUTPUT_QUIET)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "check failed (${rc})")
-endif()
-
-execute_process(
-  COMMAND ${PYTHON3} ${FOLD_SCRIPT} ${WORK_DIR}/run.jsonl
-  RESULT_VARIABLE rc OUTPUT_VARIABLE folded ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "journal2folded failed (${rc}): ${err}")
-endif()
-
-foreach(frame "flow;simulation" "flow;complete")
-  if(NOT folded MATCHES "${frame} [0-9]+")
-    message(FATAL_ERROR "missing frame '${frame}' in folded output:\n${folded}")
+foreach(threads 1 4)
+  # --no-prescreen: ghz vs itself is decided statically otherwise, and the
+  # folded output must contain the general flow's stage frames
+  execute_process(
+    COMMAND ${QSIMEC_CLI} check ${WORK_DIR}/g.qasm ${WORK_DIR}/g.qasm
+            --timeout 60 --no-prescreen --threads ${threads}
+            --journal ${WORK_DIR}/run.jsonl
+    RESULT_VARIABLE rc OUTPUT_QUIET)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "check --threads ${threads} failed (${rc})")
   endif()
+
+  execute_process(
+    COMMAND ${PYTHON3} ${FOLD_SCRIPT} ${WORK_DIR}/run.jsonl
+    RESULT_VARIABLE rc OUTPUT_VARIABLE folded ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "journal2folded failed (${rc}): ${err}")
+  endif()
+
+  foreach(frame "flow;simulation" "flow;complete")
+    if(NOT folded MATCHES "${frame} [0-9]+")
+      message(FATAL_ERROR "missing frame '${frame}' at --threads ${threads} "
+                          "in folded output:\n${folded}")
+    endif()
+  endforeach()
 endforeach()
 
 # attribution ran (general tier, DD checkers): its gate-level frames form a

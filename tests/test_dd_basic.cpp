@@ -7,10 +7,29 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <sstream>
+#include <unordered_set>
+#include <vector>
 
 namespace dd = qsimec::dd;
 using dd::ComplexValue;
+
+namespace qsimec::dd {
+/// Test-only view of a compute table's epoch and storage (the class
+/// befriends this name; the library never defines it).
+struct ComputeTableTestAccess {
+  template <class Table>
+  static void setEpoch(Table& table, std::uint32_t epoch) {
+    table.epoch_ = epoch;
+  }
+  template <class Table> static bool allocated(const Table& table) {
+    return !table.entries_.empty();
+  }
+};
+} // namespace qsimec::dd
 
 namespace {
 void expectNear(const ComplexValue& a, const ComplexValue& b,
@@ -328,4 +347,177 @@ TEST(Export, DotContainsNodes) {
 TEST(Export, BasisLabelIsMsbFirst) {
   EXPECT_EQ(dd::basisLabel(0b110, 3), "110");
   EXPECT_EQ(dd::basisLabel(1, 4), "0001");
+}
+
+// --- table storage: epoch-stamped compute tables, demand-sized hashing ------
+
+TEST(ComputeTable, StaleEntryMissesAfterClear) {
+  dd::ComputeTable<dd::NodeKey, double> table;
+  const dd::NodeKey key{42};
+  table.insert(key, 1.5);
+  const double* hit = table.lookup(key);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(*hit, 1.5);
+  table.clear();
+  EXPECT_EQ(table.lookup(key), nullptr);
+  table.insert(key, 2.5);
+  hit = table.lookup(key);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(*hit, 2.5);
+  EXPECT_EQ(table.lookups(), 3U);
+  EXPECT_EQ(table.hits(), 2U);
+}
+
+TEST(ComputeTable, NeverAllocatedTableMissesAndCounts) {
+  dd::ComputeTable<dd::NodePairKey, double> table;
+  table.clear();
+  EXPECT_EQ(table.lookup(dd::NodePairKey{1, 2}), nullptr);
+  EXPECT_EQ(table.lookup(dd::NodePairKey{0, 0}), nullptr);
+  EXPECT_EQ(table.lookups(), 2U);
+  EXPECT_EQ(table.hits(), 0U);
+  EXPECT_FALSE(dd::ComputeTableTestAccess::allocated(table));
+  table.insert(dd::NodePairKey{1, 2}, 0.5);
+  EXPECT_TRUE(dd::ComputeTableTestAccess::allocated(table));
+}
+
+TEST(ComputeTable, EpochWrapWipesEveryEntry) {
+  dd::ComputeTable<dd::NodeKey, double> table;
+  const dd::NodeKey early{7};
+  const dd::NodeKey late{8};
+  table.insert(early, 1.0); // stamped with the first epoch, 1
+  dd::ComputeTableTestAccess::setEpoch(
+      table, std::numeric_limits<std::uint32_t>::max());
+  EXPECT_EQ(table.lookup(early), nullptr);
+  table.insert(late, 2.0);
+  ASSERT_NE(table.lookup(late), nullptr);
+  // the counter wraps back to epoch 1: without a wipe, `early` would match
+  table.clear();
+  EXPECT_EQ(table.lookup(early), nullptr);
+  EXPECT_EQ(table.lookup(late), nullptr);
+  table.insert(early, 3.0);
+  const double* hit = table.lookup(early);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(*hit, 3.0);
+}
+
+TEST(RealTable, NearbyEntriesStayNewestFirstAcrossGrowth) {
+  dd::RealTable table;
+  const double tol = dd::Tolerance::value();
+  dd::RealEntry* older = table.lookup(0.3);
+  dd::RealEntry* newer = table.lookup(0.3 + 1.5 * tol);
+  ASSERT_NE(older, newer);
+  ASSERT_EQ(older->bucket, newer->bucket);
+  const double query = 0.3 + 0.75 * tol; // within tolerance of both
+  ASSERT_EQ(table.lookup(query), newer);
+  // enough distinct values for several doublings of the slot array
+  for (int i = 0; i < 20000; ++i) {
+    (void)table.lookup(0.4 + 1e-5 * i);
+  }
+  ASSERT_GT(table.size(), 16384U);
+  EXPECT_EQ(table.lookup(query), newer);
+  EXPECT_EQ(table.lookup(0.3), older);
+}
+
+namespace {
+// Rotation layers with pseudo-random angles and a CNOT ladder on 12 qubits:
+// the state fills out to thousands of nodes and distinct reals, so the
+// unique and real tables double several times.
+dd::vEdge scramble(dd::Package& pkg, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> angle(0.1, 3.0);
+  dd::vEdge state = pkg.makeZeroState();
+  pkg.incRef(state);
+  const auto apply = [&](const dd::mEdge& gate) {
+    const dd::vEdge next = pkg.multiply(gate, state);
+    pkg.incRef(next);
+    pkg.decRef(state);
+    state = next;
+    pkg.garbageCollect();
+  };
+  const auto nq = static_cast<dd::Var>(pkg.qubits());
+  for (int layer = 0; layer < 2; ++layer) {
+    for (dd::Var q = 0; q < nq; ++q) {
+      apply(pkg.makeGateDD(dd::ryMat(angle(rng)), q));
+      apply(pkg.makeGateDD(dd::rzMat(angle(rng)), q));
+    }
+    for (dd::Var q = 0; q + 1 < nq; ++q) {
+      apply(pkg.makeGateDD(dd::Xmat, static_cast<dd::Var>(q + 1),
+                           {dd::Control{q}}));
+    }
+  }
+  return state;
+}
+
+// Node ids, levels and weight ids of every node under `root`, in DFS order.
+std::vector<std::uint64_t> structure(const dd::vEdge& root) {
+  std::vector<std::uint64_t> out{root.w.r->id, root.w.i->id};
+  std::unordered_set<const dd::vNode*> seen;
+  std::vector<const dd::vNode*> stack{root.p};
+  while (!stack.empty()) {
+    const dd::vNode* p = stack.back();
+    stack.pop_back();
+    if (p->isTerminal() || !seen.insert(p).second) {
+      continue;
+    }
+    out.push_back(p->id);
+    out.push_back(static_cast<std::uint64_t>(p->v));
+    for (const auto& child : p->e) {
+      out.push_back(child.p->id);
+      out.push_back(child.w.r->id);
+      out.push_back(child.w.i->id);
+      stack.push_back(child.p);
+    }
+  }
+  return out;
+}
+
+// Traffic counters only: allocations differ by design (a used package
+// recycles nodes from its free list), and peaks are lifetime figures.
+std::vector<std::size_t> counterDelta(const dd::PackageStats& before,
+                                      const dd::PackageStats& after) {
+  std::vector<std::size_t> out{after.gcRuns - before.gcRuns};
+  const auto tables = [](const dd::PackageStats& s) {
+    return std::vector<dd::TableStats>{s.vUnique, s.mUnique, s.addV,
+                                       s.addM,    s.multMV,  s.multMM,
+                                       s.kron,    s.conj,    s.inner};
+  };
+  const auto b = tables(before);
+  const auto a = tables(after);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    out.push_back(a[i].lookups - b[i].lookups);
+    out.push_back(a[i].hits - b[i].hits);
+  }
+  return out;
+}
+} // namespace
+
+TEST(PackageTables, GrownTablesReplayAfterResetLikeAFreshPackage) {
+  constexpr std::size_t nq = 12;
+  dd::Package fresh(nq);
+  const dd::PackageStats freshBefore = fresh.stats();
+  const dd::vEdge expected = scramble(fresh, 5);
+  const dd::PackageStats freshAfter = fresh.stats();
+  // at least three doublings of both tables (2^10 -> 2^13)
+  ASSERT_GT(freshAfter.vNodesPeakLive, 4096U);
+  ASSERT_GT(freshAfter.realsLive, 4096U);
+
+  dd::Package used(nq);
+  const dd::vEdge first = scramble(used, 11);
+  ASSERT_GT(used.stats().realsLive, 4096U);
+  used.decRef(first);
+  used.resetComputationState();
+  const dd::PackageStats usedBefore = used.stats();
+  const dd::vEdge replay = scramble(used, 5);
+  const dd::PackageStats usedAfter = used.stats();
+
+  EXPECT_EQ(structure(replay), structure(expected));
+  const std::vector<ComplexValue> a = fresh.getVector(expected);
+  const std::vector<ComplexValue> b = used.getVector(replay);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].re, b[i].re) << i;
+    ASSERT_EQ(a[i].im, b[i].im) << i;
+  }
+  EXPECT_EQ(counterDelta(usedBefore, usedAfter),
+            counterDelta(freshBefore, freshAfter));
 }

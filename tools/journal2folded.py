@@ -26,11 +26,20 @@ The attr;* frames form a second root: they re-slice the same wall time as
 the flow;* stages by gate instead of by stage, so the two trees overlap and
 their grand totals do not add up — read them as two views, not as siblings.
 
+Child time is worked out per worker lane: dd.gc, sim.stimulus and
+sim.stimulus.cancelled events carry the lane (portfolio worker index) that
+emitted them, and a journal without lane fields reads as one lane. Each
+lane's GC pauses and stimulus deltas are subtracted from that lane's copy of
+the stage's wall interval, and the stage's frames are the mean over the
+lanes seen in the stage. So parallel workers whose pauses together exceed
+the stage's wall time still leave a stage self-time, and a stage's frames
+sum to its wall time at any thread count.
+
 Stage attribution is approximate by design: the journal records completion
 events, not begin/end pairs, so a stimulus delta includes whatever else the
 worker did in that window. For single-threaded runs (--threads 1) the
-approximation is exact up to journal-write overhead; for portfolio runs the
-per-stimulus deltas overlap and only the stage totals are meaningful.
+approximation is exact up to journal-write overhead. In race mode the
+complete checker's GC pauses share lane 0 with the first stimulus worker.
 
 Usage:
     tools/journal2folded.py run.jsonl > run.folded
@@ -88,53 +97,51 @@ def fold(events: list[dict]) -> dict[str, float]:
         end = markers[i + 1]["ts_micros"] if i + 1 < len(markers) else end_ts
         intervals.append((str(marker.get("stage", "?")), begin, end))
 
-    def stage_at(ts: float) -> str | None:
-        for stage, begin, end in intervals:
+    def interval_at(ts: float) -> int | None:
+        for index, (_, begin, end) in enumerate(intervals):
             if begin <= ts <= end:
-                return stage
+                return index
         return None
 
-    folded: dict[str, float] = defaultdict(float)
-    children: dict[str, float] = defaultdict(float)  # per-stage child time
-
-    # GC pauses: measured durations, attributed to the enclosing stage.
-    gc_by_stage: dict[str, list[tuple[float, float]]] = defaultdict(list)
+    # Per stage interval, per lane: GC pauses (measured durations) and
+    # stimulus completions (simulation stage only).
+    lanes: list[dict] = [defaultdict(lambda: {"gc": [], "done": []})
+                         for _ in intervals]
     for event in events:
-        if event.get("event") != "dd.gc":
+        kind = event.get("event")
+        if kind not in ("dd.gc", "sim.stimulus", "sim.stimulus.cancelled"):
             continue
-        stage = stage_at(event["ts_micros"])
-        if stage is None:
+        ts = event["ts_micros"]
+        index = interval_at(ts)
+        if index is None:
             continue
-        pause_us = float(event.get("pause_seconds", 0.0)) * 1e6
-        folded[f"flow;{stage};dd.gc"] += pause_us
-        children[stage] += pause_us
-        gc_by_stage[stage].append((event["ts_micros"], pause_us))
+        lane = lanes[index][event.get("lane", 0)]
+        if kind == "dd.gc":
+            pause_us = float(event.get("pause_seconds", 0.0)) * 1e6
+            lane["gc"].append((ts, pause_us))
+        elif intervals[index][0] == "simulation":
+            lane["done"].append(ts)
 
-    # Stimulus runs: completion deltas inside the simulation stage, minus
-    # the GC pauses that fell into the same window (they are already their
-    # own frame).
-    sim_intervals = [iv for iv in intervals if iv[0] == "simulation"]
-    for _, begin, end in sim_intervals:
-        prev = begin
-        for event in events:
-            if event.get("event") not in ("sim.stimulus",
-                                          "sim.stimulus.cancelled"):
-                continue
-            ts = event["ts_micros"]
-            if not begin <= ts <= end:
-                continue
-            delta = ts - prev
-            gc_inside = sum(pause for gc_ts, pause in gc_by_stage["simulation"]
-                            if prev < gc_ts <= ts)
-            folded["flow;simulation;sim.stimulus"] += max(
-                0.0, delta - gc_inside)
-            children["simulation"] += max(0.0, delta - gc_inside)
-            prev = ts
-
-    for stage, begin, end in intervals:
-        self_time = max(0.0, (end - begin) - children[stage])
-        children[stage] = 0.0  # consumed; repeated stages start fresh
-        folded[f"flow;{stage}"] += self_time
+    folded: dict[str, float] = defaultdict(float)
+    for (stage, begin, end), stage_lanes in zip(intervals, lanes):
+        weight = 1.0 / max(1, len(stage_lanes))
+        children = 0.0
+        for lane in stage_lanes.values():
+            gc = sum(pause for _, pause in lane["gc"])
+            # stimulus runs: completion deltas, minus the GC pauses that
+            # fell into the same window (they are already their own frame)
+            stimulus = 0.0
+            prev = begin
+            for ts in lane["done"]:
+                gc_inside = sum(pause for gc_ts, pause in lane["gc"]
+                                if prev < gc_ts <= ts)
+                stimulus += max(0.0, ts - prev - gc_inside)
+                prev = ts
+            folded[f"flow;{stage};dd.gc"] += weight * gc
+            if lane["done"]:
+                folded[f"flow;{stage};sim.stimulus"] += weight * stimulus
+            children += weight * (gc + stimulus)
+        folded[f"flow;{stage}"] += max(0.0, (end - begin) - children)
 
     fold_attribution(events, folded)
     return folded
