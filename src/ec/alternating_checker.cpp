@@ -53,10 +53,10 @@ CheckResult AlternatingChecker::run(const ir::QuantumComputation& qc1,
   checkerSpan.arg("gates_right", static_cast<std::uint64_t>(right.size()));
   dd::Package pkg(qc1.qubits());
   pkg.setMatrixNodeLimit(config_.maxNodes);
-  const std::atomic<bool>* cancel = config_.cancelFlag;
+  const CancelFlag cancel = config_.cancelFlag;
   const auto poll = [&deadline, cancel] {
     deadline.check();
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+    if (cancel.raised()) {
       throw util::CancelledError();
     }
   };

@@ -50,10 +50,10 @@ struct AlternatingConfiguration {
   double timeoutSeconds{0.0};
   /// Matrix-node budget (0: unlimited). Exhaustion counts as a timeout.
   std::size_t maxNodes{0};
-  /// Optional external cancellation (the race-mode flow's stop flag): when
-  /// the pointee becomes true, the checker abandons the construction at the
+  /// Optional cancellation (the caller's flag, plus the race-mode flow's
+  /// loser flag): once raised, the checker abandons the construction at the
   /// next gate boundary or interrupt poll and reports cancelled=true.
-  const std::atomic<bool>* cancelFlag{nullptr};
+  CancelFlag cancelFlag;
   /// Per-gate cost attribution (CheckResult::attribution). Never changes
   /// the verdict; lookahead iterations attribute the cost of probing both
   /// candidates to the gate that was actually consumed.

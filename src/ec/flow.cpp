@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdint>
 #include <exception>
+#include <optional>
 #include <thread>
 
 namespace qsimec::ec {
@@ -17,9 +18,8 @@ namespace {
 /// Roll the per-stage fields of a finished FlowResult (plus the DD profiles
 /// of the stages that ran) into FlowResult::metrics. Runs on every exit
 /// path, so early-out counterexamples still report their simulation cost.
-void buildMetrics(FlowResult& result, bool simulationRan,
-                  const dd::PackageStats& simulationDD, bool completeRan,
-                  const dd::PackageStats& completeDD) {
+void buildMetrics(FlowResult& result, const std::optional<CheckResult>& sim,
+                  const std::optional<CheckResult>& complete) {
   obs::MetricsSnapshot& m = result.metrics;
   m.counters["simulation.runs"] = result.simulations;
   m.counters["simulation.timed_out"] = result.simulationTimedOut ? 1 : 0;
@@ -43,11 +43,11 @@ void buildMetrics(FlowResult& result, bool simulationRan,
   m.gauges["rewriting.seconds"] = result.rewritingSeconds;
   m.gauges["complete.seconds"] = result.completeSeconds;
   m.gauges["total.seconds"] = result.totalSeconds();
-  if (simulationRan) {
-    dd::appendPackageStats(m, "simulation.dd", simulationDD);
+  if (sim) {
+    dd::appendPackageStats(m, "simulation.dd", sim->ddStats);
   }
-  if (completeRan) {
-    dd::appendPackageStats(m, "complete.dd", completeDD);
+  if (complete) {
+    dd::appendPackageStats(m, "complete.dd", complete->ddStats);
   }
   const auto appendAttribution =
       [&m](const char* prefix, const std::optional<AttributionProfile>& attr) {
@@ -63,16 +63,60 @@ void buildMetrics(FlowResult& result, bool simulationRan,
   appendAttribution("complete", result.completeAttribution);
 }
 
+/// Fold the general tier's stage results into `result` and apply the one
+/// verdict rule of both modes: a simulation counterexample, else a finished
+/// complete check, else the paper's third outcome.
+void foldGeneralTier(FlowResult& result, std::optional<CheckResult>& sim,
+                     std::optional<CheckResult>& complete) {
+  const bool race = result.mode == FlowMode::Race;
+  if (sim) {
+    result.simulations = sim->simulations;
+    result.simulationSeconds = sim->seconds;
+    result.simulationTimedOut = sim->timedOut;
+    result.simulationCancelled = sim->cancelled;
+    result.numThreads = sim->numThreads;
+    // checkers attach attribution only on non-cancelled exits, so a race
+    // loser (whose partial profile depends on when the cancel landed)
+    // contributes nothing here
+    result.simulationAttribution = std::move(sim->attribution);
+  }
+  if (complete) {
+    result.completeSeconds = complete->seconds;
+    result.completeTimedOut = complete->timedOut;
+    result.completeCancelled = complete->cancelled;
+    result.completeAttribution = std::move(complete->attribution);
+  }
+
+  if (sim && sim->equivalence == Equivalence::NotEquivalent) {
+    // A counterexample is a proof — and since the complete check can only
+    // ever agree with it, preferring the simulation keeps the reported race
+    // winner deterministic even when both finish.
+    result.equivalence = Equivalence::NotEquivalent;
+    result.counterexample = std::move(sim->counterexample);
+    result.winner = race ? RaceWinner::Simulation : RaceWinner::None;
+  } else if (complete && !complete->timedOut && !complete->cancelled) {
+    result.equivalence = complete->equivalence;
+    result.winner = race ? RaceWinner::Complete : RaceWinner::None;
+  } else {
+    // The paper's third outcome: the complete check timed out (or was
+    // skipped) after unsuspicious simulations, a strong indication of
+    // equivalence rather than "no information". A caller's cancel of the
+    // complete check leaves no information.
+    result.equivalence =
+        result.simulations > 0 && !result.completeCancelled
+            ? Equivalence::ProbablyEquivalent
+            : Equivalence::NoInformation;
+  }
+}
+
 } // namespace
 
 FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
                                         const ir::QuantumComputation& qc2,
                                         const obs::Context& obs) const {
   FlowResult result;
-  dd::PackageStats simulationDD;
-  dd::PackageStats completeDD;
-  bool simulationRan = false;
-  bool completeRan = false;
+  std::optional<CheckResult> sim;
+  std::optional<CheckResult> complete;
 
   const std::size_t simsTotal =
       config_.skipSimulation ? 0 : config_.simulation.maxSimulations;
@@ -90,29 +134,6 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
                                     simsTotal, toString(result.tier)});
     }
   };
-  // The simulation stage gets a copy of the configuration with a completion
-  // callback that feeds the progress stream (chaining any caller-installed
-  // callback). Installed only when someone listens, so the default path
-  // stays callback-free.
-  const auto instrumentedSimulation = [&] {
-    SimulationConfiguration simConfig = config_.simulation;
-    if (config_.progress || simConfig.onRunCompleted) {
-      const auto inner = simConfig.onRunCompleted;
-      simConfig.onRunCompleted = [this, &simsDone, &result,
-                                  inner](std::size_t done, std::size_t total) {
-        simsDone.store(done, std::memory_order_relaxed);
-        if (inner) {
-          inner(done, total);
-        }
-        if (config_.progress) {
-          config_.progress(
-              FlowProgress{"simulation", done, total, toString(result.tier)});
-        }
-      };
-    }
-    return simConfig;
-  };
-
   {
     obs::ScopedSpan flowSpan(obs.tracer, "flow", "flow", obs.flight);
     flowSpan.arg("qubits", static_cast<std::uint64_t>(qc1.qubits()));
@@ -128,10 +149,10 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
     // every early exit (invalid input, counterexample, rewriting proof)
     // still falls through to the metrics rollup and span finalization.
     [&] {
-      if (config_.validateInputs) {
-        // Fig. 3 front-loads cheap simulations before the expensive DD
-        // check; the static analysis preflight is cheaper still: reject
-        // malformed pairs in O(gates) before any simulator sees them.
+      // Fig. 3 front-loads cheap simulations before the expensive DD check;
+      // the static analysis preflight is cheaper still: reject malformed
+      // pairs in O(gates) before any simulator sees them.
+      {
         enterStage("preflight");
         obs::ScopedSpan span(obs.tracer, "stage.preflight", "stage",
                              obs.flight);
@@ -141,12 +162,12 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
         result.preflightSeconds = watch.seconds();
         span.arg("diagnostics",
                  static_cast<std::uint64_t>(report.diagnostics.size()));
-        if (report.hasErrors()) {
+        const bool invalid = report.hasErrors();
+        result.diagnostics = std::move(report.diagnostics);
+        if (invalid) {
           result.equivalence = Equivalence::InvalidInput;
-          result.diagnostics = std::move(report.diagnostics);
           return;
         }
-        result.diagnostics = std::move(report.diagnostics);
       }
 
       // The complete checker's inputs: the originals unless the prescreen
@@ -157,7 +178,6 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
       const ir::QuantumComputation* completeGPrime = &qc2;
       ir::QuantumComputation residualG;
       ir::QuantumComputation residualGPrime;
-      AlternatingConfiguration completeConfig = config_.complete;
 
       if (config_.prescreen.enabled) {
         enterStage("prescreen");
@@ -219,7 +239,7 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
         }
 
         if (result.tier == analysis::TierHint::Stabilizer &&
-            config_.prescreen.stabilizerTier && !config_.skipComplete) {
+            !config_.skipComplete) {
           enterStage("stabilizer");
           StabilizerConfiguration stabConfig;
           // skipSimulation means "no random stimuli" in every tier; the
@@ -249,19 +269,6 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
           completeG = &residualG;
           completeGPrime = &residualGPrime;
         }
-        if (config_.prescreen.applyStrategyHint) {
-          switch (analysis::strategyHint(profile)) {
-          case analysis::StrategyHint::Naive:
-            completeConfig.strategy = Strategy::Naive;
-            break;
-          case analysis::StrategyHint::Proportional:
-            completeConfig.strategy = Strategy::Proportional;
-            break;
-          case analysis::StrategyHint::Lookahead:
-            completeConfig.strategy = Strategy::Lookahead;
-            break;
-          }
-        }
       }
 
       // Race degenerates to the staged flow when either strategy is
@@ -270,135 +277,12 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
                         !config_.skipSimulation && !config_.skipComplete;
       result.mode = race ? FlowMode::Race : FlowMode::Staged;
 
-      if (race) {
-        if (config_.tryRewriting) {
-          // the syntactic proof attempt is cheap: run it before spinning up
-          // either expensive strategy
-          enterStage("rewriting");
-          obs::ScopedSpan span(obs.tracer, "checker.rewriting", "checker");
-          const RewritingChecker rewriting(config_.rewriting);
-          const CheckResult rewritten = rewriting.run(qc1, qc2);
-          result.rewritingSeconds = rewritten.seconds;
-          span.arg("outcome", toString(rewritten.equivalence));
-          if (provedEquivalent(rewritten.equivalence)) {
-            result.equivalence = rewritten.equivalence;
-            result.provedByRewriting = true;
-            return;
-          }
-        }
-
-        enterStage("race");
-        std::atomic<bool> cancelSim{false};
-        std::atomic<bool> cancelComplete{false};
-        CheckResult sim;
-        CheckResult complete;
-        std::exception_ptr completeError;
-        {
-          // the complete check runs on its own thread, the simulation
-          // portfolio on this one; the scope's closing brace joins
-          std::jthread completeThread([&] {
-            try {
-              if (obs.flight != nullptr) {
-                obs.flight->labelThread("race.complete");
-              }
-              AlternatingConfiguration raceConfig = completeConfig;
-              raceConfig.cancelFlag = &cancelComplete;
-              complete = AlternatingChecker(raceConfig)
-                             .run(*completeG, *completeGPrime, obs);
-              if (!complete.timedOut && !complete.cancelled) {
-                // conclusive either way: the simulations are moot
-                cancelSim.store(true, std::memory_order_relaxed);
-              }
-            } catch (...) {
-              completeError = std::current_exception();
-              cancelSim.store(true, std::memory_order_relaxed);
-            }
-          });
-          try {
-            SimulationConfiguration simConfig = instrumentedSimulation();
-            simConfig.cancelFlag = &cancelSim;
-            sim = SimulationChecker(simConfig).run(qc1, qc2, obs);
-          } catch (...) {
-            cancelComplete.store(true, std::memory_order_relaxed);
-            throw; // completeThread joins during unwinding
-          }
-          if (sim.equivalence == Equivalence::NotEquivalent) {
-            cancelComplete.store(true, std::memory_order_relaxed);
-          }
-        }
-        if (completeError) {
-          std::rethrow_exception(completeError);
-        }
-        if (sim.cancelled) {
-          obs.log(obs::JournalLevel::Info, "flow.race.cancelled")
-              .str("loser", "simulation");
-        }
-        if (complete.cancelled) {
-          obs.log(obs::JournalLevel::Info, "flow.race.cancelled")
-              .str("loser", "complete");
-        }
-
-        simulationRan = true;
-        completeRan = true;
-        simulationDD = sim.ddStats;
-        completeDD = complete.ddStats;
-        result.simulations = sim.simulations;
-        result.simulationSeconds = sim.seconds;
-        result.simulationTimedOut = sim.timedOut;
-        result.simulationCancelled = sim.cancelled;
-        result.numThreads = sim.numThreads;
-        result.completeSeconds = complete.seconds;
-        result.completeTimedOut = complete.timedOut;
-        result.completeCancelled = complete.cancelled;
-        // checkers attach attribution only on non-cancelled exits, so the
-        // race loser (whose partial profile depends on when the cancel
-        // landed) contributes nothing here
-        result.simulationAttribution = sim.attribution;
-        result.completeAttribution = complete.attribution;
-
-        if (sim.equivalence == Equivalence::NotEquivalent) {
-          // A counterexample is a proof — and since the complete check can
-          // only ever agree with it, preferring the simulation here keeps
-          // the reported winner deterministic even when both finish.
-          result.equivalence = Equivalence::NotEquivalent;
-          result.counterexample = sim.counterexample;
-          result.winner = RaceWinner::Simulation;
-        } else if (!complete.timedOut && !complete.cancelled) {
-          result.equivalence = complete.equivalence;
-          result.winner = RaceWinner::Complete;
-        } else {
-          // neither strategy concluded: fall back to the staged rule
-          result.equivalence = result.simulations > 0
-                                   ? Equivalence::ProbablyEquivalent
-                                   : Equivalence::NoInformation;
-        }
-        return;
-      }
-
-      if (!config_.skipSimulation) {
-        enterStage("simulation");
-        const SimulationChecker simChecker(instrumentedSimulation());
-        const CheckResult sim = simChecker.run(qc1, qc2, obs);
-        simulationRan = true;
-        simulationDD = sim.ddStats;
-        result.simulations = sim.simulations;
-        result.simulationSeconds = sim.seconds;
-        result.simulationTimedOut = sim.timedOut;
-        result.numThreads = sim.numThreads;
-        result.counterexample = sim.counterexample;
-        result.simulationAttribution = sim.attribution;
-
-        if (sim.equivalence == Equivalence::NotEquivalent) {
-          result.equivalence = Equivalence::NotEquivalent;
-          return;
-        }
-      }
-
       if (config_.tryRewriting) {
+        // the syntactic proof attempt is cheap: run it before either
+        // expensive strategy
         enterStage("rewriting");
         obs::ScopedSpan span(obs.tracer, "checker.rewriting", "checker");
-        const RewritingChecker rewriting(config_.rewriting);
-        const CheckResult rewritten = rewriting.run(qc1, qc2);
+        const CheckResult rewritten = RewritingChecker().run(qc1, qc2);
         result.rewritingSeconds = rewritten.seconds;
         span.arg("outcome", toString(rewritten.equivalence));
         if (provedEquivalent(rewritten.equivalence)) {
@@ -408,34 +292,92 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
         }
       }
 
-      if (config_.skipComplete) {
-        // Simulation found nothing: strong indication of equivalence.
-        result.equivalence = result.simulations > 0
-                                 ? Equivalence::ProbablyEquivalent
-                                 : Equivalence::NoInformation;
-        return;
-      }
+      // Raised by the first strategy to reach a conclusive verdict. In race
+      // mode it cancels the other one (the winner has already finished, so
+      // one flag serves both sides); staged mode skips the complete check
+      // after a counterexample. Each side still polls its caller's flag.
+      std::atomic<bool> decided{false};
+      const auto runSimulation = [&] {
+        SimulationConfiguration simConfig = config_.simulation;
+        simConfig.cancelFlag.local = &decided;
+        // a completion callback feeds the progress stream (chaining any
+        // caller-installed one); installed only when someone listens, so
+        // the default path stays callback-free
+        if (config_.progress || simConfig.onRunCompleted) {
+          simConfig.onRunCompleted = [this, &simsDone, &result,
+                                      inner = simConfig.onRunCompleted](
+                                         std::size_t done, std::size_t total) {
+            simsDone.store(done, std::memory_order_relaxed);
+            if (inner) {
+              inner(done, total);
+            }
+            if (config_.progress) {
+              config_.progress(FlowProgress{"simulation", done, total,
+                                            toString(result.tier)});
+            }
+          };
+        }
+        sim = SimulationChecker(simConfig).run(qc1, qc2, obs);
+        if (sim->equivalence == Equivalence::NotEquivalent) {
+          decided.store(true, std::memory_order_relaxed);
+        }
+      };
+      const auto runComplete = [&] {
+        AlternatingConfiguration completeConfig = config_.complete;
+        completeConfig.cancelFlag.local = &decided;
+        complete = AlternatingChecker(completeConfig)
+                       .run(*completeG, *completeGPrime, obs);
+        if (!complete->timedOut && !complete->cancelled) {
+          decided.store(true, std::memory_order_relaxed);
+        }
+      };
 
-      enterStage("complete");
-      const AlternatingChecker completeChecker(completeConfig);
-      const CheckResult complete =
-          completeChecker.run(*completeG, *completeGPrime, obs);
-      completeRan = true;
-      completeDD = complete.ddStats;
-      result.completeSeconds = complete.seconds;
-      result.completeTimedOut = complete.timedOut;
-      result.completeAttribution = complete.attribution;
-
-      if (complete.timedOut) {
-        // The paper's third outcome: a timeout after unsuspicious
-        // simulations is a strong indication of equivalence rather than
-        // "no information".
-        result.equivalence = result.simulations > 0
-                                 ? Equivalence::ProbablyEquivalent
-                                 : Equivalence::NoInformation;
+      if (race) {
+        enterStage("race");
+        std::exception_ptr completeError;
+        {
+          // the complete check runs on its own thread, the simulation
+          // portfolio on this one; the scope's closing brace joins
+          std::jthread completeThread([&] {
+            try {
+              if (obs.flight != nullptr) {
+                obs.flight->labelThread("race.complete");
+              }
+              runComplete();
+            } catch (...) {
+              completeError = std::current_exception();
+              decided.store(true, std::memory_order_relaxed);
+            }
+          });
+          try {
+            runSimulation();
+          } catch (...) {
+            decided.store(true, std::memory_order_relaxed);
+            throw; // completeThread joins during unwinding
+          }
+        }
+        if (completeError) {
+          std::rethrow_exception(completeError);
+        }
+        if (sim->cancelled) {
+          obs.log(obs::JournalLevel::Info, "flow.race.cancelled")
+              .str("loser", "simulation");
+        }
+        if (complete->cancelled) {
+          obs.log(obs::JournalLevel::Info, "flow.race.cancelled")
+              .str("loser", "complete");
+        }
       } else {
-        result.equivalence = complete.equivalence;
+        if (!config_.skipSimulation) {
+          enterStage("simulation");
+          runSimulation();
+        }
+        if (!config_.skipComplete && !decided.load()) {
+          enterStage("complete");
+          runComplete();
+        }
       }
+      foldGeneralTier(result, sim, complete);
     }();
 
     obs.flightMark("flow.verdict",
@@ -460,7 +402,7 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
     }
   }
 
-  buildMetrics(result, simulationRan, simulationDD, completeRan, completeDD);
+  buildMetrics(result, sim, complete);
   if (obs.metrics != nullptr) {
     obs.metrics->merge(result.metrics);
   }

@@ -13,10 +13,14 @@
 //                             equivalence (stronger than the state of the
 //                             art's "no information").
 //
-// Besides this staged ordering, the flow offers a *race* mode that launches
-// the simulation portfolio and the complete check concurrently and cancels
-// the loser: whichever strategy reaches a conclusive verdict first decides
-// (see docs/parallelism.md for the exact semantics).
+// Before either strategy, an error-level preflight rejects malformed pairs,
+// the prescreen routes the pair to a tier (static verdict, stabilizer
+// tableau, or this general flow), and the optional rewriting checker tries
+// a cheap syntactic proof. Besides the staged ordering, the flow offers a
+// *race* mode that launches the complete check on its own thread next to
+// the simulation portfolio and cancels the loser: whichever strategy
+// reaches a conclusive verdict first decides. Both modes share every stage
+// and one verdict rule (see docs/parallelism.md for the exact semantics).
 
 #pragma once
 
@@ -100,11 +104,8 @@ struct FlowProgress {
 /// decisions are byte-stable across thread counts by construction.
 struct PrescreenConfiguration {
   /// Run the profiler + prescreen after preflight. Off: every pair takes
-  /// the general tier untouched (the pre-PR behaviour; `--no-prescreen`).
+  /// the general tier untouched (`--no-prescreen`).
   bool enabled{true};
-  /// Dispatch Clifford-only pairs to the polynomial stabilizer tier
-  /// instead of the DD machinery. Ignored when `enabled` is false.
-  bool stabilizerTier{true};
   /// Randomized witness runs of the stabilizer tier.
   std::size_t stabilizerStimuli{8};
   /// Dense-probe cap for resolving the exact global phase in the
@@ -114,16 +115,11 @@ struct PrescreenConfiguration {
   /// complete checker. Sound for the verdict; the simulation stage always
   /// keeps the originals so counterexample stimuli stay meaningful.
   bool checkStrippedPair{true};
-  /// Override AlternatingConfiguration::strategy with the profile's
-  /// strategy hint. Off by default: the hint is advisory and surfaces via
-  /// `qsimec profile`.
-  bool applyStrategyHint{false};
 };
 
 struct FlowConfiguration {
   SimulationConfiguration simulation{};
   AlternatingConfiguration complete{};
-  RewritingConfiguration rewriting{};
   PrescreenConfiguration prescreen{};
   /// Staged (Fig. 3 ordering, the default) or Race (concurrent strategies,
   /// first conclusive verdict wins). Race degenerates to Staged when either
@@ -131,19 +127,14 @@ struct FlowConfiguration {
   FlowMode mode{FlowMode::Staged};
   /// Skip the simulation stage entirely (for baseline measurements).
   bool skipSimulation{false};
-  /// Try the (cheap, incomplete) rewriting checker between the simulation
-  /// stage and the complete check; a syntactic proof short-circuits the
-  /// expensive DD construction. Off by default — the paper's Fig. 3 flow
+  /// Try the (cheap, incomplete) rewriting checker first, before the
+  /// simulation stage and the complete check of either mode; a syntactic
+  /// proof short-circuits both. Off by default — the paper's Fig. 3 flow
   /// has no such stage.
   bool tryRewriting{false};
   /// Skip the complete check (simulation only; outcome is then either
   /// NotEquivalent or ProbablyEquivalent).
   bool skipComplete{false};
-  /// Run error-level static analysis on the pair before any checking
-  /// strategy. Defects yield Equivalence::InvalidInput (with the
-  /// diagnostics in FlowResult::diagnostics) instead of throws or crashes
-  /// deep inside the simulators.
-  bool validateInputs{true};
   /// Invoked on every stage transition and after every completed stimulus
   /// run (per-run calls come from portfolio worker threads, serialized —
   /// never concurrently with a stage-transition call). Keep the body cheap;
@@ -179,7 +170,8 @@ struct FlowResult {
   RaceWinner winner{RaceWinner::None};
   /// Worker threads the simulation stage used.
   unsigned numThreads{1};
-  /// Race mode: the stage was cancelled because the other one won.
+  /// The stage was cancelled: by the caller's flag, or in race mode because
+  /// the other strategy won.
   bool simulationCancelled{false};
   bool completeCancelled{false};
   std::optional<Counterexample> counterexample;
@@ -209,10 +201,13 @@ public:
   explicit EquivalenceCheckingFlow(FlowConfiguration config = {})
       : config_(config) {}
 
+  /// Error-level static analysis always runs first: defects yield
+  /// Equivalence::InvalidInput (with the diagnostics in
+  /// FlowResult::diagnostics) instead of throws deep inside the simulators.
   /// An attached obs::Context records a root "flow" span enclosing one span
-  /// per stage that runs (stage.preflight, checker.simulation,
-  /// checker.rewriting, checker.alternating) and merges FlowResult::metrics
-  /// into the registry.
+  /// per stage that runs (stage.preflight, checker.rewriting,
+  /// checker.simulation, checker.alternating) and merges
+  /// FlowResult::metrics into the registry.
   [[nodiscard]] FlowResult run(const ir::QuantumComputation& qc1,
                                const ir::QuantumComputation& qc2,
                                const obs::Context& obs = {}) const;

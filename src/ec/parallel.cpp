@@ -163,7 +163,7 @@ CheckResult runStimuliPortfolio(const SimulationConfiguration& config,
   std::atomic<bool> timedOut{false};
   std::atomic<bool> cancelled{false};
   std::mutex progressMutex; // serializes onRunCompleted across workers
-  const std::atomic<bool>* externalCancel = config.cancelFlag;
+  const CancelFlag externalCancel = config.cancelFlag;
 
   const auto workerBody = [&](unsigned workerIndex) {
     std::optional<dd::Package> pkg; // created on the first claimed run
@@ -173,8 +173,7 @@ CheckResult runStimuliPortfolio(const SimulationConfiguration& config,
       if (timedOut.load(std::memory_order_relaxed)) {
         break;
       }
-      if (externalCancel != nullptr &&
-          externalCancel->load(std::memory_order_relaxed)) {
+      if (externalCancel.raised()) {
         cancelled.store(true, std::memory_order_relaxed);
         break;
       }
@@ -196,8 +195,7 @@ CheckResult runStimuliPortfolio(const SimulationConfiguration& config,
         pkg->setInterruptHook(
             [&deadline, externalCancel, &firstMismatch, &currentRun] {
               deadline.check();
-              if (externalCancel != nullptr &&
-                  externalCancel->load(std::memory_order_relaxed)) {
+              if (externalCancel.raised()) {
                 throw util::CancelledError();
               }
               if (firstMismatch.load(std::memory_order_relaxed) < currentRun) {

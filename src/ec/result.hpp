@@ -5,6 +5,7 @@
 #include "dd/stats.hpp"
 #include "ec/attribution.hpp"
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string_view>
@@ -79,6 +80,24 @@ struct Counterexample {
   std::uint64_t input{};
   double fidelity{};
   StimuliKind stimuli{StimuliKind::ComputationalBasis};
+};
+
+/// Cooperative cancellation of a checker: raised once either flag is set.
+/// A bare flag converts implicitly (`config.cancelFlag = &flag`); the
+/// race-mode flow pairs the caller's flag with its own loser flag, so an
+/// external cancel still reaches both racing strategies.
+struct CancelFlag {
+  CancelFlag(const std::atomic<bool>* callerFlag = nullptr,
+             const std::atomic<bool>* localFlag = nullptr) noexcept
+      : caller(callerFlag), local(localFlag) {}
+
+  [[nodiscard]] bool raised() const noexcept {
+    return (caller != nullptr && caller->load(std::memory_order_relaxed)) ||
+           (local != nullptr && local->load(std::memory_order_relaxed));
+  }
+
+  const std::atomic<bool>* caller;
+  const std::atomic<bool>* local;
 };
 
 struct CheckResult {

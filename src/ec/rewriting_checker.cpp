@@ -21,13 +21,11 @@ RewritingChecker::remainder(const ir::QuantumComputation& qc1,
       qc1.withMaterializedLayouts();
   combined.append(qc2.inverse().withMaterializedLayouts());
 
-  tf::OptimizerOptions options;
-  options.commutationAware = config_.commutationAware;
   // iterate to a fixpoint: each pass may expose new opportunities
   std::size_t before = combined.size() + 1;
   while (combined.size() < before) {
     before = combined.size();
-    combined = tf::optimize(combined, options);
+    combined = tf::optimize(combined);
   }
   return combined;
 }

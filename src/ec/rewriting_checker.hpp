@@ -6,8 +6,8 @@
 // *syntactically*, without ever building a functional representation.
 //
 // The method is deliberately incomplete: a non-empty remainder proves
-// nothing (NoInformation). It is extremely cheap, so it slots naturally
-// between the simulation stage and the DD-based complete check.
+// nothing (NoInformation). It is extremely cheap, so the flow tries it
+// before both the simulation stage and the DD-based complete check.
 
 #pragma once
 
@@ -16,16 +16,10 @@
 
 namespace qsimec::ec {
 
-struct RewritingConfiguration {
-  /// Slide cancellations across commuting gates (see tf::OptimizerOptions).
-  bool commutationAware{true};
-};
-
+/// Rewrites with tf::optimize's defaults, which slide cancellations across
+/// commuting gates.
 class RewritingChecker {
 public:
-  explicit RewritingChecker(RewritingConfiguration config = {})
-      : config_(config) {}
-
   /// Equivalent / EquivalentUpToGlobalPhase if G · G'^-1 rewrites to the
   /// empty circuit (/ a global phase); NoInformation otherwise.
   [[nodiscard]] CheckResult run(const ir::QuantumComputation& qc1,
@@ -35,9 +29,6 @@ public:
   [[nodiscard]] ir::QuantumComputation
   remainder(const ir::QuantumComputation& qc1,
             const ir::QuantumComputation& qc2) const;
-
-private:
-  RewritingConfiguration config_;
 };
 
 } // namespace qsimec::ec

@@ -48,10 +48,10 @@ struct SimulationConfiguration {
   /// from a (seed, runIndex)-derived stream and executes on a freshly reset
   /// package (see docs/parallelism.md).
   unsigned numThreads{0};
-  /// Optional external cancellation (the race-mode flow's stop flag): when
-  /// the pointee becomes true, workers abandon their runs at the next
+  /// Optional cancellation (the caller's flag, plus the race-mode flow's
+  /// loser flag): once raised, workers abandon their runs at the next
   /// interrupt poll and the result reports cancelled=true.
-  const std::atomic<bool>* cancelFlag{nullptr};
+  CancelFlag cancelFlag;
   /// Invoked as onRunCompleted(done, total) after every finished stimulus
   /// run (done counts completions, not run indices — workers finish out of
   /// order). Calls are serialized by the portfolio, but may come from any

@@ -6,11 +6,8 @@
 
 #include <chrono>
 #include <cmath>
-#include <exception>
-#include <optional>
 #include <random>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 namespace qsimec::ec {
@@ -84,53 +81,26 @@ CheckResult StabilizerChecker::run(const ir::QuantumComputation& qc1,
   const ir::QuantumComputation gpInverse = gp.inverse();
 
   CheckResult result;
-  result.numThreads = 2;
-
-  const std::atomic<bool>* external = config_.cancelFlag;
-  const auto externallyCancelled = [external] {
-    return external != nullptr && external->load(std::memory_order_relaxed);
+  const auto finish = [&](Equivalence verdict) {
+    result.equivalence = verdict;
+    result.seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+    span.arg("verdict", std::string(toString(verdict)));
+    span.arg("simulations", static_cast<std::uint64_t>(result.simulations));
+    return result;
+  };
+  const auto cancelled = [&] {
+    result.cancelled = true;
+    return finish(Equivalence::NoInformation);
   };
 
-  // exact tableau check on a worker thread, cancellable by a witness
-  std::atomic<bool> cancelExact{false};
-  std::atomic<bool> exactDone{false};
-  bool exactIdentity = false;
-  bool exactAborted = false;
-  std::exception_ptr exactError;
-  std::jthread exactThread([&] {
-    try {
-      if (obs.flight != nullptr) {
-        obs.flight->labelThread("stabilizer.exact");
-      }
-      sim::StabilizerSimulator tableau(n);
-      std::size_t opCount = 0;
-      for (const ir::QuantumComputation* qc : {&g, &gpInverse}) {
-        for (const ir::StandardOperation& op : *qc) {
-          if (cancelExact.load(std::memory_order_relaxed) ||
-              externallyCancelled()) {
-            exactAborted = true;
-            return;
-          }
-          if (obs.flight != nullptr && (++opCount & 0x3FFU) == 0) {
-            obs.flight->beat(); // tableaus have no DD interrupt poll
-          }
-          tableau.apply(op);
-        }
-      }
-      exactIdentity = tableau.isIdentityConjugation();
-      exactDone.store(true, std::memory_order_release);
-    } catch (...) {
-      exactError = std::current_exception();
-    }
-  });
-
-  // randomized stabilizer agreement runs, sequential on this thread; never
-  // cancelled by the exact check, so the witness (and the run count) is
-  // deterministic
-  std::optional<Counterexample> witness;
+  // randomized stabilizer agreement runs first: they stop only at the first
+  // witness or at the configured budget, so the witness (and the run count)
+  // is deterministic
   for (std::size_t r = 0; r < config_.maxSimulations; ++r) {
-    if (externallyCancelled()) {
-      break;
+    if (config_.cancelFlag.raised()) {
+      return cancelled();
     }
     const std::uint64_t stimulusSeed = perRunStimulusSeed(config_.seed, r);
     obs::ScopedSpan runSpan(obs.tracer, "tier.stabilizer.run", "ec");
@@ -178,47 +148,35 @@ CheckResult StabilizerChecker::run(const ir::QuantumComputation& qc1,
     const double fidelity = zeroStateFidelity(state);
     ++result.simulations;
     if (fidelity < 1.0) {
-      witness = Counterexample{stimulusSeed, fidelity,
-                               StimuliKind::RandomStabilizer};
-      cancelExact.store(true, std::memory_order_relaxed);
-      break;
+      result.counterexample = Counterexample{stimulusSeed, fidelity,
+                                             StimuliKind::RandomStabilizer};
+      return finish(Equivalence::NotEquivalent);
     }
   }
 
-  exactThread.join();
-  if (exactError) {
-    std::rethrow_exception(exactError);
+  // no witness: the exact tableau check decides
+  sim::StabilizerSimulator tableau(n);
+  std::size_t opCount = 0;
+  for (const ir::QuantumComputation* qc : {&g, &gpInverse}) {
+    for (const ir::StandardOperation& op : *qc) {
+      if (config_.cancelFlag.raised()) {
+        return cancelled();
+      }
+      if (obs.flight != nullptr && (++opCount & 0x3FFU) == 0) {
+        obs.flight->beat(); // tableaus have no DD interrupt poll
+      }
+      tableau.apply(op);
+    }
+  }
+  if (config_.cancelFlag.raised()) {
+    return cancelled();
   }
 
-  const auto finish = [&](CheckResult& res) {
-    res.seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-    span.arg("verdict", std::string(toString(res.equivalence)));
-    span.arg("simulations",
-             static_cast<std::uint64_t>(res.simulations));
-  };
-
-  if (witness) {
-    result.equivalence = Equivalence::NotEquivalent;
-    result.counterexample = witness;
-    finish(result);
-    return result;
-  }
-  if (externallyCancelled() || exactAborted) {
-    result.cancelled = true;
-    result.equivalence = Equivalence::NoInformation;
-    finish(result);
-    return result;
-  }
-
-  if (!exactIdentity) {
+  if (!tableau.isIdentityConjugation()) {
     // complete disproof without a witness stimulus: the tableau shows some
     // Pauli generator is not preserved even though no randomized run
     // distinguished the pair within the budget
-    result.equivalence = Equivalence::NotEquivalent;
-    finish(result);
-    return result;
+    return finish(Equivalence::NotEquivalent);
   }
 
   if (n <= config_.phaseProbeMaxQubits) {
@@ -231,14 +189,11 @@ CheckResult StabilizerChecker::run(const ir::QuantumComputation& qc1,
       diff.emplace(op);
     }
     const sim::Amplitude lambda = sim::DenseSimulator::simulate(diff, 0)[0];
-    result.equivalence = std::abs(lambda - sim::Amplitude{1.0, 0.0}) <= 1e-9
-                             ? Equivalence::Equivalent
-                             : Equivalence::EquivalentUpToGlobalPhase;
-  } else {
-    result.equivalence = Equivalence::EquivalentUpToGlobalPhase;
+    return finish(std::abs(lambda - sim::Amplitude{1.0, 0.0}) <= 1e-9
+                      ? Equivalence::Equivalent
+                      : Equivalence::EquivalentUpToGlobalPhase);
   }
-  finish(result);
-  return result;
+  return finish(Equivalence::EquivalentUpToGlobalPhase);
 }
 
 } // namespace qsimec::ec

@@ -9,23 +9,20 @@
 // *exact, polynomial-time* equivalence decision up to global phase, where
 // the general tier has to build a DD of worst-case exponential size.
 //
-// Mirroring the race-mode flow's cross-cancellation machinery, the checker
-// runs two strategies concurrently:
+// The checker runs two strategies in sequence on the calling thread:
 //
-//   * the exact tableau check on a jthread (cancelled as soon as the
-//     randomized side finds a witness), and
-//   * a sequential portfolio of randomized stabilizer-state agreement runs
-//     on the calling thread: run r applies P_r; G; G'^-1; P_r^-1 to |0..0>
-//     (P_r = the same pseudo-random Clifford prefix ec::makeStimulus uses
-//     for StimuliKind::RandomStabilizer at seed perRunStimulusSeed(seed,
-//     r)), then reads off the exact fidelity |<0..0|psi>|^2 from forced
-//     measurements. Any fidelity < 1 is a witness stimulus whose seed
-//     regenerates a counterexample, which the exact check cannot provide.
+//   * a portfolio of randomized stabilizer-state agreement runs: run r
+//     applies P_r; G; G'^-1; P_r^-1 to |0..0> (P_r = the same pseudo-random
+//     Clifford prefix ec::makeStimulus uses for StimuliKind::RandomStabilizer
+//     at seed perRunStimulusSeed(seed, r)), then reads off the exact
+//     fidelity |<0..0|psi>|^2 from forced measurements. Any fidelity < 1 is
+//     a witness stimulus whose seed regenerates a counterexample, which the
+//     exact check cannot provide;
+//   * when no run found a witness, the exact tableau check.
 //
-// Determinism contract (docs/parallelism.md): the randomized runs are never
-// cancelled by the exact check — they stop at the first witness or at the
-// configured budget — so verdict, counterexample, and simulation count are
-// reproducible regardless of scheduling.
+// Determinism contract (docs/parallelism.md): the randomized runs stop only
+// at the first witness or at the configured budget, so verdict,
+// counterexample, and simulation count are reproducible.
 //
 // Global phase is invisible to a tableau, so an identity conjugation alone
 // only proves EquivalentUpToGlobalPhase. For circuits up to
@@ -39,7 +36,6 @@
 #include "ir/quantum_computation.hpp"
 #include "obs/context.hpp"
 
-#include <atomic>
 #include <cstdint>
 
 namespace qsimec::ec {
@@ -54,7 +50,7 @@ struct StabilizerConfiguration {
   /// reported as EquivalentUpToGlobalPhase.
   std::size_t phaseProbeMaxQubits{12};
   /// Optional external cancellation (the flow's stop flag).
-  const std::atomic<bool>* cancelFlag{nullptr};
+  CancelFlag cancelFlag;
 };
 
 class StabilizerChecker {

@@ -201,8 +201,8 @@ public:
                                 const obs::Context& obs = {});
 
   /// Cancel the batch: pairs not yet started resolve as cancelled, in-flight
-  /// pairs abandon at their next interrupt poll (staged-mode stages observe
-  /// the flag directly; a race-mode pair re-checks it between stages).
+  /// pairs abandon at their next interrupt poll (both strategies of a
+  /// race-mode pair observe the flag too).
   /// Callable from any thread while run() is in flight.
   void cancel();
 

@@ -145,10 +145,14 @@ std::uint64_t configDigest(const ec::FlowConfiguration& config) {
   h.absorb(config.skipSimulation ? std::uint64_t{1} : std::uint64_t{0});
   h.absorb(config.skipComplete ? std::uint64_t{1} : std::uint64_t{0});
   h.absorb(config.tryRewriting ? std::uint64_t{1} : std::uint64_t{0});
-  h.absorb(config.validateInputs ? std::uint64_t{1} : std::uint64_t{0});
+  // slot of the removed validateInputs knob: preflight always runs, as it
+  // did by default, so absorbing its old default keeps every digest (and
+  // every existing cache file) valid
+  h.absorb(std::uint64_t{1});
   h.absorb(config.prescreen.enabled ? std::uint64_t{1} : std::uint64_t{0});
-  h.absorb(config.prescreen.stabilizerTier ? std::uint64_t{1}
-                                           : std::uint64_t{0});
+  // slot of the removed prescreen.stabilizerTier knob (default on), kept
+  // for the same reason
+  h.absorb(std::uint64_t{1});
   h.absorb(static_cast<std::uint64_t>(config.prescreen.stabilizerStimuli));
   h.absorb(static_cast<std::uint64_t>(config.prescreen.phaseProbeMaxQubits));
   return h.digest().lo;

@@ -1,13 +1,16 @@
 // Minimal JSON reader (recursive descent over the RFC 8259 grammar into a
-// small DOM). The library stayed write-only with respect to JSON until
-// `qsimec bench-diff` needed to *compare* two qsimec-bench-v1 reports; this
-// parser is deliberately small: objects preserve member order (reports are
-// written with deterministic key order, diffs should iterate the same way),
-// numbers become doubles, and escapes are decoded for the basic cases the
-// writers in util/json.hpp produce.
+// small DOM), the repository's one JSON parser. It is deliberately small:
+// objects preserve member order (reports are written with deterministic key
+// order, diffs should iterate the same way), numbers keep their lexeme so
+// 64-bit integers read back exactly (asUint) while asNumber gives the
+// double, and escapes are decoded for the basic cases the writers in
+// util/json.hpp produce. The grammar is strict — no leading zeros, trailing
+// commas, raw control characters, NaN or hex — so isValidJson doubles as
+// the tests' well-formedness check.
 
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -50,9 +53,18 @@ public:
     expect(Kind::Number, "number");
     return number_;
   }
+  /// The exact integer; a negative, fractional, exponent-form or
+  /// out-of-range number throws instead of being rounded.
   [[nodiscard]] std::uint64_t asUint() const {
     expect(Kind::Number, "number");
-    return number_ < 0 ? 0 : static_cast<std::uint64_t>(number_ + 0.5);
+    std::uint64_t value = 0;
+    const char* end = string_.data() + string_.size();
+    const auto [ptr, ec] = std::from_chars(string_.data(), end, value);
+    if (ec != std::errc{} || ptr != end) {
+      throw JsonParseError("JSON number is not a 64-bit unsigned integer: " +
+                           string_);
+    }
+    return value;
   }
   [[nodiscard]] const std::string& asString() const {
     expect(Kind::String, "string");
@@ -98,7 +110,7 @@ private:
   Kind kind_{Kind::Null};
   bool boolean_{false};
   double number_{0.0};
-  std::string string_;
+  std::string string_; // a Number's lexeme, a String's decoded text
   std::vector<Member> members_;
   std::vector<JsonValue> elements_;
 };
@@ -313,20 +325,36 @@ private:
     if (peek() == '-') {
       ++pos_;
     }
-    while (pos_ < text_.size() &&
-           ((text_[pos_] >= '0' && text_[pos_] <= '9') || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' ||
-            text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
+    if (!digit()) {
       fail("expected a JSON value");
     }
+    if (text_[pos_] == '0') {
+      ++pos_; // no leading zeros
+    } else {
+      digits();
+    }
+    if (peek() == '.') {
+      ++pos_;
+      if (!digit()) {
+        fail("malformed number");
+      }
+      digits();
+    }
+    if (peek() == 'e' || peek() == 'E') {
+      ++pos_;
+      if (peek() == '+' || peek() == '-') {
+        ++pos_;
+      }
+      if (!digit()) {
+        fail("malformed number");
+      }
+      digits();
+    }
     JsonValue v(JsonValue::Kind::Number);
-    try {
-      v.number_ = std::stod(std::string(text_.substr(start, pos_ - start)));
-    } catch (const std::exception&) {
-      fail("malformed number");
+    v.string_ = std::string(text_.substr(start, pos_ - start));
+    const char* end = v.string_.data() + v.string_.size();
+    if (std::from_chars(v.string_.data(), end, v.number_).ec != std::errc{}) {
+      fail("number out of range");
     }
     return v;
   }
@@ -340,6 +368,12 @@ private:
 
   [[nodiscard]] char peek() const {
     return pos_ < text_.size() ? text_[pos_] : '\0';
+  }
+  [[nodiscard]] bool digit() const { return peek() >= '0' && peek() <= '9'; }
+  void digits() {
+    while (digit()) {
+      ++pos_;
+    }
   }
   void skipWs() {
     while (pos_ < text_.size() &&
@@ -358,6 +392,17 @@ private:
 /// Parse one JSON document; throws JsonParseError on malformed input.
 [[nodiscard]] inline JsonValue parseJson(std::string_view text) {
   return detail::JsonParser(text).parse();
+}
+
+/// True iff `text` is one syntactically valid JSON value (object, array,
+/// string, number, or literal) with nothing but whitespace around it.
+[[nodiscard]] inline bool isValidJson(std::string_view text) {
+  try {
+    (void)parseJson(text);
+    return true;
+  } catch (const JsonParseError&) {
+    return false;
+  }
 }
 
 } // namespace qsimec::util

@@ -422,27 +422,6 @@ TEST(AnalysisIntegration, FlowRejectsMalformedPairAsInvalidInput) {
   EXPECT_EQ(result.simulations, 0U);
 }
 
-TEST(AnalysisIntegration, FlowPreflightCanBeDisabled) {
-  // With validation off the flow behaves exactly as before this subsystem
-  // existed (well-formed inputs, of course).
-  ir::QuantumComputation a(2);
-  a.h(0);
-  a.cx(0, 1);
-  ir::QuantumComputation b(2);
-  b.h(0);
-  b.cx(0, 1);
-  ec::FlowConfiguration config;
-  config.validateInputs = false;
-  const auto result = ec::EquivalenceCheckingFlow(config).run(a, b);
-  EXPECT_EQ(result.equivalence, ec::Equivalence::Equivalent);
-  // no preflight findings; the only diagnostic is the prescreen's QS004
-  // note (the identical pair is decided statically)
-  ASSERT_EQ(result.diagnostics.size(), 1U);
-  EXPECT_EQ(result.diagnostics[0].rule,
-            analysis::rules::StaticallyIdentical);
-  EXPECT_EQ(result.tier, analysis::TierHint::Static);
-}
-
 TEST(AnalysisIntegration, FlowAcceptsCleanPairAndKeepsWarnings) {
   // Warning-level findings must not abort the check; QA008 (empty circuit)
   // is recorded in the result while the verdict comes from the checkers.

@@ -74,6 +74,44 @@ TEST(JsonParse, RejectsMalformedInput) {
   std::string deep(100, '[');
   deep += std::string(100, ']');
   EXPECT_THROW((void)util::parseJson(deep), util::JsonParseError);
+  // 65 nested arrays reach depth 64, the limit; one more is too deep
+  EXPECT_NO_THROW((void)util::parseJson(std::string(65, '[') +
+                                        std::string(65, ']')));
+  EXPECT_THROW((void)util::parseJson(std::string(66, '[') +
+                                     std::string(66, ']')),
+               util::JsonParseError);
+
+  // RFC 8259 number grammar, including forms std::stod would accept
+  for (const char* bad :
+       {"01", "-01", "[00]", "+1", "-", ".5", "1.", "1.e3", "1e", "1e+",
+        "1.5e3.2", "NaN", "nan", "Infinity", "-inf", "0x1F", "1e999"}) {
+    EXPECT_THROW((void)util::parseJson(bad), util::JsonParseError) << bad;
+  }
+  // trailing commas and raw control characters in strings
+  for (const char* bad : {"[1,]", "[,1]", "{\"a\":1,}", "\"a\tb\"",
+                          "\"a\x01\"", "\"\\x\"", "\"\\u12G4\""}) {
+    EXPECT_THROW((void)util::parseJson(bad), util::JsonParseError) << bad;
+  }
+  for (const char* good : {"0", "-0", "10", "-0.5", "1e3", "1E-3", "2.5e+1"}) {
+    EXPECT_NO_THROW((void)util::parseJson(good)) << good;
+  }
+}
+
+TEST(JsonParse, IntegersReadBackExactly) {
+  // 2^63 + 1 and 2^64 - 1 have no exact double
+  EXPECT_EQ(util::parseJson("9223372036854775809").asUint(),
+            9223372036854775809ULL);
+  EXPECT_EQ(util::parseJson("18446744073709551615").asUint(),
+            18446744073709551615ULL);
+  EXPECT_DOUBLE_EQ(util::parseJson("9223372036854775809").asNumber(),
+                   9223372036854775808.0);
+  // anything but an exact unsigned 64-bit integer is an error, not a
+  // rounded value
+  for (const char* bad : {"18446744073709551616", "-1", "-0", "1.5", "2.0",
+                          "1e3"}) {
+    EXPECT_THROW((void)util::parseJson(bad).asUint(), util::JsonParseError)
+        << bad;
+  }
 }
 
 TEST(BenchReport, ParsesTheV1Schema) {

@@ -2,7 +2,7 @@
 // generate -> info -> convert -> check pipelines, exit codes, --json,
 // --trace, and --metrics.
 
-#include "util/json_lint.hpp"
+#include "util/json_parse.hpp"
 
 #include <gtest/gtest.h>
 

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 
 using namespace qsimec;
 
@@ -28,6 +29,10 @@ struct Family {
   const char* name;
   std::function<ir::QuantumComputation()> make;
 };
+
+// gtest's default printer dumps the struct's bytes (pointers included) into
+// the ctest name; the family name keeps names stable across builds
+void PrintTo(const Family& family, std::ostream* os) { *os << family.name; }
 
 void expectMatchesDense(const ir::QuantumComputation& qc, double eps = 1e-9) {
   ASSERT_LE(qc.qubits(), 10U) << "keep cross-validation cases small";

@@ -405,14 +405,20 @@ TEST(Flow, RewritingStageShortCircuits) {
   gPrime.t(1);
   gPrime.tdg(1);
   gPrime.cx(0, 1);
-  ec::FlowConfiguration config;
-  config.simulation.seed = 2;
-  config.tryRewriting = true;
-  const ec::EquivalenceCheckingFlow flow(config);
-  const auto result = flow.run(g, gPrime);
-  EXPECT_TRUE(ec::provedEquivalent(result.equivalence));
-  EXPECT_TRUE(result.provedByRewriting);
-  EXPECT_EQ(result.completeSeconds, 0.0);
+  // rewriting runs before either strategy in both modes
+  for (const ec::FlowMode mode : {ec::FlowMode::Staged, ec::FlowMode::Race}) {
+    SCOPED_TRACE(toString(mode));
+    ec::FlowConfiguration config;
+    config.mode = mode;
+    config.simulation.seed = 2;
+    config.tryRewriting = true;
+    const ec::EquivalenceCheckingFlow flow(config);
+    const auto result = flow.run(g, gPrime);
+    EXPECT_TRUE(ec::provedEquivalent(result.equivalence));
+    EXPECT_TRUE(result.provedByRewriting);
+    EXPECT_EQ(result.simulations, 0U);
+    EXPECT_EQ(result.completeSeconds, 0.0);
+  }
 }
 
 TEST(Flow, NonEquivalentDetectedBySimulation) {

@@ -215,7 +215,8 @@ TEST(Watchdog, NeverFiresWhileTheHeartbeatIsFresh) {
 TEST(Postmortem, RenderParseRoundtrip) {
   obs::FlightRecorder recorder;
   recorder.labelThread("main");
-  recorder.notePair("pair 0", "00ff00ff00ff00ff00ff00ff00ff00ff");
+  EXPECT_EQ(recorder.notePair("pair 0", "00ff00ff00ff00ff00ff00ff00ff00ff"),
+            0U);
   recorder.record(obs::FlightEventKind::SpanBegin, "flow");
   recorder.record(obs::FlightEventKind::Journal, "flow.start", 1);
   recorder.record(obs::FlightEventKind::Gc, "dd.gc", 128, 900);
@@ -266,7 +267,7 @@ TEST(Postmortem, RenderParseRoundtrip) {
 TEST(Postmortem, RedactedDumpKeepsOnlyTheDeterministicSubset) {
   obs::FlightRecorder recorder;
   recorder.labelThread("noisy");
-  recorder.notePair("pair 0", "feed");
+  EXPECT_EQ(recorder.notePair("pair 0", "feed"), 0U);
   recorder.record(obs::FlightEventKind::Mark, "simulation", 1);
   recorder.record(obs::FlightEventKind::Journal, "wallclock.noise", 2);
   recorder.record(obs::FlightEventKind::Gauge, "dd.gauges", 3, 4);
@@ -434,7 +435,10 @@ TEST(SignalDumpDeathTest, AbortMidRunLeavesAParseableDump) {
       {
         obs::FlightRecorder recorder;
         recorder.labelThread("doomed");
-        recorder.notePair("pair 7", "00ff00ff00ff00ff00ff00ff00ff00ff");
+        if (recorder.notePair("pair 7", "00ff00ff00ff00ff00ff00ff00ff00ff") !=
+            0U) {
+          std::_Exit(1); // not the expected SIGABRT: the note was dropped
+        }
         for (int i = 0; i < 100; ++i) {
           recorder.record(obs::FlightEventKind::Journal, "pre.crash", i);
         }

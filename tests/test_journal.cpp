@@ -11,7 +11,6 @@
 #include "obs/sampler.hpp"
 #include "obs/tracer.hpp"
 #include "sim/dd_simulator.hpp"
-#include "util/json_lint.hpp"
 #include "util/json_parse.hpp"
 
 #include <gtest/gtest.h>

@@ -11,7 +11,7 @@
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "sim/dd_simulator.hpp"
-#include "util/json_lint.hpp"
+#include "util/json_parse.hpp"
 
 #include <gtest/gtest.h>
 
@@ -426,7 +426,7 @@ TEST(FlowMetrics, RollupOnEquivalentPair) {
   EXPECT_GT(m.counters.at("simulation.dd.nodes_peak_live"), 0U);
   EXPECT_DOUBLE_EQ(m.gauges.at("total.seconds"), result.totalSeconds());
   EXPECT_DOUBLE_EQ(m.gauges.at("preflight.seconds"), result.preflightSeconds);
-  // preflight ran (validateInputs defaults to true) and is part of the total
+  // preflight always runs and is part of the total
   EXPECT_GT(result.preflightSeconds, 0.0);
   EXPECT_GE(result.totalSeconds(), result.preflightSeconds);
 }

@@ -303,6 +303,30 @@ TEST(Flow, RaceDegeneratesToStagedWhenOneSideIsSkipped) {
   EXPECT_EQ(result.equivalence, Equivalence::ProbablyEquivalent);
 }
 
+TEST(Flow, ExternalCancelReachesBothModes) {
+  // The caller's flag (the batch scheduler's per-pair cancel) reaches both
+  // strategies in either mode: a pair cancelled before it starts leaves no
+  // information and no proof.
+  const auto g = tf::decompose(gen::grover(6, 0b101101));
+  const std::atomic<bool> cancel{true};
+  for (const ec::FlowMode mode : {ec::FlowMode::Staged, ec::FlowMode::Race}) {
+    SCOPED_TRACE(toString(mode));
+    ec::FlowConfiguration config;
+    config.mode = mode;
+    config.prescreen.enabled = false; // g vs g is otherwise decided statically
+    config.simulation.cancelFlag = &cancel;
+    config.complete.cancelFlag = &cancel;
+    const auto result = ec::EquivalenceCheckingFlow(config).run(g, g);
+    EXPECT_EQ(result.mode, mode);
+    EXPECT_EQ(result.equivalence, Equivalence::NoInformation);
+    EXPECT_FALSE(result.counterexample.has_value());
+    EXPECT_EQ(result.winner, ec::RaceWinner::None);
+    EXPECT_EQ(result.simulations, 0U);
+    EXPECT_TRUE(result.simulationCancelled);
+    EXPECT_TRUE(result.completeCancelled);
+  }
+}
+
 TEST(Flow, RaceStressCancelsTheCompleteCheck) {
   // A pair built so the simulation reliably wins: an MCT circuit against
   // its elementary decomposition (|G'| >> |G|, the RevLib pattern) with an

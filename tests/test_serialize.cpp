@@ -2,7 +2,7 @@
 
 #include "ec/serialize.hpp"
 #include "util/json.hpp"
-#include "util/json_lint.hpp"
+#include "util/json_parse.hpp"
 
 #include <gtest/gtest.h>
 

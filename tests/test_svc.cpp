@@ -120,6 +120,18 @@ TEST(Fingerprint, ConfigDigestCoversVerdictRelevantFieldsOnly) {
   ec::FlowConfiguration otherTimeout = base;
   otherTimeout.complete.timeoutSeconds = 123.0;
   EXPECT_EQ(digest, svc::configDigest(otherTimeout));
+
+  // pinned values: a digest change invalidates every qsimec-cache-v2 file
+  EXPECT_EQ(digest, 0x65ada406815c3375ULL);
+  ec::FlowConfiguration other;
+  other.simulation.maxSimulations = 16;
+  other.simulation.seed = 7;
+  other.simulation.stimuli = ec::StimuliKind::RandomStabilizer;
+  other.tryRewriting = true;
+  other.skipComplete = true;
+  other.prescreen.enabled = false;
+  other.prescreen.stabilizerStimuli = 4;
+  EXPECT_EQ(svc::configDigest(other), 0xf0c84af8dbea25deULL);
 }
 
 // --------------------------------------------------------------- VerdictCache
@@ -187,6 +199,32 @@ TEST(VerdictCache, PersistenceRoundTrip) {
   EXPECT_EQ(ne->counterexample->input, 21U);
   EXPECT_DOUBLE_EQ(ne->counterexample->fidelity, 0.25);
   EXPECT_EQ(ne->counterexample->stimuli, ec::StimuliKind::RandomStabilizer);
+}
+
+TEST(VerdictCache, WitnessSeedSurvivesAFileRoundTripExactly) {
+  // a random-stabilizer witness seed is a full 64-bit value; 2^63 + 1 has
+  // no exact double, so a reader that goes through one breaks the witness
+  const std::uint64_t seed = (std::uint64_t{1} << 63U) + 1U;
+  const auto path = std::filesystem::temp_directory_path() /
+                    "qsimec_cache_exact_seed.jsonl";
+  std::filesystem::remove(path);
+  {
+    std::ofstream file(path);
+    svc::VerdictCache cache;
+    cache.persistTo(&file);
+    cache.store(keyFor(5, 6, 7),
+                {ec::Equivalence::NotEquivalent,
+                 ec::Counterexample{seed, 0.5,
+                                    ec::StimuliKind::RandomStabilizer}});
+    cache.persistTo(nullptr);
+  }
+  svc::VerdictCache reloaded;
+  EXPECT_EQ(reloaded.loadFile(path.string()), 1U);
+  const auto hit = reloaded.lookup(keyFor(5, 6, 7));
+  ASSERT_TRUE(hit.has_value());
+  ASSERT_TRUE(hit->counterexample.has_value());
+  EXPECT_EQ(hit->counterexample->input, seed);
+  std::filesystem::remove(path);
 }
 
 TEST(VerdictCache, CorruptLinesAreSkippedAndCounted) {

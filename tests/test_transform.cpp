@@ -227,18 +227,18 @@ TEST(CouplingMapTest, ShortestPath) {
 }
 
 class MapperArchTest
-    : public ::testing::TestWithParam<std::pair<const char*, int>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, int>> {};
 
 TEST_P(MapperArchTest, MappedCircuitIsEquivalent) {
   const auto [arch, nq] = GetParam();
   const auto coupling = [&]() -> tf::CouplingMap {
-    if (std::string(arch) == "linear") {
+    if (arch == "linear") {
       return tf::CouplingMap::linear(static_cast<std::size_t>(nq));
     }
-    if (std::string(arch) == "ring") {
+    if (arch == "ring") {
       return tf::CouplingMap::ring(static_cast<std::size_t>(nq));
     }
-    if (std::string(arch) == "grid") {
+    if (arch == "grid") {
       return tf::CouplingMap::grid(2, static_cast<std::size_t>(nq) / 2);
     }
     return tf::CouplingMap::star(static_cast<std::size_t>(nq));
@@ -262,11 +262,12 @@ TEST_P(MapperArchTest, MappedCircuitIsEquivalent) {
 
 INSTANTIATE_TEST_SUITE_P(
     Architectures, MapperArchTest,
-    ::testing::Values(std::make_pair("linear", 5), std::make_pair("ring", 6),
-                      std::make_pair("grid", 6), std::make_pair("star", 5)),
+    ::testing::Values(std::make_pair(std::string("linear"), 5),
+                      std::make_pair(std::string("ring"), 6),
+                      std::make_pair(std::string("grid"), 6),
+                      std::make_pair(std::string("star"), 5)),
     [](const auto& info) {
-      return std::string(info.param.first) +
-             std::to_string(info.param.second);
+      return info.param.first + std::to_string(info.param.second);
     });
 
 TEST(CouplingMapTest, DirectedMapsTrackDirections) {
