@@ -1,8 +1,9 @@
 // Micro-benchmarks of the decision-diagram substrate (google-benchmark):
-// package construction and the between-runs barrier, node construction,
-// gate DDs, matrix-vector application, inner products, full functionality
-// construction, and DD vs dense simulation.
+// package construction, a cold package's first run and the between-runs
+// barrier, node construction, gate DDs, matrix-vector application, inner
+// products, full functionality construction, and DD vs dense simulation.
 
+#include "gen/ansatz.hpp"
 #include "gen/qft.hpp"
 #include "gen/random_circuits.hpp"
 #include "gen/supremacy.hpp"
@@ -25,6 +26,21 @@ void BM_PackageConstruct(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PackageConstruct)->Arg(8)->Arg(16)->Arg(32);
+
+// The cold-package cost of the paper's common case, a non-equivalent pair
+// settled by its first stimulus: construct a package and push one basis
+// state through a small rotation-layer circuit. Unlike BM_PackageConstruct
+// this includes the compute tables' first inserts.
+void BM_PackageFirstRun(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto qc = gen::hardwareEfficientAnsatz(n, {.layers = 2, .seed = 1});
+  for (auto _ : state) {
+    dd::Package pkg(n);
+    benchmark::DoNotOptimize(sim::simulate(qc, pkg.makeBasisState(1), pkg));
+  }
+}
+BENCHMARK(BM_PackageFirstRun)->Arg(6)->Arg(8)
+    ->Unit(benchmark::kMicrosecond);
 
 // One stimulus run's fixed costs around a small simulation: construct,
 // simulate, then the run barrier (resetComputationState: forced GC, table

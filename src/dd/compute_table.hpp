@@ -14,8 +14,21 @@
 // Clearing is O(1): every entry carries the epoch it was written in, and
 // clear() just advances the table's epoch, so entries from before the last
 // clear() stop matching. The entries stay in place, stale pointers and
-// all, but are never returned again. The entry array itself is allocated
-// on the first insert, so a table a package never writes to costs nothing.
+// all, but are never returned again.
+//
+// Storage: the table behaves exactly like a 2^NBITS-slot direct-mapped
+// cache, but stores only the slots that have been written. `slots_` maps a
+// slot (hash & (SIZE - 1)) to a 1-based index into `entries_`, 0 meaning
+// never written; it is allocated and zeroed on the first insert (4 bytes a
+// slot). `entries_` holds one entry per written slot, appended in the
+// order the slots were first written, and never shrinks. Every slot sees
+// the same writes, evictions and epoch stamps as a full array would, so
+// every hit and miss is the same. The first insert also reserves room for
+// an entry per slot: that never initializes an entry, so the allocator
+// maps pages only as entries are appended, and `entries_` never has to
+// reallocate (no copies while a table fills, and a lookup's pointer stays
+// put). A package's first operation thus touches only the index and the
+// entries it writes, and a table it never writes to costs nothing.
 
 #pragma once
 
@@ -81,10 +94,17 @@ public:
   static constexpr std::size_t SIZE = 1ULL << NBITS;
 
   void insert(const Key& key, const Result& result) {
-    if (entries_.empty()) {
-      entries_.resize(SIZE);
+    if (slots_.empty()) {
+      slots_.resize(SIZE);
+      entries_.reserve(SIZE);
     }
-    Entry& e = entries_[key.hash() & (SIZE - 1)];
+    std::uint32_t& index = slots_[key.hash() & (SIZE - 1)];
+    if (index == 0) {
+      entries_.push_back(Entry{key, result, epoch_});
+      index = static_cast<std::uint32_t>(entries_.size());
+      return;
+    }
+    Entry& e = entries_[index - 1];
     e.key = key;
     e.result = result;
     e.epoch = epoch_;
@@ -94,10 +114,14 @@ public:
   /// into the same slot — consume immediately.
   [[nodiscard]] const Result* lookup(const Key& key) {
     ++lookups_;
-    if (entries_.empty()) {
+    if (slots_.empty()) {
       return nullptr;
     }
-    const Entry& e = entries_[key.hash() & (SIZE - 1)];
+    const std::uint32_t index = slots_[key.hash() & (SIZE - 1)];
+    if (index == 0) {
+      return nullptr;
+    }
+    const Entry& e = entries_[index - 1];
     if (e.epoch == epoch_ && e.key == key) {
       ++hits_;
       return &e.result;
@@ -124,10 +148,11 @@ private:
   struct Entry {
     Key key{};
     Result result{};
-    std::uint32_t epoch{0}; // 0: never written
+    std::uint32_t epoch{0}; // 0: wiped by an epoch wrap
   };
 
-  std::vector<Entry> entries_; // empty until the first insert
+  std::vector<std::uint32_t> slots_; // empty until the first insert
+  std::vector<Entry> entries_;       // one per written slot, SIZE reserved
   std::uint32_t epoch_{1};
   std::size_t lookups_{0};
   std::size_t hits_{0};

@@ -93,7 +93,7 @@ FlightRecorder::FlightRecorder(Options options)
       mask_(capacity_ - 1), slots_(std::make_unique<ThreadRing[]>(maxThreads_)),
       pairNotes_(std::make_unique<PairNote[]>(kMaxPairNotes)) {
   for (std::size_t i = 0; i < maxThreads_; ++i) {
-    slots_[i].events.resize(capacity_);
+    slots_[i].events = std::make_unique_for_overwrite<Event[]>(capacity_);
   }
   const std::lock_guard<std::mutex> lock(registryMutex());
   liveRecorders().insert(id_);

@@ -93,14 +93,16 @@ public:
   static constexpr std::size_t kNameCapacity = 23;
 
   /// One recorded event: 64 bytes of PODs, written by exactly one thread,
-  /// read by dumpers without synchronization beyond the ring head.
+  /// read by dumpers without synchronization beyond the ring head. No
+  /// member initializers: ring cells are allocated uninitialized, and
+  /// readers only touch cells below the head, which record() has written.
   struct Event {
-    std::uint64_t seq{0};
-    std::uint64_t tsMicros{0};
-    std::int64_t a{0};
-    std::int64_t b{0};
-    std::uint8_t kind{0};
-    char name[kNameCapacity + 1]{};
+    std::uint64_t seq;
+    std::uint64_t tsMicros;
+    std::int64_t a;
+    std::int64_t b;
+    std::uint8_t kind;
+    char name[kNameCapacity + 1];
   };
 
   struct Options {
@@ -130,7 +132,8 @@ public:
     char label[24]{};
     /// Owner-thread-only poll counter (throttles Gauge ring events).
     std::uint32_t pollCount{0};
-    std::vector<Event> events;
+    /// `capacity` cells; a cell's page is first touched when it is written.
+    std::unique_ptr<Event[]> events;
   };
 
   /// Fixed slot for "which pair was active" notes — written by normal code,

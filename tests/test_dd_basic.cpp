@@ -26,7 +26,10 @@ struct ComputeTableTestAccess {
     table.epoch_ = epoch;
   }
   template <class Table> static bool allocated(const Table& table) {
-    return !table.entries_.empty();
+    return !table.slots_.empty();
+  }
+  template <class Table> static std::size_t entryCount(const Table& table) {
+    return table.entries_.size();
   }
 };
 } // namespace qsimec::dd
@@ -398,6 +401,117 @@ TEST(ComputeTable, EpochWrapWipesEveryEntry) {
   const double* hit = table.lookup(early);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(*hit, 3.0);
+}
+
+namespace {
+/// Reference model of a compute table: a plain 2^16-slot direct-mapped
+/// array of epoch-stamped entries, with the same clear and wrap rules.
+struct DirectMappedModel {
+  struct Slot {
+    dd::NodeKey key{};
+    double value{0};
+    std::uint32_t epoch{0};
+  };
+  static constexpr std::size_t SIZE = std::size_t{1} << 16U;
+  std::vector<Slot> slots = std::vector<Slot>(SIZE);
+  std::uint32_t epoch{1};
+  std::size_t lookups{0};
+  std::size_t hits{0};
+
+  void insert(const dd::NodeKey& key, double value) {
+    slots[key.hash() & (SIZE - 1)] = Slot{key, value, epoch};
+  }
+  const double* lookup(const dd::NodeKey& key) {
+    ++lookups;
+    const Slot& s = slots[key.hash() & (SIZE - 1)];
+    if (s.epoch == epoch && s.key == key) {
+      ++hits;
+      return &s.value;
+    }
+    return nullptr;
+  }
+  void clear() {
+    if (++epoch == 0) {
+      for (Slot& s : slots) {
+        s.epoch = 0;
+      }
+      epoch = 1;
+    }
+  }
+};
+} // namespace
+
+// The sparse storage must be indistinguishable from a full direct-mapped
+// array: same hits and misses, same values, same counters, through slot
+// collisions, clears and an epoch wrap.
+TEST(ComputeTable, MatchesADirectMappedReferenceModel) {
+  dd::ComputeTable<dd::NodeKey, double> table;
+  DirectMappedModel model;
+  std::mt19937_64 rng(20260418);
+  // NodeKey slots depend only on the low 16 bits of the id, so ids that
+  // differ above bit 16 collide; a narrow pool makes hits and evictions
+  // common, a wide one spreads entries over many slots
+  const auto drawKey = [&rng] {
+    const std::uint64_t high = rng() % 4;
+    const std::uint64_t low = rng() % 8 == 0 ? rng() % 65536 : rng() % 64;
+    return dd::NodeKey{(high << 16U) | low};
+  };
+  constexpr int kOps = 200000;
+  std::size_t hitsSeen = 0;
+  for (int op = 0; op < kOps; ++op) {
+    if (op == kOps / 2) {
+      // a few clears before the 32-bit epoch counter wraps
+      const std::uint32_t nearWrap =
+          std::numeric_limits<std::uint32_t>::max() - 3;
+      dd::ComputeTableTestAccess::setEpoch(table, nearWrap);
+      model.epoch = nearWrap;
+    }
+    const std::uint64_t dice = rng() % 1000;
+    const dd::NodeKey key = drawKey();
+    if (dice < 2) {
+      table.clear();
+      model.clear();
+    } else if (dice < 500) {
+      const auto value = static_cast<double>(op);
+      table.insert(key, value);
+      model.insert(key, value);
+    } else {
+      const double* got = table.lookup(key);
+      const double* want = model.lookup(key);
+      ASSERT_EQ(got == nullptr, want == nullptr) << "op " << op;
+      if (want != nullptr) {
+        ASSERT_EQ(*got, *want) << "op " << op;
+        ++hitsSeen;
+      }
+    }
+  }
+  EXPECT_EQ(table.lookups(), model.lookups);
+  EXPECT_EQ(table.hits(), model.hits);
+  EXPECT_EQ(table.hits(), hitsSeen);
+  EXPECT_GT(hitsSeen, 1000U);
+  EXPECT_LT(hitsSeen, table.lookups());
+}
+
+TEST(ComputeTable, StoresOneEntryPerWrittenSlot) {
+  dd::ComputeTable<dd::NodeKey, double> table;
+  // ids below 2^16 land in distinct slots (the slot is the low 16 bits of
+  // the id times an odd constant)
+  constexpr std::uint64_t kInserts = 1000;
+  for (std::uint64_t id = 0; id < kInserts; ++id) {
+    table.insert(dd::NodeKey{id}, 1.0);
+  }
+  EXPECT_EQ(dd::ComputeTableTestAccess::entryCount(table), kInserts);
+  // overwrites, evictions by a colliding key and writes after a clear all
+  // reuse the slot's entry
+  table.insert(dd::NodeKey{0}, 2.0);
+  table.insert(dd::NodeKey{std::uint64_t{1} << 16U}, 3.0);
+  table.clear();
+  table.insert(dd::NodeKey{1}, 4.0);
+  EXPECT_EQ(dd::ComputeTableTestAccess::entryCount(table), kInserts);
+  EXPECT_EQ(table.lookup(dd::NodeKey{0}), nullptr);
+  const double* hit = table.lookup(dd::NodeKey{1});
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(*hit, 4.0);
 }
 
 TEST(RealTable, NearbyEntriesStayNewestFirstAcrossGrowth) {

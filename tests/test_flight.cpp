@@ -147,6 +147,34 @@ TEST(FlightRing, PairNotesClaimReleaseAndExhaust) {
   EXPECT_EQ(recorder.notePair("reused", ""), 3U);
 }
 
+// Ring cells are allocated uninitialized: a dump must read only the cells
+// record() wrote, and only the slots a thread claimed.
+TEST(FlightRing, FreshRecorderDumpsExactlyTheWrittenEvents) {
+  obs::FlightRecorder recorder;
+  recorder.record(obs::FlightEventKind::Mark, "first", 1, 2);
+  recorder.record(obs::FlightEventKind::Journal, "second", 3, 4);
+  recorder.record(obs::FlightEventKind::Gate, "third", 5, 6);
+
+  std::istringstream in(obs::renderPostmortem(recorder));
+  const obs::PostmortemReport report = obs::parsePostmortem(in);
+  ASSERT_TRUE(report.valid) << report.error;
+  EXPECT_EQ(report.eventsRecorded, 3U);
+  ASSERT_EQ(report.threads.size(), 1U);
+  EXPECT_EQ(report.threads[0].events, 3U);
+  ASSERT_EQ(report.events.size(), 3U);
+  const std::array<std::string, 3> kinds{"mark", "journal", "gate"};
+  const std::array<std::string, 3> names{"first", "second", "third"};
+  for (std::size_t i = 0; i < report.events.size(); ++i) {
+    const obs::PostmortemEvent& e = report.events[i];
+    EXPECT_EQ(e.seq, i);
+    EXPECT_EQ(e.slot, report.threads[0].slot);
+    EXPECT_EQ(e.kind, kinds[i]);
+    EXPECT_EQ(e.name, names[i]);
+    EXPECT_EQ(e.a, static_cast<std::int64_t>(2 * i + 1));
+    EXPECT_EQ(e.b, static_cast<std::int64_t>(2 * i + 2));
+  }
+}
+
 // ------------------------------------------------------------------- watchdog
 
 TEST(Watchdog, DeclaresAQuietHeartbeatStalled) {
