@@ -408,7 +408,6 @@ int parseFlowFlags(ArgCursor& args, ec::FlowConfiguration& config) {
   config.simulation.seed = std::stoull(seedStr);
   config.simulation.ignoreGlobalPhase = !strictPhase;
   config.complete.timeoutSeconds = std::stod(timeoutStr);
-  config.skipSimulation = config.simulation.maxSimulations == 0;
   config.skipComplete = simOnly;
   config.tryRewriting = rewriting;
   config.mode = race ? ec::FlowMode::Race : ec::FlowMode::Staged;

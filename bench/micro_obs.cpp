@@ -10,10 +10,7 @@
 #include "dd/attribution.hpp"
 #include "ec/simulation_checker.hpp"
 #include "gen/qft.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/journal.hpp"
-#include "obs/sampler.hpp"
-#include "obs/tracer.hpp"
+#include "obs/context.hpp"
 #include "sim/dd_simulator.hpp"
 
 #include <benchmark/benchmark.h>
@@ -23,8 +20,9 @@ using namespace qsimec;
 namespace {
 
 void BM_NullScopedSpan(benchmark::State& state) {
+  const obs::Context none;
   for (auto _ : state) {
-    obs::ScopedSpan span(nullptr, "noop", "bench");
+    obs::ScopedSpan span(none, "noop", "bench");
     span.arg("k", std::uint64_t{1});
     benchmark::DoNotOptimize(&span);
   }
@@ -33,8 +31,9 @@ BENCHMARK(BM_NullScopedSpan);
 
 void BM_ActiveScopedSpan(benchmark::State& state) {
   obs::Tracer tracer;
+  const obs::Context traced{.tracer = &tracer};
   for (auto _ : state) {
-    obs::ScopedSpan span(&tracer, "noop", "bench");
+    obs::ScopedSpan span(traced, "noop", "bench");
     span.arg("k", std::uint64_t{1});
     benchmark::DoNotOptimize(&span);
   }
@@ -87,7 +86,7 @@ void simulateQft(std::size_t qubits, obs::Tracer* tracer,
   const ir::QuantumComputation qc = gen::qft(qubits);
   for (auto _ : state) {
     dd::Package pkg(qc.qubits());
-    pkg.setTracer(tracer);
+    pkg.attach({.tracer = tracer});
     const auto out = sim::simulate(qc, pkg.makeBasisState(1), pkg);
     benchmark::DoNotOptimize(dd::Package::size(out));
   }
@@ -146,14 +145,15 @@ BENCHMARK(BM_AttributionBeginEnd);
 //
 // Budget (docs/flight-recorder.md): a recorded event costs <= 20 ns — one
 // TLS lookup, a clock read, a bounded name copy and a release store into
-// the per-thread ring. Disabled (null recorder through the Context::log /
-// flightRecordSpan paths) must stay a single pointer test, like every
-// other sink.
+// the per-thread ring. Disabled (no recorder in the obs::Context) must stay
+// a single pointer test, like every other sink: two flow marks here, and
+// the span mirror in BM_NullScopedSpan.
 
 void BM_NullFlightRecord(benchmark::State& state) {
+  const obs::Context none;
   for (auto _ : state) {
-    obs::flightRecordSpan(nullptr, false, "noop");
-    obs::flightRecordSpan(nullptr, true, "noop");
+    none.flightMark("noop.begin");
+    none.flightMark("noop.end");
     benchmark::DoNotOptimize(state.iterations());
   }
 }

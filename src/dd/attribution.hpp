@@ -40,7 +40,7 @@ class Package;
 /// Which gate stream an attributed application consumed: G (left) or G'
 /// (right). The alternating checker applies left gates as DD(g)·M and right
 /// gates as M·DD(g')†; the simulation portfolio simulates G as left and G'
-/// (or its inverse, in difference mode) as right.
+/// as right.
 enum class AttrSide : std::uint8_t { Left, Right };
 
 [[nodiscard]] constexpr std::string_view toString(AttrSide s) noexcept {

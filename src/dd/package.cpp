@@ -1,6 +1,5 @@
 #include "dd/package.hpp"
 
-#include "obs/flight_recorder.hpp"
 #include "util/deadline.hpp"
 
 #include <algorithm>
@@ -742,7 +741,7 @@ void Package::garbageCollect(bool force) {
   if (!needed) {
     return;
   }
-  obs::ScopedSpan span(tracer_, "dd.gc", "dd");
+  obs::ScopedSpan span(obs_, "dd.gc", "dd");
   const util::Stopwatch watch;
   clearComputeTables();
   const std::size_t vCollected = vUnique_.garbageCollect();
@@ -755,61 +754,64 @@ void Package::garbageCollect(bool force) {
   span.arg("v_collected", static_cast<std::uint64_t>(vCollected));
   span.arg("m_collected", static_cast<std::uint64_t>(mCollected));
   span.arg("reals_collected", static_cast<std::uint64_t>(realsCollected));
-  obs::JournalEvent(journal_, obs::JournalLevel::Debug, "dd.gc")
+  // straight to the journal, not through obs_.log: the Gc event below is
+  // the flight ring's record of this collection
+  obs::JournalEvent(obs_.journal, obs::JournalLevel::Debug, "dd.gc")
       .num("pause_seconds", pause)
       .num("v_collected", static_cast<std::uint64_t>(vCollected))
       .num("m_collected", static_cast<std::uint64_t>(mCollected))
       .num("reals_collected", static_cast<std::uint64_t>(realsCollected))
-      .num("lane", static_cast<std::uint64_t>(journalLane_));
-  if (liveGauges_ != nullptr) {
-    publishLiveGauges(); // node drops are most visible right after a GC
+      .num("lane", static_cast<std::uint64_t>(lane_));
+  if (obs_.live != nullptr) {
+    publishPoll(/*beat=*/false); // node drops are most visible after a GC
   }
-  if (flight_ != nullptr) {
-    flight_->record(obs::FlightEventKind::Gc, "dd.gc",
-                    static_cast<std::int64_t>(vCollected + mCollected),
-                    static_cast<std::int64_t>(pause * 1e6));
-  }
-}
-
-void Package::publishLiveGauges() noexcept {
-  const auto live =
-      static_cast<double>(vUnique_.liveNodes() + mUnique_.liveNodes());
-  const auto allocated =
-      static_cast<double>(vUnique_.allocated() + mUnique_.allocated());
-  liveGauges_->ddNodesLive.store(live, std::memory_order_relaxed);
-  if (allocated > 0) {
-    liveGauges_->ddUniqueFill.store(live / allocated,
-                                    std::memory_order_relaxed);
-  }
-  const auto uniqueLookups =
-      static_cast<double>(vUnique_.lookups() + mUnique_.lookups());
-  if (uniqueLookups > 0) {
-    liveGauges_->ddUniqueHitRate.store(
-        static_cast<double>(vUnique_.hits() + mUnique_.hits()) / uniqueLookups,
-        std::memory_order_relaxed);
-  }
-  const auto computeLookups =
-      static_cast<double>(addVTable_.lookups() + addMTable_.lookups() +
-                          multMVTable_.lookups() + multMMTable_.lookups());
-  if (computeLookups > 0) {
-    liveGauges_->ddComputeHitRate.store(
-        static_cast<double>(addVTable_.hits() + addMTable_.hits() +
-                            multMVTable_.hits() + multMMTable_.hits()) /
-            computeLookups,
-        std::memory_order_relaxed);
+  if (obs_.flight != nullptr) {
+    obs_.flight->record(obs::FlightEventKind::Gc, "dd.gc",
+                        static_cast<std::int64_t>(vCollected + mCollected),
+                        static_cast<std::int64_t>(pause * 1e6));
   }
 }
 
-void Package::flightPoll() noexcept {
-  const auto live =
-      static_cast<std::int64_t>(vUnique_.liveNodes() + mUnique_.liveNodes());
-  const auto allocated =
-      static_cast<std::int64_t>(vUnique_.allocated() + mUnique_.allocated());
-  // fill as parts-per-million: the flight recorder's DD state cells are
-  // integers so the async-signal-safe dump path never formats doubles
-  const std::int64_t fillPpm =
-      allocated > 0 ? live * 1000000 / allocated : -1;
-  flight_->pollBeat(live, fillPpm);
+void Package::publishPoll(bool beat) noexcept {
+  const std::size_t live = vUnique_.liveNodes() + mUnique_.liveNodes();
+  const std::size_t allocated = vUnique_.allocated() + mUnique_.allocated();
+  if (obs::LiveGauges* gauges = obs_.live; gauges != nullptr) {
+    gauges->ddNodesLive.store(static_cast<double>(live),
+                              std::memory_order_relaxed);
+    if (allocated > 0) {
+      gauges->ddUniqueFill.store(static_cast<double>(live) /
+                                     static_cast<double>(allocated),
+                                 std::memory_order_relaxed);
+    }
+    const auto uniqueLookups =
+        static_cast<double>(vUnique_.lookups() + mUnique_.lookups());
+    if (uniqueLookups > 0) {
+      gauges->ddUniqueHitRate.store(
+          static_cast<double>(vUnique_.hits() + mUnique_.hits()) /
+              uniqueLookups,
+          std::memory_order_relaxed);
+    }
+    const auto computeLookups =
+        static_cast<double>(addVTable_.lookups() + addMTable_.lookups() +
+                            multMVTable_.lookups() + multMMTable_.lookups());
+    if (computeLookups > 0) {
+      gauges->ddComputeHitRate.store(
+          static_cast<double>(addVTable_.hits() + addMTable_.hits() +
+                              multMVTable_.hits() + multMMTable_.hits()) /
+              computeLookups,
+          std::memory_order_relaxed);
+    }
+  }
+  if (beat && obs_.flight != nullptr) {
+    // fill as parts-per-million: the flight recorder's DD state cells are
+    // integers so the async-signal-safe dump path never formats doubles
+    const auto liveNodes = static_cast<std::int64_t>(live);
+    const std::int64_t fillPpm =
+        allocated > 0
+            ? liveNodes * 1000000 / static_cast<std::int64_t>(allocated)
+            : -1;
+    obs_.flight->pollBeat(liveNodes, fillPpm);
+  }
 }
 
 void Package::resetComputationState() {

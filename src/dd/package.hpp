@@ -18,9 +18,7 @@
 #include "dd/node.hpp"
 #include "dd/stats.hpp"
 #include "dd/unique_table.hpp"
-#include "obs/journal.hpp"
-#include "obs/sampler.hpp"
-#include "obs/tracer.hpp"
+#include "obs/context.hpp"
 #include "util/deadline.hpp"
 
 #include <atomic>
@@ -28,10 +26,6 @@
 #include <functional>
 #include <random>
 #include <vector>
-
-namespace qsimec::obs {
-class FlightRecorder; // obs/flight_recorder.hpp (kept out of the hot path)
-}
 
 namespace qsimec::dd {
 
@@ -193,36 +187,22 @@ public:
     return interruptRequested_.load(std::memory_order_relaxed);
   }
 
-  /// Attach (or detach, with nullptr) a tracer: garbage collections are
-  /// then recorded as "dd.gc" spans with per-table reclaim counts. The
-  /// package never owns the tracer; null costs one pointer test per GC.
-  void setTracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
-
-  /// Attach (or detach, with nullptr) a journal: garbage collections then
-  /// emit a "dd.gc" line with the pause, per-table reclaim counts and
-  /// `lane`, the index of the worker that owns the package (so a reader can
-  /// tell concurrent workers' pauses apart). Owner thread only (the journal
-  /// itself is thread-safe, the pointer is not).
-  void setJournal(obs::Journal* journal, unsigned lane = 0) noexcept {
-    journal_ = journal;
-    journalLane_ = lane;
-  }
-
-  /// Attach (or detach, with nullptr) a live-gauge block for a concurrently
-  /// polling obs::Sampler. The owning thread publishes node population and
-  /// table rates into it from the interrupt-poll cadence (every 1024 steps)
-  /// and after every GC — relaxed atomic stores, so the sampler thread can
-  /// read without racing the DD hot path. Null costs one pointer test per
-  /// poll.
-  void setLiveGauges(obs::LiveGauges* live) noexcept { liveGauges_ = live; }
-
-  /// Attach (or detach, with nullptr) the flight recorder: the owning
-  /// thread then heartbeats it from the interrupt-poll cadence (with the
-  /// last-known live-node count and unique-table fill) and records GC
-  /// events into its ring, so the stall watchdog and postmortem dumps see
-  /// DD progress. Owner thread only; null costs one pointer test per poll.
-  void setFlightRecorder(obs::FlightRecorder* flight) noexcept {
-    flight_ = flight;
+  /// Attach the observability sinks of `obs` (detach with `attach({})`);
+  /// owner thread only, and the package never owns a sink. While attached,
+  /// every garbage collection becomes a "dd.gc" span (tracer and flight
+  /// ring) with per-table reclaim counts, a "dd.gc" journal line carrying
+  /// the pause and `lane` (the index of the worker that owns the package, so
+  /// a reader can tell concurrent workers' pauses apart), a Gc flight event
+  /// and a live-gauge refresh; and every interrupt poll (every 1024 steps)
+  /// publishes node population and table rates into the live gauges and
+  /// heartbeats the flight recorder with the live-node count and
+  /// unique-table fill. The metrics registry is never kept: it is
+  /// single-threaded and packages run on workers. With nothing attached
+  /// each hook costs a pointer test per sink.
+  void attach(const obs::Context& obs, unsigned lane = 0) noexcept {
+    obs_ = obs;
+    obs_.metrics = nullptr;
+    lane_ = lane;
   }
 
   /// Profile snapshot: node-pool occupancy and peaks, per-operation apply
@@ -312,14 +292,13 @@ private:
   std::size_t gcRuns_{0};
   double gcSeconds_{0.0};
   double gcMaxPauseSeconds_{0.0};
-  obs::Tracer* tracer_{nullptr};
-  obs::Journal* journal_{nullptr};
-  unsigned journalLane_{0};
-  obs::LiveGauges* liveGauges_{nullptr};
-  obs::FlightRecorder* flight_{nullptr};
+  obs::Context obs_;
+  unsigned lane_{0};
 
-  void publishLiveGauges() noexcept;
-  void flightPoll() noexcept; // non-inline: keeps flight_recorder.hpp out
+  /// Compute the node population once and publish it into the attached
+  /// live gauges and, when `beat` (the interrupt poll; a GC's own Gc event
+  /// already heartbeats), the flight recorder.
+  void publishPoll(bool beat) noexcept;
 
   std::function<void()> interruptHook_;
   std::size_t interruptCounter_{0};
@@ -338,11 +317,8 @@ private:
     if (interruptRequested_.load(std::memory_order_relaxed)) {
       throw util::CancelledError();
     }
-    if (liveGauges_ != nullptr) {
-      publishLiveGauges();
-    }
-    if (flight_ != nullptr) {
-      flightPoll();
+    if (obs_.live != nullptr || obs_.flight != nullptr) {
+      publishPoll(/*beat=*/true);
     }
     if (interruptHook_) {
       interruptHook_();

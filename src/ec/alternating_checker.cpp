@@ -46,8 +46,7 @@ CheckResult AlternatingChecker::run(const ir::QuantumComputation& qc1,
 
   CheckResult result;
   const util::Stopwatch watch;
-  obs::ScopedSpan checkerSpan(obs.tracer, "checker.alternating", "checker",
-                              obs.flight);
+  obs::ScopedSpan checkerSpan(obs, "checker.alternating", "checker");
   checkerSpan.arg("strategy", toString(config_.strategy));
   checkerSpan.arg("gates_left", static_cast<std::uint64_t>(left.size()));
   checkerSpan.arg("gates_right", static_cast<std::uint64_t>(right.size()));
@@ -61,10 +60,7 @@ CheckResult AlternatingChecker::run(const ir::QuantumComputation& qc1,
     }
   };
   pkg.setInterruptHook(poll);
-  pkg.setTracer(obs.tracer);
-  pkg.setJournal(obs.journal);
-  pkg.setLiveGauges(obs.live);
-  pkg.setFlightRecorder(obs.flight);
+  pkg.attach(obs);
 
   std::optional<dd::AttributionCollector> attr;
   if (config_.attribution.enabled) {
@@ -174,10 +170,6 @@ CheckResult AlternatingChecker::run(const ir::QuantumComputation& qc1,
     // stay published so a late postmortem still shows the gate at death
     obs.flight->noteGate(-1, -1);
   }
-  pkg.setTracer(nullptr);
-  pkg.setJournal(nullptr);
-  pkg.setLiveGauges(nullptr);
-  pkg.setFlightRecorder(nullptr);
   result.seconds = watch.seconds();
   result.ddStats = pkg.stats();
   if (attr && !result.cancelled) {

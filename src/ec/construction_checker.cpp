@@ -22,13 +22,11 @@ CheckResult ConstructionChecker::run(const ir::QuantumComputation& qc1,
 
   CheckResult result;
   const util::Stopwatch watch;
-  obs::ScopedSpan checkerSpan(obs.tracer, "checker.construction", "checker");
+  obs::ScopedSpan checkerSpan(obs, "checker.construction", "checker");
   dd::Package pkg(qc1.qubits());
   pkg.setMatrixNodeLimit(config_.maxNodes);
   pkg.setInterruptHook([&deadline] { deadline.check(); });
-  pkg.setTracer(obs.tracer);
-  pkg.setJournal(obs.journal);
-  pkg.setLiveGauges(obs.live);
+  pkg.attach(obs);
   try {
     const dd::mEdge u1 = sim::buildFunctionality(qc1, pkg, &deadline);
     pkg.incRef(u1);
@@ -53,9 +51,6 @@ CheckResult ConstructionChecker::run(const ir::QuantumComputation& qc1,
     result.equivalence = Equivalence::NoInformation;
     result.timedOut = true;
   }
-  pkg.setTracer(nullptr);
-  pkg.setJournal(nullptr);
-  pkg.setLiveGauges(nullptr);
   result.seconds = watch.seconds();
   result.ddStats = pkg.stats();
   return result;

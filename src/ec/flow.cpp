@@ -118,8 +118,9 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
   std::optional<CheckResult> sim;
   std::optional<CheckResult> complete;
 
-  const std::size_t simsTotal =
-      config_.skipSimulation ? 0 : config_.simulation.maxSimulations;
+  // a zero stimulus budget skips the simulation stage (and the stabilizer
+  // tier's randomized runs)
+  const std::size_t simsTotal = config_.simulation.maxSimulations;
   // Written by portfolio workers (serialized), read by the flow thread only
   // between stages — atomic so neither side races.
   std::atomic<std::size_t> simsDone{0};
@@ -135,7 +136,7 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
     }
   };
   {
-    obs::ScopedSpan flowSpan(obs.tracer, "flow", "flow", obs.flight);
+    obs::ScopedSpan flowSpan(obs, "flow", "flow");
     flowSpan.arg("qubits", static_cast<std::uint64_t>(qc1.qubits()));
     flowSpan.arg("gates_g", static_cast<std::uint64_t>(qc1.size()));
     flowSpan.arg("gates_g_prime", static_cast<std::uint64_t>(qc2.size()));
@@ -154,8 +155,7 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
       // pairs in O(gates) before any simulator sees them.
       {
         enterStage("preflight");
-        obs::ScopedSpan span(obs.tracer, "stage.preflight", "stage",
-                             obs.flight);
+        obs::ScopedSpan span(obs, "stage.preflight", "stage");
         const util::Stopwatch watch;
         const analysis::CircuitAnalyzer analyzer({.lint = false});
         analysis::AnalysisReport report = analyzer.analyzePair(qc1, qc2);
@@ -184,13 +184,13 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
         const util::Stopwatch watch;
         analysis::PairProfile profile;
         {
-          obs::ScopedSpan span(obs.tracer, "analysis.profile", "analysis");
+          obs::ScopedSpan span(obs, "analysis.profile", "analysis");
           profile = analysis::profilePair(qc1, qc2);
           span.arg("gate_set", std::string(toString(profile.combined())));
         }
         analysis::PrescreenResult pre;
         {
-          obs::ScopedSpan span(obs.tracer, "analysis.prescreen", "analysis");
+          obs::ScopedSpan span(obs, "analysis.prescreen", "analysis");
           pre = analysis::prescreenPair(qc1, qc2);
           span.arg("verdict", std::string(toString(pre.verdict)));
           span.arg("stripped", static_cast<std::uint64_t>(
@@ -242,10 +242,10 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
             !config_.skipComplete) {
           enterStage("stabilizer");
           StabilizerConfiguration stabConfig;
-          // skipSimulation means "no random stimuli" in every tier; the
-          // exact conjugation check alone still decides the pair
+          // a zero stimulus budget means "no random stimuli" in every
+          // tier; the exact conjugation check alone still decides the pair
           stabConfig.maxSimulations =
-              config_.skipSimulation ? 0 : config_.prescreen.stabilizerStimuli;
+              simsTotal == 0 ? 0 : config_.prescreen.stabilizerStimuli;
           stabConfig.seed = config_.simulation.seed;
           stabConfig.phaseProbeMaxQubits =
               config_.prescreen.phaseProbeMaxQubits;
@@ -273,15 +273,15 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
 
       // Race degenerates to the staged flow when either strategy is
       // skipped — there is nothing to race against.
-      const bool race = config_.mode == FlowMode::Race &&
-                        !config_.skipSimulation && !config_.skipComplete;
+      const bool race = config_.mode == FlowMode::Race && simsTotal != 0 &&
+                        !config_.skipComplete;
       result.mode = race ? FlowMode::Race : FlowMode::Staged;
 
       if (config_.tryRewriting) {
         // the syntactic proof attempt is cheap: run it before either
         // expensive strategy
         enterStage("rewriting");
-        obs::ScopedSpan span(obs.tracer, "checker.rewriting", "checker");
+        obs::ScopedSpan span(obs, "checker.rewriting", "checker");
         const CheckResult rewritten = RewritingChecker().run(qc1, qc2);
         result.rewritingSeconds = rewritten.seconds;
         span.arg("outcome", toString(rewritten.equivalence));
@@ -368,7 +368,7 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
               .str("loser", "complete");
         }
       } else {
-        if (!config_.skipSimulation) {
+        if (simsTotal != 0) {
           enterStage("simulation");
           runSimulation();
         }

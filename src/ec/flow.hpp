@@ -118,15 +118,16 @@ struct PrescreenConfiguration {
 };
 
 struct FlowConfiguration {
+  /// The simulation stage. `simulation.maxSimulations == 0` skips it, and
+  /// with it the stabilizer tier's randomized runs (for baseline
+  /// measurements; the CLI's `--sims 0`).
   SimulationConfiguration simulation{};
   AlternatingConfiguration complete{};
   PrescreenConfiguration prescreen{};
   /// Staged (Fig. 3 ordering, the default) or Race (concurrent strategies,
   /// first conclusive verdict wins). Race degenerates to Staged when either
-  /// strategy is skipped.
+  /// strategy is skipped (a zero stimulus budget or skipComplete).
   FlowMode mode{FlowMode::Staged};
-  /// Skip the simulation stage entirely (for baseline measurements).
-  bool skipSimulation{false};
   /// Try the (cheap, incomplete) rewriting checker first, before the
   /// simulation stage and the complete check of either mode; a syntactic
   /// proof short-circuits both. Off by default — the paper's Fig. 3 flow

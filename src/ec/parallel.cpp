@@ -132,19 +132,12 @@ CheckResult runStimuliPortfolio(const SimulationConfiguration& config,
           : util::Deadline::never();
   const std::uint64_t mask = (n >= 64) ? ~0ULL : ((1ULL << n) - 1ULL);
 
-  // difference-circuit mode: precompute G'^-1 once (read-only afterwards)
-  std::optional<ir::QuantumComputation> inverse2;
-  if (config.simulateDifferenceCircuit) {
-    inverse2 = qc2.inverse();
-  }
-
   const unsigned threads = resolveThreadCount(config.numThreads, r);
 
   CheckResult result;
   result.numThreads = threads;
   const util::Stopwatch watch;
-  obs::ScopedSpan checkerSpan(obs.tracer, "checker.simulation", "checker",
-                              obs.flight);
+  obs::ScopedSpan checkerSpan(obs, "checker.simulation", "checker");
   checkerSpan.arg("max_simulations", static_cast<std::uint64_t>(r));
   checkerSpan.arg("stimuli", toString(config.stimuli));
   checkerSpan.arg("num_threads", static_cast<std::uint64_t>(threads));
@@ -188,10 +181,7 @@ CheckResult runStimuliPortfolio(const SimulationConfiguration& config,
       }
       if (!pkg) {
         pkg.emplace(n);
-        pkg->setTracer(obs.tracer);
-        pkg->setJournal(obs.journal, workerIndex);
-        pkg->setLiveGauges(obs.live);
-        pkg->setFlightRecorder(obs.flight);
+        pkg->attach(obs, workerIndex);
         pkg->setInterruptHook(
             [&deadline, externalCancel, &firstMismatch, &currentRun] {
               deadline.check();
@@ -218,7 +208,7 @@ CheckResult runStimuliPortfolio(const SimulationConfiguration& config,
               : perRunStimulusSeed(config.seed, i);
       outcome.stimulusSeed = stimulusSeed;
 
-      obs::ScopedSpan runSpan(obs.tracer, "sim.stimulus", "sim", obs.flight);
+      obs::ScopedSpan runSpan(obs, "sim.stimulus", "sim");
       runSpan.arg("index", static_cast<std::uint64_t>(i));
       runSpan.arg("seed", stimulusSeed);
       try {
@@ -231,28 +221,13 @@ CheckResult runStimuliPortfolio(const SimulationConfiguration& config,
             makeStimulus(*pkg, config.stimuli, stimulusSeed);
         pkg->incRef(stimulus);
 
-        dd::vEdge out1;
-        dd::vEdge out2;
         dd::AttributionCollector* collect = attr ? &*attr : nullptr;
-        if (config.simulateDifferenceCircuit) {
-          // out2 = G'^-1 G |i>, compared against out1 = |i>
-          out1 = stimulus;
-          const dd::vEdge mid = sim::simulate(qc1, stimulus, *pkg, &deadline,
-                                              collect, dd::AttrSide::Left);
-          pkg->incRef(mid);
-          out2 = sim::simulate(*inverse2, mid, *pkg, &deadline, collect,
-                               dd::AttrSide::Right);
-          pkg->incRef(out2);
-          pkg->decRef(mid);
-          pkg->incRef(out1);
-        } else {
-          out1 = sim::simulate(qc1, stimulus, *pkg, &deadline, collect,
-                               dd::AttrSide::Left);
-          pkg->incRef(out1);
-          out2 = sim::simulate(qc2, stimulus, *pkg, &deadline, collect,
-                               dd::AttrSide::Right);
-          pkg->incRef(out2);
-        }
+        const dd::vEdge out1 = sim::simulate(qc1, stimulus, *pkg, &deadline,
+                                             collect, dd::AttrSide::Left);
+        pkg->incRef(out1);
+        const dd::vEdge out2 = sim::simulate(qc2, stimulus, *pkg, &deadline,
+                                             collect, dd::AttrSide::Right);
+        pkg->incRef(out2);
         pkg->decRef(stimulus);
 
         // Normalize by both state norms: long circuits accumulate tiny
@@ -323,10 +298,6 @@ CheckResult runStimuliPortfolio(const SimulationConfiguration& config,
       }
     }
     if (pkg) {
-      pkg->setTracer(nullptr);
-      pkg->setJournal(nullptr);
-      pkg->setLiveGauges(nullptr);
-      pkg->setFlightRecorder(nullptr);
       workerStats[workerIndex] = pkg->stats();
     }
   };

@@ -36,12 +36,6 @@ struct SimulationConfiguration {
   /// If true (default), ignore global phase: compare |<u|u'>| instead of
   /// requiring <u|u'> = 1 exactly.
   bool ignoreGlobalPhase{true};
-  /// If true, simulate the *difference circuit* G'^-1 · G on each stimulus
-  /// and compare the result against the stimulus itself (<i| G'^† G |i> = 1
-  /// for equivalent circuits) instead of simulating both circuits
-  /// independently. Same verdicts; the intermediate often collapses back
-  /// towards the stimulus and stays smaller.
-  bool simulateDifferenceCircuit{false};
   /// Worker threads for the stimuli runs; 0 = one per hardware thread
   /// (capped at maxSimulations). Verdict, counterexample and fidelities are
   /// bit-identical for every thread count — each run draws its stimulus

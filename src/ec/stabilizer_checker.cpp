@@ -64,7 +64,7 @@ CheckResult StabilizerChecker::run(const ir::QuantumComputation& qc1,
                                    const ir::QuantumComputation& qc2,
                                    const obs::Context& obs) const {
   const auto start = std::chrono::steady_clock::now();
-  obs::ScopedSpan span(obs.tracer, "tier.stabilizer", "ec", obs.flight);
+  obs::ScopedSpan span(obs, "tier.stabilizer", "ec");
 
   const bool trivial1 = qc1.initialLayout().isIdentity() &&
                         qc1.outputPermutation().isIdentity();
@@ -103,7 +103,7 @@ CheckResult StabilizerChecker::run(const ir::QuantumComputation& qc1,
       return cancelled();
     }
     const std::uint64_t stimulusSeed = perRunStimulusSeed(config_.seed, r);
-    obs::ScopedSpan runSpan(obs.tracer, "tier.stabilizer.run", "ec");
+    obs::ScopedSpan runSpan(obs, "tier.stabilizer.run", "ec");
     runSpan.arg("index", static_cast<std::uint64_t>(r));
     runSpan.arg("seed", stimulusSeed);
 

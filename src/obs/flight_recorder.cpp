@@ -262,15 +262,6 @@ std::size_t FlightRecorder::threadsRegistered() const noexcept {
   return n;
 }
 
-void flightRecordSpan(FlightRecorder* recorder, bool end,
-                      std::string_view name) noexcept {
-  if (recorder != nullptr) {
-    recorder->record(end ? FlightEventKind::SpanEnd
-                         : FlightEventKind::SpanBegin,
-                     name);
-  }
-}
-
 // --- Watchdog ---------------------------------------------------------------
 
 Watchdog::Watchdog(const FlightRecorder& clock, Options options)

@@ -229,11 +229,6 @@ private:
   std::atomic<std::uint64_t> droppedUnregistered_{0};
 };
 
-/// Span begin/end feed for obs::ScopedSpan (declared in tracer.hpp, which
-/// cannot include this header): a null recorder is a no-op.
-void flightRecordSpan(FlightRecorder* recorder, bool end,
-                      std::string_view name) noexcept;
-
 /// The stall watchdog: one scanning jthread over registered heartbeat
 /// cells. A watch entry fires at most once — when its heartbeat has been
 /// quiet longer than `quietSeconds`, or `deadlineSeconds` of wall time

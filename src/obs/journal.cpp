@@ -1,41 +1,13 @@
 #include "obs/journal.hpp"
 
+#include "util/json.hpp"
+
 #include <cmath>
 #include <cstdio>
 
 namespace qsimec::obs {
 
 namespace {
-
-void appendEscaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-    case '"':
-      out += "\\\"";
-      break;
-    case '\\':
-      out += "\\\\";
-      break;
-    case '\n':
-      out += "\\n";
-      break;
-    case '\t':
-      out += "\\t";
-      break;
-    case '\r':
-      out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(c) < 0x20) {
-        char buffer[8];
-        std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-        out += buffer;
-      } else {
-        out += c;
-      }
-    }
-  }
-}
 
 void appendNumber(std::string& out, double value) {
   if (!std::isfinite(value)) {
@@ -49,7 +21,7 @@ void appendNumber(std::string& out, double value) {
 
 void appendKey(std::string& out, std::string_view key) {
   out += ",\"";
-  appendEscaped(out, key);
+  util::appendJsonEscaped(out, key);
   out += "\":";
 }
 
@@ -66,7 +38,7 @@ JournalEvent::JournalEvent(Journal* journal, JournalLevel level,
   line_ += ",\"level\":\"";
   line_ += toString(level);
   line_ += "\",\"event\":\"";
-  appendEscaped(line_, name);
+  util::appendJsonEscaped(line_, name);
   line_ += '"';
 }
 
@@ -81,7 +53,7 @@ JournalEvent& JournalEvent::str(std::string_view key, std::string_view value) {
   if (journal_ != nullptr) {
     appendKey(line_, key);
     line_ += '"';
-    appendEscaped(line_, value);
+    util::appendJsonEscaped(line_, value);
     line_ += '"';
   }
   return *this;

@@ -1,5 +1,7 @@
 #include "obs/tracer.hpp"
 
+#include "util/json.hpp"
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -9,36 +11,6 @@
 namespace qsimec::obs {
 
 namespace {
-
-void appendEscaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-    case '"':
-      out += "\\\"";
-      break;
-    case '\\':
-      out += "\\\\";
-      break;
-    case '\n':
-      out += "\\n";
-      break;
-    case '\t':
-      out += "\\t";
-      break;
-    case '\r':
-      out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(c) < 0x20) {
-        char buffer[8];
-        std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-        out += buffer;
-      } else {
-        out += c;
-      }
-    }
-  }
-}
 
 /// Microsecond values with nanosecond resolution; enough precision that
 /// span ordering survives serialization of hour-long traces.
@@ -145,9 +117,9 @@ std::string Tracer::toChromeTraceJson() const {
     }
     first = false;
     out += "{\"name\":\"";
-    appendEscaped(out, event.name);
+    util::appendJsonEscaped(out, event.name);
     out += "\",\"cat\":\"";
-    appendEscaped(out, event.category);
+    util::appendJsonEscaped(out, event.category);
     out += "\",\"ph\":\"X\",\"pid\":1,\"tid\":";
     out += std::to_string(event.tid);
     out += ",\"ts\":";
@@ -166,11 +138,11 @@ std::string Tracer::toChromeTraceJson() const {
         }
         firstArg = false;
         out += '"';
-        appendEscaped(out, arg.key);
+        util::appendJsonEscaped(out, arg.key);
         out += "\":";
         if (arg.quoted) {
           out += '"';
-          appendEscaped(out, arg.value);
+          util::appendJsonEscaped(out, arg.value);
           out += '"';
         } else {
           out += arg.value;
@@ -188,7 +160,7 @@ std::string Tracer::toChromeTraceJson() const {
     }
     first = false;
     out += "{\"name\":\"";
-    appendEscaped(out, event.name);
+    util::appendJsonEscaped(out, event.name);
     out += "\",\"cat\":\"counter\",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":";
     out += formatMicros(event.tsMicros);
     out += ",\"args\":{\"value\":";

@@ -7,11 +7,11 @@
 // nesting from interval containment, which ScopedSpan guarantees by
 // construction.
 //
-// The null-tracer fast path: every instrumentation site holds a `Tracer*`
-// that may be null. ScopedSpan's constructor/destructor and arg() reduce to
-// a pointer test when it is — no clock reads, no allocation — so permanent
-// instrumentation costs nothing when no sink is attached (guarded by
-// bench/micro_obs.cpp).
+// Instrumented code opens spans through obs::ScopedSpan (obs/context.hpp),
+// which takes the whole observability Context: with no tracer attached its
+// constructor/destructor and arg() reduce to a pointer test — no clock
+// reads, no allocation — so permanent instrumentation costs nothing when no
+// sink is attached (guarded by bench/micro_obs.cpp).
 //
 // Thread safety: span recording is internally synchronized, so worker
 // threads (the parallel stimuli portfolio, the race-mode complete checker)
@@ -22,7 +22,6 @@
 
 #pragma once
 
-#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -34,14 +33,6 @@
 #include <vector>
 
 namespace qsimec::obs {
-
-class FlightRecorder;
-/// Defined in flight_recorder.cpp; a null recorder is a no-op. ScopedSpan
-/// feeds span begin/end into the flight recorder through this seam because
-/// this header cannot include flight_recorder.hpp (the recorder's sampler
-/// integration includes tracer.hpp).
-void flightRecordSpan(FlightRecorder* recorder, bool end,
-                      std::string_view name) noexcept;
 
 /// One key/value annotation of a span. `value` is pre-rendered; `quoted`
 /// says whether export must wrap it in JSON quotes (strings) or emit it raw
@@ -138,60 +129,6 @@ private:
   std::unordered_map<int, int> depthOf_; // keyed by tid
   int nextTid_{1};
   int openCount_{0};
-};
-
-/// RAII span: opens on construction, closes on destruction. A null `tracer`
-/// makes every member a no-op. An optional FlightRecorder receives matching
-/// span_begin/span_end ring events (the name is copied into a fixed buffer
-/// so the end event survives the caller's string).
-class ScopedSpan {
-public:
-  ScopedSpan(Tracer* tracer, std::string_view name,
-             std::string_view category = "flow",
-             FlightRecorder* flight = nullptr)
-      : tracer_(tracer), flight_(flight) {
-    if (tracer_ != nullptr) {
-      index_ = tracer_->beginSpan(name, category);
-    }
-    if (flight_ != nullptr) {
-      const std::size_t n = std::min(name.size(), sizeof(name_) - 1);
-      name.copy(name_, n);
-      name_[n] = '\0';
-      flightRecordSpan(flight_, false, {name_, n});
-    }
-  }
-  ~ScopedSpan() {
-    if (tracer_ != nullptr) {
-      tracer_->endSpan(index_);
-    }
-    if (flight_ != nullptr) {
-      flightRecordSpan(flight_, true, name_);
-    }
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  void arg(std::string_view key, std::string_view value) {
-    if (tracer_ != nullptr) {
-      tracer_->argString(index_, key, value);
-    }
-  }
-  void arg(std::string_view key, double value) {
-    if (tracer_ != nullptr) {
-      tracer_->argNumber(index_, key, value);
-    }
-  }
-  void arg(std::string_view key, std::uint64_t value) {
-    if (tracer_ != nullptr) {
-      tracer_->argNumber(index_, key, value);
-    }
-  }
-
-private:
-  Tracer* tracer_;
-  FlightRecorder* flight_;
-  std::size_t index_{0};
-  char name_[24]{};
 };
 
 } // namespace qsimec::obs

@@ -59,7 +59,6 @@ void applyOverride(ec::FlowConfiguration& config, const std::string& key,
                    const util::JsonValue& value, std::size_t lineNumber) {
   if (key == "sims") {
     config.simulation.maxSimulations = value.asUint();
-    config.skipSimulation = config.simulation.maxSimulations == 0;
   } else if (key == "seed") {
     config.simulation.seed = value.asUint();
   } else if (key == "timeout") {
@@ -189,7 +188,7 @@ void BatchScheduler::cancel() {
 }
 
 BatchResult BatchScheduler::run(const BatchManifest& manifest,
-                                const obs::Context& obs) {
+                                const obs::Context& caller) {
   const std::size_t total = manifest.pairs.size();
   const unsigned threads =
       options_.pool != nullptr
@@ -203,22 +202,22 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
   result.summary.threads = threads;
 
   // Stall containment wants a heartbeat source even when the caller did not
-  // attach a flight recorder; a private one then lives for this run only.
+  // attach a flight recorder; a private one then lives for this run only,
+  // attached to this run's copy of the caller's context.
   std::optional<obs::FlightRecorder> ownFlight;
+  obs::Context obs = caller;
   const bool wantWatchdog =
       options_.stallQuietSeconds > 0 || options_.pairDeadlineSeconds > 0;
   if (obs.flight == nullptr && wantWatchdog) {
-    ownFlight.emplace();
+    obs.flight = &ownFlight.emplace();
   }
-  obs::FlightRecorder* flight =
-      obs.flight != nullptr ? obs.flight : (ownFlight ? &*ownFlight : nullptr);
   std::optional<obs::Watchdog> watchdog;
-  if (wantWatchdog && flight != nullptr) {
-    watchdog.emplace(*flight);
+  if (wantWatchdog) {
+    watchdog.emplace(*obs.flight);
   }
 
   const util::Stopwatch watch;
-  obs::ScopedSpan batchSpan(obs.tracer, "svc.batch", "svc", flight);
+  obs::ScopedSpan batchSpan(obs, "svc.batch", "svc");
   batchSpan.arg("pairs", static_cast<std::uint64_t>(total));
   batchSpan.arg("threads", static_cast<std::uint64_t>(threads));
   obs.log(obs::JournalLevel::Info, "svc.batch.start")
@@ -282,7 +281,7 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
                   configDigest(spec.config)};
       if (options_.cache != nullptr) {
         if (const auto hit = options_.cache->lookup(key)) {
-          obs::ScopedSpan pairSpan(obs.tracer, "svc.pair", "svc");
+          obs::ScopedSpan pairSpan(obs, "svc.pair", "svc");
           pairSpan.arg("index", static_cast<std::uint64_t>(i));
           pairSpan.arg("cache_hit", std::uint64_t{1});
           outcome.cacheHit = true;
@@ -340,14 +339,14 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
     outcome.equivalence = ec::Equivalence::NoInformation;
     outcome.stalled = true;
     stalledPairs.fetch_add(1, std::memory_order_relaxed);
-    if (!options_.postmortemDir.empty() && flight != nullptr) {
+    if (!options_.postmortemDir.empty() && obs.flight != nullptr) {
       const std::string path = options_.postmortemDir + "/postmortem-pair-" +
                                std::to_string(index) + ".jsonl";
       obs::PostmortemOptions dumpOptions;
       dumpOptions.reason = "stall";
       dumpOptions.label = "pair " + std::to_string(index);
       try {
-        obs::writePostmortemFile(path, *flight, dumpOptions);
+        obs::writePostmortemFile(path, *obs.flight, dumpOptions);
         outcome.dumpRef = path;
       } catch (const std::exception&) {
         // a failed dump must not take the batch down with the pair
@@ -386,11 +385,12 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
     }
     std::size_t noteId = obs::FlightRecorder::kMaxPairNotes;
     std::uint64_t watchId = 0;
-    if (flight != nullptr) {
-      noteId = flight->notePair("pair " + std::to_string(index),
-                                job.key.g.hex());
+    if (obs.flight != nullptr) {
+      noteId = obs.flight->notePair("pair " + std::to_string(index),
+                                    job.key.g.hex());
       if (watchdog) {
-        if (const std::atomic<std::uint64_t>* beat = flight->heartbeatSlot()) {
+        if (const std::atomic<std::uint64_t>* beat =
+                obs.flight->heartbeatSlot()) {
           watchId = watchdog->watch(
               "pair " + std::to_string(index), beat,
               options_.stallQuietSeconds, options_.pairDeadlineSeconds,
@@ -404,8 +404,8 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
       if (watchId != 0) {
         watchdog->unwatch(watchId);
       }
-      if (flight != nullptr) {
-        flight->clearPair(noteId);
+      if (obs.flight != nullptr) {
+        obs.flight->clearPair(noteId);
       }
     };
     if (watchdog) {
@@ -424,7 +424,7 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
         return; // the watchdog resolved the pair; nothing to commit
       }
     }
-    obs::ScopedSpan pairSpan(obs.tracer, "svc.pair", "svc", flight);
+    obs::ScopedSpan pairSpan(obs, "svc.pair", "svc");
     pairSpan.arg("index", static_cast<std::uint64_t>(index));
     pairSpan.arg("cache_hit", std::uint64_t{0});
     ec::FlowConfiguration config = *job.config;
@@ -433,10 +433,9 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
     // Workers share the thread-safe sinks (tracer, journal, flight) but
     // never the metrics registry or live gauges — the registry is
     // single-threaded and the gauge block expects one publisher.
-    obs::Context workerObs;
-    workerObs.tracer = obs.tracer;
-    workerObs.journal = obs.journal;
-    workerObs.flight = flight;
+    obs::Context workerObs = obs;
+    workerObs.metrics = nullptr;
+    workerObs.live = nullptr;
     try {
       const ec::FlowResult flow =
           ec::EquivalenceCheckingFlow(config).run(job.g, job.gPrime,
@@ -512,7 +511,7 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
           runJob(job);
         }
       } else {
-        ec::WorkerPool pool(poolThreads, flight);
+        ec::WorkerPool pool(poolThreads, obs.flight);
         for (Job& job : jobs) {
           pool.submit([&runJob, &job] { runJob(job); });
         }
@@ -644,12 +643,12 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
   }
   // Recorder/watchdog health: how many events the black box kept vs. shed,
   // and how stale every worker slot's heartbeat is at batch end.
-  if (flight != nullptr) {
-    obs.count("flight.events", flight->eventsRecorded());
-    obs.count("flight.events_dropped", flight->eventsDropped());
-    const std::uint64_t now = flight->nowMicros();
-    for (std::size_t i = 0; i < flight->slotCount(); ++i) {
-      const obs::FlightRecorder::ThreadRing& ring = flight->slot(i);
+  if (obs.flight != nullptr) {
+    obs.count("flight.events", obs.flight->eventsRecorded());
+    obs.count("flight.events_dropped", obs.flight->eventsDropped());
+    const std::uint64_t now = obs.flight->nowMicros();
+    for (std::size_t i = 0; i < obs.flight->slotCount(); ++i) {
+      const obs::FlightRecorder::ThreadRing& ring = obs.flight->slot(i);
       if (!ring.everUsed.load(std::memory_order_relaxed)) {
         continue;
       }

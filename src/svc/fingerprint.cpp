@@ -140,9 +140,14 @@ std::uint64_t configDigest(const ec::FlowConfiguration& config) {
   h.absorb(config.simulation.seed);
   h.absorb(config.simulation.ignoreGlobalPhase ? std::uint64_t{1}
                                                : std::uint64_t{0});
-  h.absorb(config.simulation.simulateDifferenceCircuit ? std::uint64_t{1}
-                                                       : std::uint64_t{0});
-  h.absorb(config.skipSimulation ? std::uint64_t{1} : std::uint64_t{0});
+  // slot of the removed difference-circuit knob (never set outside tests):
+  // its old default keeps every digest valid
+  h.absorb(std::uint64_t{0});
+  // slot of the removed simulation-skip flag, which every CLI run and
+  // manifest derived from a zero stimulus budget — the condition that now
+  // skips the stage
+  h.absorb(config.simulation.maxSimulations == 0 ? std::uint64_t{1}
+                                                 : std::uint64_t{0});
   h.absorb(config.skipComplete ? std::uint64_t{1} : std::uint64_t{0});
   h.absorb(config.tryRewriting ? std::uint64_t{1} : std::uint64_t{0});
   // slot of the removed validateInputs knob: preflight always runs, as it

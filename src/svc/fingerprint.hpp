@@ -61,12 +61,11 @@ struct Fingerprint {
 /// Digest of the verdict-relevant fields of a flow configuration — the third
 /// component of a pair key. Covers every knob that can change a *proved*
 /// verdict or its counterexample (stimuli family and seed, simulation count,
-/// fidelity tolerance, global-phase handling, difference-circuit mode, the
-/// stage-skip flags, and the rewriting toggle) and deliberately excludes
-/// pure-performance fields: thread counts, timeouts, node budgets, the
-/// staged/race mode, and progress callbacks change how fast a proof is
-/// found, never which proof is found (docs/service.md spells out the safety
-/// argument).
+/// fidelity tolerance, global-phase handling, the stage skips, and the
+/// rewriting toggle) and deliberately excludes pure-performance fields:
+/// thread counts, timeouts, node budgets, the staged/race mode, and progress
+/// callbacks change how fast a proof is found, never which proof is found
+/// (docs/service.md spells out the safety argument).
 [[nodiscard]] std::uint64_t configDigest(const ec::FlowConfiguration& config);
 
 } // namespace qsimec::svc

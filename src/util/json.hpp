@@ -5,11 +5,47 @@
 #pragma once
 
 #include <cmath>
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <string_view>
 
 namespace qsimec::util {
+
+/// Append `s` to `out` as the body of a JSON string literal, without the
+/// quotes: the quote, the backslash, newline, tab and carriage return get
+/// their short escapes, the other bytes below 0x20 a `\u00XX` escape, and
+/// every other byte passes through. The one escaper behind JsonWriter,
+/// journal lines and Chrome traces.
+inline void appendJsonEscaped(std::string& out, std::string_view s) {
+  for (const char c : s) {
+    switch (c) {
+    case '"':
+      out += "\\\"";
+      break;
+    case '\\':
+      out += "\\\\";
+      break;
+    case '\n':
+      out += "\\n";
+      break;
+    case '\t':
+      out += "\\t";
+      break;
+    case '\r':
+      out += "\\r";
+      break;
+    default:
+      if (static_cast<unsigned char>(c) < 0x20) {
+        char buffer[8];
+        std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
+        out += buffer;
+      } else {
+        out += c;
+      }
+    }
+  }
+}
 
 class JsonWriter {
 public:
@@ -108,35 +144,10 @@ private:
     out_ << ':';
   }
   void writeString(std::string_view s) {
-    out_ << '"';
-    for (const char c : s) {
-      switch (c) {
-      case '"':
-        out_ << "\\\"";
-        break;
-      case '\\':
-        out_ << "\\\\";
-        break;
-      case '\n':
-        out_ << "\\n";
-        break;
-      case '\t':
-        out_ << "\\t";
-        break;
-      case '\r':
-        out_ << "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out_ << buffer;
-        } else {
-          out_ << c;
-        }
-      }
-    }
-    out_ << '"';
+    std::string quoted(1, '"');
+    appendJsonEscaped(quoted, s);
+    quoted += '"';
+    out_ << quoted;
   }
 
   std::ostringstream out_;

@@ -212,36 +212,6 @@ TEST(SimulationChecker, GlobalPhaseIsIgnoredByDefault) {
   EXPECT_EQ(strict.run(a, b).equivalence, Equivalence::NotEquivalent);
 }
 
-TEST(SimulationChecker, DifferenceCircuitModeAgrees) {
-  // both modes must reach the same verdicts
-  auto bad = paperCircuitGPrime();
-  bad.ops().pop_back();
-
-  for (const bool difference : {false, true}) {
-    ec::SimulationConfiguration config;
-    config.seed = 13;
-    config.simulateDifferenceCircuit = difference;
-    const ec::SimulationChecker checker(config);
-    EXPECT_EQ(checker.run(paperCircuitG(), bad).equivalence,
-              Equivalence::NotEquivalent)
-        << "difference=" << difference;
-    EXPECT_EQ(checker.run(paperCircuitG(), paperCircuitGPrime()).equivalence,
-              Equivalence::ProbablyEquivalent)
-        << "difference=" << difference;
-  }
-}
-
-TEST(SimulationChecker, DifferenceCircuitHandlesLayouts) {
-  const auto g = gen::qft(6);
-  const auto mapped = tf::mapCircuit(g, tf::CouplingMap::linear(6));
-  ec::SimulationConfiguration config;
-  config.seed = 4;
-  config.simulateDifferenceCircuit = true;
-  const ec::SimulationChecker checker(config);
-  EXPECT_EQ(checker.run(g, mapped.circuit).equivalence,
-            Equivalence::ProbablyEquivalent);
-}
-
 TEST(SimulationChecker, DeterministicUnderSeed) {
   auto bad = paperCircuitGPrime();
   bad.ops().pop_back();
@@ -467,7 +437,7 @@ TEST(Flow, TimeoutYieldsProbablyEquivalent) {
 
 TEST(Flow, SkipSimulationRunsCompleteOnly) {
   ec::FlowConfiguration config;
-  config.skipSimulation = true;
+  config.simulation.maxSimulations = 0;
   config.prescreen.enabled = false; // exercise the general DD path
   const ec::EquivalenceCheckingFlow flow(config);
   const auto result = flow.run(paperCircuitG(), paperCircuitGPrime());
@@ -477,10 +447,10 @@ TEST(Flow, SkipSimulationRunsCompleteOnly) {
 
 TEST(Flow, SkipSimulationAlsoSuppressesStabilizerStimuli) {
   // With the prescreen on, a Clifford-only pair routes to the stabilizer
-  // tier — whose randomized runs also honour skipSimulation; the exact
-  // conjugation check alone decides the pair.
+  // tier — whose randomized runs also honour a zero stimulus budget; the
+  // exact conjugation check alone decides the pair.
   ec::FlowConfiguration config;
-  config.skipSimulation = true;
+  config.simulation.maxSimulations = 0;
   const ec::EquivalenceCheckingFlow flow(config);
   const auto result = flow.run(paperCircuitG(), paperCircuitGPrime());
   EXPECT_TRUE(ec::provedEquivalent(result.equivalence));

@@ -6,7 +6,10 @@
 // async-signal-safe fatal dump path (as a death test).
 
 #include "ec/alternating_checker.hpp"
+#include "ec/construction_checker.hpp"
+#include "ec/flow.hpp"
 #include "gen/qft.hpp"
+#include "gen/random_circuits.hpp"
 #include "io/qasm.hpp"
 #include "obs/context.hpp"
 #include "obs/flight_recorder.hpp"
@@ -15,6 +18,8 @@
 #include "obs/openmetrics.hpp"
 #include "obs/postmortem.hpp"
 #include "svc/batch.hpp"
+#include "svc/verdict_cache.hpp"
+#include "transform/mapper.hpp"
 #include "util/json_parse.hpp"
 
 #include <gtest/gtest.h>
@@ -446,6 +451,103 @@ TEST(BatchStall, StallHookIsInertWithoutAnArmedWatchdog) {
   EXPECT_FALSE(result.outcomes[0].stalled);
   EXPECT_EQ(result.summary.stalled, 0U);
   fs::remove_all(dir);
+}
+
+// ------------------------------------------------------------- span mirrors
+
+/// Names of the `kind` events in every ring of `recorder`; callers assert
+/// that nothing was dropped, so every ring holds its events at [0, head).
+std::multiset<std::string> ringNames(const obs::FlightRecorder& recorder,
+                                     obs::FlightEventKind kind) {
+  std::multiset<std::string> names;
+  for (std::size_t i = 0; i < recorder.slotCount(); ++i) {
+    const obs::FlightRecorder::ThreadRing& ring = recorder.slot(i);
+    for (std::uint64_t k = 0; k < ring.head.load(); ++k) {
+      if (ring.events[k].kind == static_cast<std::uint8_t>(kind)) {
+        names.emplace(ring.events[k].name);
+      }
+    }
+  }
+  return names;
+}
+
+// A span reaches every span sink its context carries: over flow runs that
+// cross every span site of the flow (the stabilizer tier and the general
+// tier with rewriting, simulation, the complete check and DD collections)
+// and a batch whose second pass is served from the cache, the Chrome trace
+// and the flight ring name the same spans.
+TEST(SpanMirror, TraceAndFlightRingNameTheSameSpans) {
+  obs::Tracer tracer;
+  obs::FlightRecorder recorder;
+  const obs::Context obs{.tracer = &tracer, .flight = &recorder};
+
+  ir::QuantumComputation clifford(2, "clifford");
+  clifford.cx(0, 1);
+  clifford.cx(1, 0);
+  clifford.cx(0, 1);
+  ir::QuantumComputation swapped(2, "swapped");
+  swapped.swap(0, 1);
+  const ir::QuantumComputation qft = gen::qft(4);
+  const ir::QuantumComputation mapped =
+      tf::mapCircuit(qft, tf::CouplingMap::linear(4)).circuit;
+  ec::FlowConfiguration config;
+  config.tryRewriting = true;
+  config.simulation.numThreads = 2;
+  const ec::EquivalenceCheckingFlow flow(config);
+  EXPECT_EQ(flow.run(clifford, swapped, obs).tier,
+            analysis::TierHint::Stabilizer);
+  EXPECT_EQ(flow.run(qft, mapped, obs).tier, analysis::TierHint::General);
+
+  const fs::path dir = freshDir("spans");
+  const std::string path = (dir / "qft.qasm").string();
+  std::ofstream(path) << io::toQasmString(qft);
+  std::istringstream manifestText("{\"g\": \"" + path + "\", \"gp\": \"" +
+                                  path + "\"}\n");
+  const svc::BatchManifest manifest =
+      svc::parseManifest(manifestText, ec::FlowConfiguration{});
+  svc::VerdictCache cache;
+  svc::BatchOptions options;
+  options.threads = 1;
+  options.cache = &cache;
+  EXPECT_EQ(svc::BatchScheduler(options).run(manifest, obs).summary.cacheHits,
+            0U);
+  EXPECT_EQ(svc::BatchScheduler(options).run(manifest, obs).summary.cacheHits,
+            1U);
+  fs::remove_all(dir);
+
+  std::multiset<std::string> traced;
+  for (const obs::SpanEvent& span : tracer.events()) {
+    traced.insert(span.name);
+  }
+  for (const char* site :
+       {"flow", "stage.preflight", "analysis.profile", "analysis.prescreen",
+        "tier.stabilizer", "tier.stabilizer.run", "checker.rewriting",
+        "checker.simulation", "sim.stimulus", "checker.alternating", "dd.gc",
+        "svc.batch"}) {
+    EXPECT_TRUE(traced.contains(site)) << site;
+  }
+  EXPECT_EQ(traced.count("svc.pair"), 2U); // the miss, then the cache hit
+  ASSERT_EQ(recorder.eventsDropped(), 0U);
+  EXPECT_EQ(ringNames(recorder, obs::FlightEventKind::SpanBegin), traced);
+  EXPECT_EQ(ringNames(recorder, obs::FlightEventKind::SpanEnd), traced);
+}
+
+// ConstructionChecker attaches its package like every other checker, so
+// the flight ring sees its span and every garbage collection it runs.
+TEST(SpanMirror, ConstructionCheckerFeedsTheFlightRing) {
+  // a dense unitary: its transient matrices outgrow the first GC threshold
+  const ir::QuantumComputation qc = gen::randomCircuit(7, 100, 1);
+  obs::FlightRecorder recorder;
+  const ec::CheckResult result =
+      ec::ConstructionChecker().run(qc, qc, {.flight = &recorder});
+  ASSERT_EQ(recorder.eventsDropped(), 0U);
+  EXPECT_EQ(
+      ringNames(recorder, obs::FlightEventKind::SpanBegin).count(
+          "checker.construction"),
+      1U);
+  EXPECT_GT(result.ddStats.gcRuns, 0U);
+  EXPECT_EQ(ringNames(recorder, obs::FlightEventKind::Gc).size(),
+            result.ddStats.gcRuns);
 }
 
 // ----------------------------------------------------------- signal dump path

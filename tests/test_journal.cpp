@@ -7,9 +7,6 @@
 #include "ec/flow.hpp"
 #include "gen/qft.hpp"
 #include "obs/context.hpp"
-#include "obs/journal.hpp"
-#include "obs/sampler.hpp"
-#include "obs/tracer.hpp"
 #include "sim/dd_simulator.hpp"
 #include "util/json_parse.hpp"
 
@@ -104,7 +101,6 @@ TEST(Journal, NullJournalRecordsNothingAndIsSafe) {
 
   const obs::Context context;
   context.log(obs::JournalLevel::Info, "also.noop").num("k", 1.0);
-  EXPECT_FALSE(context.active());
 }
 
 TEST(Journal, StreamMirrorsCommittedLines) {
@@ -228,12 +224,11 @@ TEST(Journal, FlowEmitsTierEvent) {
 TEST(Journal, PackageGcEmitsEvent) {
   obs::Journal journal;
   dd::Package pkg(3);
-  pkg.setJournal(&journal);
+  pkg.attach({.journal = &journal});
   const ir::QuantumComputation qc = paperCircuitG();
   const auto out = sim::simulate(qc, pkg.makeBasisState(0), pkg);
   ASSERT_NE(out.p, nullptr);
   pkg.garbageCollect(/*force=*/true);
-  pkg.setJournal(nullptr);
 
   bool sawGc = false;
   for (const std::string& line : journal.lines()) {
@@ -307,15 +302,28 @@ TEST(Sampler, MirrorsSamplesAsTracerCounterEvents) {
   EXPECT_TRUE(util::isValidJson(tracer.toChromeTraceJson()));
 }
 
+// One attach call feeds every sink the package publishes into: the live
+// gauges, the tracer and journal (with the lane) on each GC, and the flight
+// recorder on each GC and interrupt poll — but never the metrics registry.
 TEST(Sampler, LiveGaugesAreFedByThePackage) {
   obs::LiveGauges gauges;
+  obs::Tracer tracer;
+  obs::Journal journal;
+  obs::FlightRecorder recorder;
+  obs::MetricsRegistry metrics;
   dd::Package pkg(8);
-  pkg.setLiveGauges(&gauges);
+  pkg.attach({.tracer = &tracer,
+              .metrics = &metrics,
+              .journal = &journal,
+              .live = &gauges,
+              .flight = &recorder},
+             /*lane=*/3);
   const ir::QuantumComputation qc = gen::qft(8);
   const auto out = sim::simulate(qc, pkg.makeBasisState(1), pkg);
   ASSERT_NE(out.p, nullptr);
   pkg.garbageCollect(/*force=*/true); // publishes unconditionally
-  pkg.setLiveGauges(nullptr);
+  pkg.attach({});
+  pkg.garbageCollect(/*force=*/true); // detached: reaches no sink
 
   // after a forced GC the slots reflect the package's own stats
   const dd::PackageStats stats = pkg.stats();
@@ -325,6 +333,32 @@ TEST(Sampler, LiveGaugesAreFedByThePackage) {
   EXPECT_LE(gauges.ddUniqueFill.load(), 1.0);
   EXPECT_GE(gauges.ddUniqueHitRate.load(), 0.0);
   EXPECT_LE(gauges.ddUniqueHitRate.load(), 1.0);
+
+  ASSERT_EQ(tracer.events().size(), 1U);
+  EXPECT_EQ(tracer.events()[0].name, "dd.gc");
+  ASSERT_EQ(journal.lineCount(), 1U);
+  const util::JsonValue gc = util::parseJson(journal.lines()[0]);
+  EXPECT_EQ(gc.at("event").asString(), "dd.gc");
+  EXPECT_EQ(gc.at("lane").asNumber(), 3.0);
+  EXPECT_TRUE(metrics.snapshot().counters.empty());
+
+  // the ring holds the poll heartbeat's gauge sample, then the GC's span
+  // around its Gc event, all on this thread's slot
+  ASSERT_EQ(recorder.threadsRegistered(), 1U);
+  const obs::FlightRecorder::ThreadRing& ring = recorder.slot(0);
+  EXPECT_GE(ring.nodesLive.load(), 0);
+  std::vector<std::pair<obs::FlightEventKind, std::string>> events;
+  for (std::uint64_t i = 0; i < ring.head.load(); ++i) {
+    events.emplace_back(static_cast<obs::FlightEventKind>(ring.events[i].kind),
+                        ring.events[i].name);
+  }
+  using Kind = obs::FlightEventKind;
+  const std::vector<std::pair<obs::FlightEventKind, std::string>> expected{
+      {Kind::Gauge, "dd.gauges"},
+      {Kind::SpanBegin, "dd.gc"},
+      {Kind::Gc, "dd.gc"},
+      {Kind::SpanEnd, "dd.gc"}};
+  EXPECT_EQ(events, expected);
 }
 
 TEST(Sampler, ProcessRssIsPositiveOnLinux) {

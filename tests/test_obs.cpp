@@ -197,14 +197,15 @@ TEST(JsonLint, AcceptsAndRejects) {
 
 TEST(Tracer, SpansNestAndContain) {
   obs::Tracer tracer;
+  const obs::Context traced{.tracer = &tracer};
   {
-    obs::ScopedSpan outer(&tracer, "outer", "test");
+    obs::ScopedSpan outer(traced, "outer", "test");
     outer.arg("label", std::string_view("root"));
     {
-      obs::ScopedSpan inner(&tracer, "inner", "test");
+      obs::ScopedSpan inner(traced, "inner", "test");
       inner.arg("index", std::uint64_t{7});
     }
-    obs::ScopedSpan sibling(&tracer, "sibling", "test");
+    obs::ScopedSpan sibling(traced, "sibling", "test");
   }
   ASSERT_EQ(tracer.events().size(), 3U);
   EXPECT_EQ(tracer.openSpans(), 0);
@@ -235,10 +236,11 @@ TEST(Tracer, SpansNestAndContain) {
 
 TEST(Tracer, ChromeTraceJsonIsValid) {
   obs::Tracer tracer;
+  const obs::Context traced{.tracer = &tracer};
   {
-    obs::ScopedSpan span(&tracer, "flow", "flow");
+    obs::ScopedSpan span(traced, "flow", "flow");
     span.arg("outcome", std::string_view("he said \"equivalent\""));
-    obs::ScopedSpan child(&tracer, "stage", "stage");
+    obs::ScopedSpan child(traced, "stage", "stage");
   }
   const std::string json = tracer.toChromeTraceJson();
   EXPECT_TRUE(util::isValidJson(json)) << json;
@@ -263,21 +265,22 @@ TEST(Tracer, MidFlightMultiThreadExportIsValidWithStableTids) {
   // on several threads must yield valid JSON, and each thread must keep one
   // stable tid across all of its spans.
   obs::Tracer tracer;
+  const obs::Context traced{.tracer = &tracer};
   const std::size_t mainSpan = tracer.beginSpan("main.open", "test");
 
   std::string midFlightJson;
   {
-    std::jthread worker([&tracer, &midFlightJson] {
-      obs::ScopedSpan first(&tracer, "worker.first", "test");
+    std::jthread worker([&tracer, &traced, &midFlightJson] {
+      obs::ScopedSpan first(traced, "worker.first", "test");
       {
-        obs::ScopedSpan nested(&tracer, "worker.nested", "test");
+        obs::ScopedSpan nested(traced, "worker.nested", "test");
       }
       // export while this thread's span and the main thread's span are open
       midFlightJson = tracer.toChromeTraceJson();
     });
   }
   {
-    obs::ScopedSpan second(&tracer, "main.second", "test");
+    obs::ScopedSpan second(traced, "main.second", "test");
   }
   tracer.endSpan(mainSpan);
 
@@ -315,7 +318,7 @@ TEST(Tracer, MidFlightMultiThreadExportIsValidWithStableTids) {
 TEST(Tracer, CounterEventsExportAsChromeCounterTrack) {
   obs::Tracer tracer;
   {
-    obs::ScopedSpan span(&tracer, "flow", "flow");
+    obs::ScopedSpan span({.tracer = &tracer}, "flow", "flow");
     tracer.counter("dd.nodes_live", 128.0);
     tracer.counter("dd.nodes_live", 256.5);
   }
@@ -335,15 +338,14 @@ TEST(Tracer, CounterEventsExportAsChromeCounterTrack) {
 }
 
 TEST(Tracer, NullSinkRecordsNothing) {
-  // a null tracer must be safe for every ScopedSpan member
-  obs::ScopedSpan span(nullptr, "noop", "test");
+  // a null context must be safe for every ScopedSpan member
+  const obs::Context context;
+  obs::ScopedSpan span(context, "noop", "test");
   span.arg("k", std::string_view("v"));
   span.arg("d", 1.5);
   span.arg("u", std::uint64_t{2});
 
-  // a null context must be safe for every helper
-  const obs::Context context;
-  EXPECT_FALSE(context.active());
+  // and for every helper
   context.count("c");
   context.gauge("g", 1.0);
   context.observe("h", 1.0);
@@ -382,7 +384,7 @@ TEST(PackageStats, ProfilesSimulation) {
 TEST(PackageStats, GarbageCollectionIsTimedAndTraced) {
   obs::Tracer tracer;
   dd::Package pkg(3);
-  pkg.setTracer(&tracer);
+  pkg.attach({.tracer = &tracer});
   // churn through enough transient vectors to trigger a forced collection
   const ir::QuantumComputation qc = paperCircuitG();
   for (int round = 0; round < 4; ++round) {
@@ -390,7 +392,6 @@ TEST(PackageStats, GarbageCollectionIsTimedAndTraced) {
     ASSERT_NE(out.p, nullptr);
     pkg.garbageCollect(/*force=*/true);
   }
-  pkg.setTracer(nullptr);
 
   const dd::PackageStats stats = pkg.stats();
   EXPECT_GE(stats.gcRuns, 4U);
