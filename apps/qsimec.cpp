@@ -50,6 +50,7 @@
 #include "gen/random_circuits.hpp"
 #include "gen/revlib_like.hpp"
 #include "gen/supremacy.hpp"
+#include "io/parse.hpp"
 #include "io/qasm.hpp"
 #include "io/real.hpp"
 #include "io/tfc.hpp"
@@ -323,21 +324,6 @@ exit codes: 0 equivalent / lint clean / bench-diff pass, 1 not equivalent /
   std::exit(code);
 }
 
-ir::QuantumComputation load(const std::string& path,
-                            io::ParseOptions options = {}) {
-  if (path.size() >= 5 && path.ends_with(".real")) {
-    return io::parseRealFile(path, options);
-  }
-  if (path.ends_with(".qasm")) {
-    return io::parseQasmFile(path, options);
-  }
-  if (path.size() >= 4 && path.ends_with(".tfc")) {
-    return io::parseTfcFile(path, options);
-  }
-  throw std::runtime_error(
-      "unrecognized circuit format (want .qasm/.real/.tfc): " + path);
-}
-
 struct ArgCursor {
   std::vector<std::string> args;
   std::size_t pos{0};
@@ -555,8 +541,8 @@ int runCheck(ArgCursor& args) {
   config.simulation.numThreads =
       static_cast<unsigned>(std::stoul(threadsStr));
 
-  auto a = load(args.next("first circuit file"));
-  auto b = load(args.next("second circuit file"));
+  auto a = io::parseCircuitFile(args.next("first circuit file"));
+  auto b = io::parseCircuitFile(args.next("second circuit file"));
 
   // ancilla-adding flows produce different widths; pad the narrower one
   const std::size_t width = std::max(a.qubits(), b.qubits());
@@ -1218,7 +1204,7 @@ int runLint(ArgCursor& args) {
   std::vector<ir::QuantumComputation> circuits;
   circuits.reserve(files.size());
   for (const std::string& f : files) {
-    circuits.push_back(load(f, {.validate = false}));
+    circuits.push_back(io::parseCircuitFile(f, {.validate = false}));
   }
 
   const analysis::CircuitAnalyzer analyzer({.lint = !errorsOnly});
@@ -1289,7 +1275,7 @@ int runProfile(ArgCursor& args) {
   std::vector<ir::QuantumComputation> circuits;
   circuits.reserve(files.size());
   for (const std::string& f : files) {
-    circuits.push_back(load(f, {.validate = false}));
+    circuits.push_back(io::parseCircuitFile(f, {.validate = false}));
   }
   if (circuits.size() == 2) {
     // mirror `check`: pad the narrower circuit so ancilla-adding flows
@@ -1386,7 +1372,7 @@ int runSim(ArgCursor& args) {
   const std::uint64_t input =
       std::stoull(args.consumeOption("--input", "0"));
   const std::size_t top = std::stoul(args.consumeOption("--top", "16"));
-  const auto qc = load(args.next("circuit file"));
+  const auto qc = io::parseCircuitFile(args.next("circuit file"));
 
   dd::Package pkg(qc.qubits());
   const auto out = sim::simulate(qc, pkg.makeBasisState(input), pkg);
@@ -1414,7 +1400,7 @@ int runSim(ArgCursor& args) {
 }
 
 int runInfo(ArgCursor& args) {
-  const auto qc = load(args.next("circuit file"));
+  const auto qc = io::parseCircuitFile(args.next("circuit file"));
   std::cout << "name:    " << qc.name() << "\n"
             << "qubits:  " << qc.qubits() << "\n"
             << "gates:   " << qc.size() << "\n"
@@ -1434,7 +1420,7 @@ void writeByExtension(const ir::QuantumComputation& qc,
                       const std::string& path);
 
 int runConvert(ArgCursor& args) {
-  auto qc = load(args.next("input file"));
+  auto qc = io::parseCircuitFile(args.next("input file"));
   const std::string out = args.next("output file");
   if (out.ends_with(".qasm")) {
     // decompose whatever OpenQASM 2.0 cannot express
@@ -1796,13 +1782,7 @@ int main(int argc, char** argv) {
       std::cerr << "  " << analysis::toString(d) << "\n";
     }
     return 4;
-  } catch (const io::QasmParseError& e) {
-    std::cerr << "invalid input: " << e.what() << "\n";
-    return 4;
-  } catch (const io::RealParseError& e) {
-    std::cerr << "invalid input: " << e.what() << "\n";
-    return 4;
-  } catch (const io::TfcParseError& e) {
+  } catch (const io::ParseError& e) {
     std::cerr << "invalid input: " << e.what() << "\n";
     return 4;
   } catch (const util::JsonParseError& e) {

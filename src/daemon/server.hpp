@@ -189,7 +189,9 @@ private:
   obs::FlightRecorder flight_;
   svc::VerdictCache cache_;
   std::ofstream cacheStream_;
-  obs::Journal journal_;
+  /// Streams to the journal file, if any, and keeps no lines: a
+  /// server-lifetime journal in memory grows with every request.
+  obs::Journal journal_{/*keepLines=*/false};
   std::ofstream journalStream_;
   std::optional<ec::WorkerPool> pool_;
   Socket listenSocket_;

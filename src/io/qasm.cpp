@@ -1,155 +1,46 @@
 #include "io/qasm.hpp"
 
-#include "analysis/analyzer.hpp"
+#include "io/scanner.hpp"
 
-#include <cctype>
-#include <cmath>
+#include <array>
 #include <fstream>
 #include <map>
 #include <numbers>
+#include <optional>
+#include <span>
 #include <sstream>
-#include <vector>
 
 namespace qsimec::io {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Lexer: a thin cursor over the input with line tracking.
-// ---------------------------------------------------------------------------
-class Cursor {
-public:
-  explicit Cursor(std::istream& is) {
-    std::ostringstream buffer;
-    buffer << is.rdbuf();
-    text_ = buffer.str();
-  }
-  explicit Cursor(std::string text) : text_(std::move(text)) {}
-
-  void skipWhitespaceAndComments() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '\n') {
-        ++line_;
-        ++pos_;
-      } else if (std::isspace(static_cast<unsigned char>(c)) != 0) {
-        ++pos_;
-      } else if (c == '/' && pos_ + 1 < text_.size() &&
-                 text_[pos_ + 1] == '/') {
-        while (pos_ < text_.size() && text_[pos_] != '\n') {
-          ++pos_;
-        }
-      } else {
-        break;
-      }
-    }
-  }
-
-  [[nodiscard]] bool atEnd() {
-    skipWhitespaceAndComments();
-    return pos_ >= text_.size();
-  }
-
-  [[nodiscard]] char peek() {
-    skipWhitespaceAndComments();
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-
-  char get() {
-    skipWhitespaceAndComments();
-    if (pos_ >= text_.size()) {
-      fail("unexpected end of input");
-    }
-    return text_[pos_++];
-  }
-
-  void expect(char c) {
-    const char got = get();
-    if (got != c) {
-      fail(std::string("expected '") + c + "', got '" + got + "'");
-    }
-  }
-
-  bool consumeIf(char c) {
-    if (peek() == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  /// Identifier or keyword: [A-Za-z_][A-Za-z0-9_]*
-  std::string identifier() {
-    skipWhitespaceAndComments();
-    std::string id;
-    while (pos_ < text_.size() &&
-           (std::isalnum(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '_')) {
-      id += text_[pos_++];
-    }
-    if (id.empty()) {
-      fail("expected identifier");
-    }
-    return id;
-  }
-
-  double number() {
-    skipWhitespaceAndComments();
-    std::size_t end = 0;
-    double value = 0;
-    try {
-      value = std::stod(text_.substr(pos_), &end);
-    } catch (const std::exception&) {
-      fail("expected number");
-    }
-    pos_ += end;
-    return value;
-  }
-
-  std::string quotedString() {
-    expect('"');
-    std::string s;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      s += text_[pos_++];
-    }
-    expect('"');
-    return s;
-  }
-
-  /// Capture the raw text of a { ... } block (after the opening brace has
-  /// been consumed); the closing brace is consumed but not included.
-  std::string captureBlock() {
-    std::string body;
-    while (pos_ < text_.size() && text_[pos_] != '}') {
-      if (text_[pos_] == '\n') {
-        ++line_;
-      }
-      body += text_[pos_++];
-    }
-    expect('}');
-    return body;
-  }
-
-  [[noreturn]] void fail(const std::string& message) const {
-    throw QasmParseError(message, line_);
-  }
-
-  [[nodiscard]] std::size_t line() const noexcept { return line_; }
-
-private:
-  std::string text_;
-  std::size_t pos_{0};
-  std::size_t line_{1};
-};
+using Cursor = detail::Scanner<QasmParseError>;
 
 // ---------------------------------------------------------------------------
 // Expression parser: + - * / ( ) pi and numbers, standard precedence.
 // ---------------------------------------------------------------------------
-using SymbolTable = std::map<std::string, double>;
 
-double parseExpression(Cursor& in, const SymbolTable* symbols);
+/// The index of the last `name` in `names`: a gate definition that repeats
+/// a parameter or qubit name binds its last occurrence.
+std::optional<std::size_t> lastIndexOf(std::span<const std::string_view> names,
+                                       std::string_view name) {
+  for (std::size_t i = names.size(); i-- > 0;) {
+    if (names[i] == name) {
+      return i;
+    }
+  }
+  return std::nullopt;
+}
 
-double parsePrimary(Cursor& in, const SymbolTable* symbols) {
+/// The parameters in scope inside a gate body: names[i] has values[i].
+struct Symbols {
+  std::span<const std::string_view> names;
+  std::span<const double> values;
+};
+
+double parseExpression(Cursor& in, const Symbols* symbols = nullptr);
+
+double parsePrimary(Cursor& in, const Symbols* symbols) {
   const char c = in.peek();
   if (c == '(') {
     in.expect('(');
@@ -165,22 +56,22 @@ double parsePrimary(Cursor& in, const SymbolTable* symbols) {
     in.expect('+');
     return parsePrimary(in, symbols);
   }
-  if (std::isalpha(static_cast<unsigned char>(c)) != 0) {
-    const std::string id = in.identifier();
+  if (detail::isAlpha(c)) {
+    const std::string_view id = in.identifier();
     if (id == "pi") {
       return std::numbers::pi;
     }
     if (symbols != nullptr) {
-      if (const auto it = symbols->find(id); it != symbols->end()) {
-        return it->second;
+      if (const auto i = lastIndexOf(symbols->names, id)) {
+        return symbols->values[*i];
       }
     }
-    in.fail("unknown symbol in expression: " + id);
+    in.fail("unknown symbol in expression: " + std::string(id));
   }
-  return in.number();
+  return in.real();
 }
 
-double parseTerm(Cursor& in, const SymbolTable* symbols) {
+double parseTerm(Cursor& in, const Symbols* symbols) {
   double v = parsePrimary(in, symbols);
   while (true) {
     const char c = in.peek();
@@ -196,7 +87,7 @@ double parseTerm(Cursor& in, const SymbolTable* symbols) {
   }
 }
 
-double parseExpression(Cursor& in, const SymbolTable* symbols = nullptr) {
+double parseExpression(Cursor& in, const Symbols* symbols) {
   double v = parseTerm(in, symbols);
   while (true) {
     const char c = in.peek();
@@ -210,6 +101,22 @@ double parseExpression(Cursor& in, const SymbolTable* symbols = nullptr) {
       return v;
     }
   }
+}
+
+/// A parenthesised parameter list, if there is one, appended to `params`.
+void parseParams(Cursor& in, const Symbols* symbols,
+                 std::vector<double>& params) {
+  if (in.peek() != '(') {
+    return;
+  }
+  in.expect('(');
+  if (in.peek() != ')') {
+    params.push_back(parseExpression(in, symbols));
+    while (in.consumeIf(',')) {
+      params.push_back(parseExpression(in, symbols));
+    }
+  }
+  in.expect(')');
 }
 
 // ---------------------------------------------------------------------------
@@ -227,9 +134,9 @@ struct GateSpec {
   bool twoTargets{false};  // swap-style
 };
 
-const std::map<std::string, GateSpec>& gateTable() {
+const std::map<std::string, GateSpec, std::less<>>& gateTable() {
   using ir::OpType;
-  static const std::map<std::string, GateSpec> table = {
+  static const std::map<std::string, GateSpec, std::less<>> table = {
       {"id", {OpType::I, 0, 0}},       {"x", {OpType::X, 0, 0}},
       {"y", {OpType::Y, 0, 0}},        {"z", {OpType::Z, 0, 0}},
       {"h", {OpType::H, 0, 0}},        {"s", {OpType::S, 0, 0}},
@@ -251,65 +158,49 @@ const std::map<std::string, GateSpec>& gateTable() {
 
 class Parser {
 public:
-  Parser(std::istream& is, std::string name, ParseOptions options)
-      : in_(is), name_(std::move(name)), options_(options) {}
+  Parser(std::string_view text, ParseOptions options)
+      : in_(text, 1), options_(options) {}
 
-  ir::QuantumComputation parse() {
-    parseHeader();
+  ir::QuantumComputation parse(std::string name) {
+    if (in_.identifier() != "OPENQASM") {
+      in_.fail("file must start with OPENQASM");
+    }
+    (void)in_.real(); // version
+    in_.expect(';');
     while (!in_.atEnd()) {
       parseStatement();
     }
-    ir::QuantumComputation qc(totalQubits_, name_);
-    for (auto& op : ops_) {
-      if (options_.validate) {
-        qc.emplace(std::move(op));
-      } else {
-        // lint mode: keep out-of-range operations for the analyzer
-        qc.ops().push_back(std::move(op));
-      }
-    }
-    return qc;
+    return detail::finishCircuit(totalQubits_, std::move(name),
+                                 std::move(ops_), options_);
   }
 
 private:
-  void parseHeader() {
-    const std::string kw = in_.identifier();
-    if (kw != "OPENQASM") {
-      in_.fail("file must start with OPENQASM");
-    }
-    (void)in_.number(); // version
-    in_.expect(';');
-  }
-
   void parseStatement() {
-    const std::string kw = in_.identifier();
+    const std::string_view kw = in_.identifier();
     if (kw == "include") {
-      (void)in_.quotedString();
+      in_.skipQuoted();
       in_.expect(';');
     } else if (kw == "qreg") {
-      const std::string name = in_.identifier();
+      const std::string_view name = in_.identifier();
       in_.expect('[');
-      const auto size = static_cast<std::size_t>(in_.number());
+      const std::size_t size = in_.integer();
       in_.expect(']');
       in_.expect(';');
       if (size == 0) {
         in_.fail("empty quantum register");
       }
-      if (qregs_.contains(name)) {
-        in_.fail("duplicate register " + name);
+      if (!qregs_.emplace(name, Register{totalQubits_, size}).second) {
+        in_.fail("duplicate register " + std::string(name));
       }
-      qregs_[name] = Register{totalQubits_, size};
       totalQubits_ += size;
     } else if (kw == "creg") {
       (void)in_.identifier();
       in_.expect('[');
-      (void)in_.number();
+      (void)in_.integer();
       in_.expect(']');
       in_.expect(';');
-    } else if (kw == "barrier") {
-      skipOperands();
-    } else if (kw == "measure") {
-      skipOperands();
+    } else if (kw == "barrier" || kw == "measure") {
+      skipOperands(in_);
     } else if (kw == "reset") {
       in_.fail("reset is not supported (unitary circuits only)");
     } else if (kw == "gate") {
@@ -321,141 +212,111 @@ private:
     }
   }
 
+  /// A user `gate`: its parameter and qubit names and its body, as views
+  /// into the text; the body is scanned anew at each application.
   struct GateDefinition {
-    std::vector<std::string> params;
-    std::vector<std::string> qubits;
-    std::string body;
+    std::vector<std::string_view> params;
+    std::vector<std::string_view> qubits;
+    std::string_view body;
   };
 
   void parseGateDefinition() {
-    const std::string name = in_.identifier();
+    const std::string_view name = in_.identifier();
     if (gateTable().contains(name) || userGates_.contains(name)) {
-      in_.fail("gate redefinition: " + name);
+      in_.fail("gate redefinition: " + std::string(name));
     }
     GateDefinition def;
-    if (in_.consumeIf('(')) {
-      if (!in_.consumeIf(')')) {
-        def.params.push_back(in_.identifier());
-        while (in_.consumeIf(',')) {
-          def.params.push_back(in_.identifier());
-        }
-        in_.expect(')');
-      }
+    const auto names = [this](std::vector<std::string_view>& list) {
+      do {
+        list.push_back(in_.identifier());
+      } while (in_.consumeIf(','));
+    };
+    if (in_.consumeIf('(') && !in_.consumeIf(')')) {
+      names(def.params);
+      in_.expect(')');
     }
-    def.qubits.push_back(in_.identifier());
-    while (in_.consumeIf(',')) {
-      def.qubits.push_back(in_.identifier());
-    }
+    names(def.qubits);
     in_.expect('{');
-    def.body = in_.captureBlock();
+    def.body = in_.block();
     userGates_.emplace(name, std::move(def));
   }
 
   /// Emit one (possibly user-defined) gate application on concrete qubits.
-  void applyGateByName(const std::string& name,
-                       const std::vector<double>& params,
-                       const std::vector<ir::Qubit>& qubits,
-                       std::size_t depth) {
+  void applyGateByName(std::string_view name, std::span<const double> params,
+                       std::span<const ir::Qubit> qubits, std::size_t depth) {
     if (depth > 64) {
       in_.fail("gate definitions nested too deeply (recursion?)");
     }
     if (const auto user = userGates_.find(name); user != userGates_.end()) {
-      const GateDefinition& def = user->second;
-      if (params.size() != def.params.size() ||
-          qubits.size() != def.qubits.size()) {
-        in_.fail("wrong argument count for gate " + name);
-      }
-      SymbolTable symbols;
-      for (std::size_t i = 0; i < def.params.size(); ++i) {
-        symbols[def.params[i]] = params[i];
-      }
-      std::map<std::string, ir::Qubit> qubitOf;
-      for (std::size_t i = 0; i < def.qubits.size(); ++i) {
-        qubitOf[def.qubits[i]] = qubits[i];
-      }
-
-      Cursor body(def.body);
-      while (!body.atEnd()) {
-        const std::string inner = body.identifier();
-        if (inner == "barrier") {
-          while (body.peek() != ';') {
-            (void)body.get();
-          }
-          body.expect(';');
-          continue;
-        }
-        std::vector<double> innerParams;
-        if (body.peek() == '(') {
-          body.expect('(');
-          if (body.peek() != ')') {
-            innerParams.push_back(parseExpression(body, &symbols));
-            while (body.consumeIf(',')) {
-              innerParams.push_back(parseExpression(body, &symbols));
-            }
-          }
-          body.expect(')');
-        }
-        std::vector<ir::Qubit> innerQubits;
-        while (true) {
-          const std::string qname = body.identifier();
-          const auto it = qubitOf.find(qname);
-          if (it == qubitOf.end()) {
-            in_.fail("unknown qubit " + qname + " in gate " + name);
-          }
-          innerQubits.push_back(it->second);
-          if (!body.consumeIf(',')) {
-            break;
-          }
-        }
-        body.expect(';');
-        applyGateByName(inner, innerParams, innerQubits, depth + 1);
-      }
+      applyUserGate(name, user->second, params, qubits, depth);
       return;
     }
 
     const auto it = gateTable().find(name);
     if (it == gateTable().end()) {
-      in_.fail("unsupported gate: " + name);
+      in_.fail("unsupported gate: " + std::string(name));
     }
     const GateSpec& spec = it->second;
     if (params.size() != spec.nparams) {
-      in_.fail("wrong parameter count for gate " + name);
+      in_.fail("wrong parameter count for gate " + std::string(name));
     }
     const std::size_t nTargets = spec.twoTargets ? 2 : 1;
     if (qubits.size() != spec.ncontrols + nTargets) {
-      in_.fail("wrong operand count for gate " + name);
+      in_.fail("wrong operand count for gate " + std::string(name));
     }
     std::array<double, 3> paramArray{};
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      paramArray[i] = params[i];
-    }
+    std::copy(params.begin(), params.end(), paramArray.begin());
     std::vector<ir::Control> controls;
-    for (std::size_t c = 0; c < spec.ncontrols; ++c) {
-      controls.push_back(ir::Control{qubits[c], true});
+    for (const ir::Qubit control : qubits.first(spec.ncontrols)) {
+      controls.push_back(ir::Control{control, true});
     }
-    std::vector<ir::Qubit> targets(qubits.begin() +
-                                       static_cast<std::ptrdiff_t>(spec.ncontrols),
-                                   qubits.end());
-    if (!options_.validate) {
-      ops_.push_back(ir::StandardOperation::makeUnchecked(
-          spec.type, std::move(targets), std::move(controls), paramArray));
-      return;
+    const auto targets = qubits.subspan(spec.ncontrols);
+    detail::emplaceOp(in_, options_, ops_, spec.type,
+                      std::vector<ir::Qubit>(targets.begin(), targets.end()),
+                      std::move(controls), paramArray);
+  }
+
+  /// Scan the body of `def` with its parameters and qubits bound. Syntax
+  /// errors in the body carry lines counted from the body's start.
+  void applyUserGate(std::string_view name, const GateDefinition& def,
+                     std::span<const double> params,
+                     std::span<const ir::Qubit> qubits, std::size_t depth) {
+    if (params.size() != def.params.size() ||
+        qubits.size() != def.qubits.size()) {
+      in_.fail("wrong argument count for gate " + std::string(name));
     }
-    try {
-      ops_.emplace_back(spec.type, std::move(targets), std::move(controls),
-                        paramArray);
-    } catch (const std::invalid_argument& e) {
-      // IR invariant violations (control == target, duplicate control, SWAP
-      // on one wire) become parse errors with line information.
-      in_.fail(e.what());
+    const Symbols symbols{def.params, params};
+    Cursor body(def.body, 1);
+    std::vector<double> innerParams;
+    std::vector<ir::Qubit> innerQubits;
+    while (!body.atEnd()) {
+      const std::string_view inner = body.identifier();
+      if (inner == "barrier") {
+        skipOperands(body);
+        continue;
+      }
+      innerParams.clear();
+      parseParams(body, &symbols, innerParams);
+      innerQubits.clear();
+      do {
+        const std::string_view qname = body.identifier();
+        const auto i = lastIndexOf(def.qubits, qname);
+        if (!i) {
+          in_.fail("unknown qubit " + std::string(qname) + " in gate " +
+                   std::string(name));
+        }
+        innerQubits.push_back(qubits[*i]);
+      } while (body.consumeIf(','));
+      body.expect(';');
+      applyGateByName(inner, innerParams, innerQubits, depth + 1);
     }
   }
 
-  void skipOperands() {
-    while (in_.peek() != ';') {
-      (void)in_.get();
+  static void skipOperands(Cursor& in) {
+    while (in.peek() != ';') {
+      (void)in.get();
     }
-    in_.expect(';');
+    in.expect(';');
   }
 
   /// An operand: either reg[idx] (one qubit) or reg (the whole register).
@@ -465,46 +326,36 @@ private:
   };
 
   Operand parseOperand() {
-    const std::string reg = in_.identifier();
+    const std::string_view reg = in_.identifier();
     const auto it = qregs_.find(reg);
     if (it == qregs_.end()) {
-      in_.fail("unknown register " + reg);
+      in_.fail("unknown register " + std::string(reg));
     }
     if (in_.consumeIf('[')) {
-      const auto idx = static_cast<std::size_t>(in_.number());
+      const std::size_t idx = in_.integer();
       in_.expect(']');
       if (idx >= it->second.size && options_.validate) {
         // (lint mode admits the index; the analyzer reports it as QA001)
-        in_.fail("index out of range for register " + reg);
+        in_.fail("index out of range for register " + std::string(reg));
       }
       return Operand{it->second.offset + idx, 1};
     }
     return Operand{it->second.offset, it->second.size};
   }
 
-  void parseGate(const std::string& name) {
-    std::vector<double> params;
-    if (in_.peek() == '(') {
-      in_.expect('(');
-      if (in_.peek() != ')') {
-        params.push_back(parseExpression(in_));
-        while (in_.consumeIf(',')) {
-          params.push_back(parseExpression(in_));
-        }
-      }
-      in_.expect(')');
-    }
-
-    std::vector<Operand> operands;
-    operands.push_back(parseOperand());
+  void parseGate(std::string_view name) {
+    params_.clear();
+    parseParams(in_, nullptr, params_);
+    operands_.clear();
+    operands_.push_back(parseOperand());
     while (in_.consumeIf(',')) {
-      operands.push_back(parseOperand());
+      operands_.push_back(parseOperand());
     }
     in_.expect(';');
 
     // broadcasting: all multi-qubit operands must have the same size
     std::size_t broadcast = 1;
-    for (const Operand& o : operands) {
+    for (const Operand& o : operands_) {
       if (o.count > 1) {
         if (broadcast > 1 && o.count != broadcast) {
           in_.fail("mismatched register sizes in broadcast");
@@ -514,28 +365,56 @@ private:
     }
 
     for (std::size_t b = 0; b < broadcast; ++b) {
-      std::vector<ir::Qubit> qubits;
-      qubits.reserve(operands.size());
-      for (const Operand& o : operands) {
-        qubits.push_back(
+      qubits_.clear();
+      for (const Operand& o : operands_) {
+        qubits_.push_back(
             static_cast<ir::Qubit>(o.count == 1 ? o.offset : o.offset + b));
       }
-      applyGateByName(name, params, qubits, 0);
+      applyGateByName(name, params_, qubits_, 0);
     }
   }
 
   Cursor in_;
-  std::string name_;
   ParseOptions options_;
-  std::map<std::string, Register> qregs_;
-  std::map<std::string, GateDefinition> userGates_;
+  std::map<std::string, Register, std::less<>> qregs_;
+  std::map<std::string, GateDefinition, std::less<>> userGates_;
   std::size_t totalQubits_{0};
   std::vector<ir::StandardOperation> ops_;
+  // per-statement buffers, reused
+  std::vector<double> params_;
+  std::vector<Operand> operands_;
+  std::vector<ir::Qubit> qubits_;
 };
 
 // ---------------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------------
+/// The qelib1 spelling of a gate type with no, one and two (positive)
+/// controls, "" where qelib1 has none, and its parameter count.
+struct Spelling {
+  ir::OpType type;
+  std::array<const char*, 3> names;
+  std::size_t nparams;
+};
+
+constexpr Spelling kSpellings[] = {
+    {ir::OpType::H, {"h", "ch", ""}, 0},
+    {ir::OpType::X, {"x", "cx", "ccx"}, 0},
+    {ir::OpType::Y, {"y", "cy", ""}, 0},
+    {ir::OpType::Z, {"z", "cz", ""}, 0},
+    {ir::OpType::S, {"s", "", ""}, 0},
+    {ir::OpType::Sdg, {"sdg", "", ""}, 0},
+    {ir::OpType::T, {"t", "", ""}, 0},
+    {ir::OpType::Tdg, {"tdg", "", ""}, 0},
+    {ir::OpType::RX, {"rx", "", ""}, 1},
+    {ir::OpType::RY, {"ry", "", ""}, 1},
+    {ir::OpType::RZ, {"rz", "crz", ""}, 1},
+    {ir::OpType::Phase, {"u1", "cu1", ""}, 1},
+    {ir::OpType::U2, {"u2", "", ""}, 2},
+    {ir::OpType::U3, {"u3", "cu3", ""}, 3},
+    {ir::OpType::SWAP, {"swap", "cswap", ""}, 0},
+};
+
 void writeOperation(const ir::StandardOperation& op, std::ostream& os) {
   using ir::OpType;
   const auto& controls = op.controls();
@@ -574,99 +453,39 @@ void writeOperation(const ir::StandardOperation& op, std::ostream& os) {
     return ss.str();
   };
 
-  std::string name;
-  std::string params;
-  switch (op.type()) {
-  case OpType::I:
-    name = "id";
-    break;
-  case OpType::H:
-    name = controls.size() <= 1 ? (controls.empty() ? "h" : "ch") : "";
-    break;
-  case OpType::X:
-    name = controls.empty() ? "x"
-           : controls.size() == 1 ? "cx"
-           : controls.size() == 2 ? "ccx"
-                                  : "";
-    break;
-  case OpType::Y:
-    name = controls.empty() ? "y" : controls.size() == 1 ? "cy" : "";
-    break;
-  case OpType::Z:
-    name = controls.empty() ? "z" : controls.size() == 1 ? "cz" : "";
-    break;
-  case OpType::S:
-    name = controls.empty() ? "s" : "";
-    break;
-  case OpType::Sdg:
-    name = controls.empty() ? "sdg" : "";
-    break;
-  case OpType::T:
-    name = controls.empty() ? "t" : "";
-    break;
-  case OpType::Tdg:
-    name = controls.empty() ? "tdg" : "";
-    break;
-  case OpType::RX:
-    name = controls.empty() ? "rx" : "";
-    params = paramList(1);
-    break;
-  case OpType::RY:
-    name = controls.empty() ? "ry" : "";
-    params = paramList(1);
-    break;
-  case OpType::RZ:
-    name = controls.empty() ? "rz" : controls.size() == 1 ? "crz" : "";
-    params = paramList(1);
-    break;
-  case OpType::Phase:
-    name = controls.empty() ? "u1" : controls.size() == 1 ? "cu1" : "";
-    params = paramList(1);
-    break;
-  case OpType::U2:
-    name = controls.empty() ? "u2" : "";
-    params = paramList(2);
-    break;
-  case OpType::U3:
-    name = controls.empty() ? "u3" : controls.size() == 1 ? "cu3" : "";
-    params = paramList(3);
-    break;
-  case OpType::SWAP:
-    name = controls.empty() ? "swap" : controls.size() == 1 ? "cswap" : "";
-    break;
-  case OpType::V:
-    // V = e^{i pi/4} · sdg h sdg (phase-equivalent)
-    if (!controls.empty()) {
-      break;
-    }
-    os << "sdg " << q(op.target()) << ";\n"
-       << "h " << q(op.target()) << ";\n"
-       << "sdg " << q(op.target()) << ";\n";
-    return;
-  case OpType::Vdg:
-    if (!controls.empty()) {
-      break;
-    }
-    os << "s " << q(op.target()) << ";\n"
-       << "h " << q(op.target()) << ";\n"
-       << "s " << q(op.target()) << ";\n";
-    return;
-  case OpType::SY:
+  if (controls.empty()) {
+    // phase-equivalent spellings: V = e^{i pi/4} · sdg h sdg,
     // SY = e^{i pi/4} · ry(pi/2)
-    if (!controls.empty()) {
+    switch (op.type()) {
+    case OpType::V:
+      os << "sdg " << q(op.target()) << ";\nh " << q(op.target())
+         << ";\nsdg " << q(op.target()) << ";\n";
+      return;
+    case OpType::Vdg:
+      os << "s " << q(op.target()) << ";\nh " << q(op.target()) << ";\ns "
+         << q(op.target()) << ";\n";
+      return;
+    case OpType::SY:
+      os << "ry(pi/2) " << q(op.target()) << ";\n";
+      return;
+    case OpType::SYdg:
+      os << "ry(-pi/2) " << q(op.target()) << ";\n";
+      return;
+    default:
       break;
     }
-    os << "ry(pi/2) " << q(op.target()) << ";\n";
-    return;
-  case OpType::SYdg:
-    if (!controls.empty()) {
-      break;
-    }
-    os << "ry(-pi/2) " << q(op.target()) << ";\n";
-    return;
-  case OpType::GPhase:
+  }
+  if (op.type() == OpType::GPhase) {
     throw std::domain_error(
         "OpenQASM 2.0 cannot express a global phase; drop or decompose it");
+  }
+  std::string name = op.type() == OpType::I ? "id" : ""; // whatever controls
+  std::string params;
+  for (const Spelling& spelling : kSpellings) {
+    if (spelling.type == op.type() && controls.size() < 3) {
+      name = spelling.names[controls.size()];
+      params = spelling.nparams > 0 ? paramList(spelling.nparams) : "";
+    }
   }
   if (name.empty()) {
     throw std::domain_error(
@@ -677,36 +496,16 @@ void writeOperation(const ir::StandardOperation& op, std::ostream& os) {
 
 } // namespace
 
-ir::QuantumComputation parseQasm(std::istream& is, std::string name,
-                                 ParseOptions options) {
-  Parser parser(is, name, options);
-  ir::QuantumComputation qc = parser.parse();
-  if (options.validate) {
-    // post-parse preflight: catch what the grammar cannot express as a
-    // syntax error (e.g. rx(1/0) producing a non-finite angle)
-    const analysis::CircuitAnalyzer analyzer({.lint = false});
-    analysis::AnalysisReport report = analyzer.analyze(qc);
-    if (report.hasErrors()) {
-      throw analysis::ValidationError(name, std::move(report.diagnostics));
-    }
-  }
-  return qc;
-}
-
 ir::QuantumComputation parseQasmString(const std::string& text,
                                        std::string name,
                                        ParseOptions options) {
-  std::istringstream is(text);
-  return parseQasm(is, std::move(name), options);
+  return Parser(text, options).parse(std::move(name));
 }
 
 ir::QuantumComputation parseQasmFile(const std::string& path,
                                      ParseOptions options) {
-  std::ifstream is(path);
-  if (!is) {
-    throw std::runtime_error("cannot open " + path);
-  }
-  return parseQasm(is, path, options);
+  const std::string text = detail::readFile(path);
+  return Parser(text, options).parse(path);
 }
 
 void writeQasm(const ir::QuantumComputation& qc, std::ostream& os) {

@@ -17,29 +17,20 @@
 
 #pragma once
 
-#include "io/parse_options.hpp"
+#include "io/parse.hpp"
 #include "ir/quantum_computation.hpp"
 
 #include <iosfwd>
-#include <stdexcept>
 #include <string>
 
 namespace qsimec::io {
 
-class QasmParseError : public std::runtime_error {
+class QasmParseError : public ParseError {
 public:
   QasmParseError(const std::string& message, std::size_t line)
-      : std::runtime_error("QASM parse error (line " + std::to_string(line) +
-                           "): " + message),
-        line_(line) {}
-  [[nodiscard]] std::size_t line() const noexcept { return line_; }
-
-private:
-  std::size_t line_;
+      : ParseError("QASM", message, line) {}
 };
 
-[[nodiscard]] ir::QuantumComputation
-parseQasm(std::istream& is, std::string name = "", ParseOptions options = {});
 [[nodiscard]] ir::QuantumComputation
 parseQasmString(const std::string& text, std::string name = "",
                 ParseOptions options = {});

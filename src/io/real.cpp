@@ -1,53 +1,37 @@
 #include "io/real.hpp"
 
-#include "analysis/analyzer.hpp"
+#include "io/scanner.hpp"
 
-#include <algorithm>
-#include <fstream>
 #include <map>
 #include <sstream>
-#include <vector>
 
 namespace qsimec::io {
 
 namespace {
 
-std::vector<std::string> tokenize(const std::string& line) {
-  std::istringstream ss(line);
-  std::vector<std::string> tokens;
-  std::string tok;
-  while (ss >> tok) {
-    if (tok.front() == '#') {
-      break; // trailing comment
-    }
-    tokens.push_back(tok);
-  }
-  return tokens;
-}
-
-} // namespace
-
-ir::QuantumComputation parseReal(std::istream& is, std::string name,
-                                 ParseOptions options) {
-  std::size_t lineNo = 0;
+ir::QuantumComputation parseRealText(std::string_view text, std::string name,
+                                     ParseOptions options) {
+  detail::Scanner<RealParseError> in(text, 0); // counts the lines read
   std::size_t numvars = 0;
-  std::map<std::string, ir::Qubit> variableIndex;
+  std::map<std::string_view, ir::Qubit> variableIndex;
   bool inBody = false;
   bool done = false;
   std::vector<ir::StandardOperation> ops;
+  std::vector<std::string_view> tokens;
+  std::vector<ir::Control> operands;
 
-  const auto fail = [&lineNo](const std::string& message) -> void {
-    throw RealParseError(message, lineNo);
-  };
-
-  std::string line;
-  while (std::getline(is, line)) {
-    ++lineNo;
-    const std::vector<std::string> tokens = tokenize(line);
+  std::string_view line;
+  while (in.nextLine(line)) {
+    tokens.clear();
+    for (std::string_view word = detail::nextWord(line);
+         !word.empty() && word.front() != '#'; // '#' starts a comment
+         word = detail::nextWord(line)) {
+      tokens.push_back(word);
+    }
     if (tokens.empty()) {
       continue;
     }
-    const std::string& head = tokens.front();
+    const std::string_view head = tokens.front();
 
     if (!inBody) {
       if (head == ".version" || head == ".inputs" || head == ".outputs" ||
@@ -57,35 +41,40 @@ ir::QuantumComputation parseReal(std::istream& is, std::string name,
       }
       if (head == ".numvars") {
         if (tokens.size() != 2) {
-          fail(".numvars expects one argument");
+          in.fail(".numvars expects one argument");
         }
-        numvars = std::stoul(tokens[1]);
+        const auto n = detail::parseUnsigned(tokens[1]);
+        if (!n) {
+          in.fail(".numvars expects an unsigned integer, got " +
+                  std::string(tokens[1]));
+        }
+        numvars = *n;
         continue;
       }
       if (head == ".variables") {
         if (numvars == 0) {
-          fail(".numvars must precede .variables");
+          in.fail(".numvars must precede .variables");
         }
         if (tokens.size() != numvars + 1) {
-          fail(".variables count does not match .numvars");
+          in.fail(".variables count does not match .numvars");
         }
         // first listed variable = most-significant qubit
         for (std::size_t i = 1; i < tokens.size(); ++i) {
           const auto qubit = static_cast<ir::Qubit>(numvars - i);
           if (!variableIndex.emplace(tokens[i], qubit).second) {
-            fail("duplicate variable " + tokens[i]);
+            in.fail("duplicate variable " + std::string(tokens[i]));
           }
         }
         continue;
       }
       if (head == ".begin") {
         if (variableIndex.empty()) {
-          fail(".begin before .variables");
+          in.fail(".begin before .variables");
         }
         inBody = true;
         continue;
       }
-      fail("unexpected directive " + head);
+      in.fail("unexpected directive " + std::string(head));
     }
 
     if (head == ".end") {
@@ -94,125 +83,57 @@ ir::QuantumComputation parseReal(std::istream& is, std::string name,
     }
 
     // gate line: <kind><arity> operands...
-    const char kind = head.front();
-    if (kind != 't' && kind != 'f' && kind != 'v') {
-      fail("unsupported gate " + head);
+    const auto gate = detail::parseGateHead(head, /*foldCase=*/false);
+    if (!gate) {
+      in.fail("unsupported gate " + std::string(head));
     }
-    const bool isVdg = head.rfind("v+", 0) == 0;
-    const std::string arityStr =
-        isVdg ? head.substr(2) : head.substr(1);
-    std::size_t arity = 0;
-    if (!arityStr.empty()) {
-      arity = std::stoul(arityStr);
-    } else {
-      arity = tokens.size() - 1; // unspecified arity: infer from operands
-    }
+    const std::size_t arity = gate->arity.value_or(tokens.size() - 1);
     if (tokens.size() != arity + 1) {
-      fail("gate " + head + " expects " + std::to_string(arity) +
-           " operands");
+      in.fail("gate " + std::string(head) + " expects " +
+              std::to_string(arity) + " operands");
     }
-
     // resolve operands; '-' prefix marks a negative control
-    std::vector<std::pair<ir::Qubit, bool>> operands; // (qubit, positive)
+    operands.clear();
     for (std::size_t i = 1; i < tokens.size(); ++i) {
-      std::string var = tokens[i];
-      bool positive = true;
-      if (var.front() == '-') {
-        positive = false;
-        var = var.substr(1);
+      std::string_view var = tokens[i];
+      const bool positive = var.front() != '-';
+      if (!positive) {
+        var.remove_prefix(1);
       }
       const auto it = variableIndex.find(var);
       if (it == variableIndex.end()) {
-        fail("unknown variable " + tokens[i]);
+        in.fail("unknown variable " + std::string(tokens[i]));
       }
-      operands.emplace_back(it->second, positive);
+      operands.push_back(ir::Control{it->second, positive});
     }
-
-    const std::size_t nTargets = (kind == 'f') ? 2 : 1;
-    if (operands.size() < nTargets) {
-      fail("gate " + head + " needs at least " + std::to_string(nTargets) +
-           " targets");
-    }
-    std::vector<ir::Control> controls;
-    for (std::size_t i = 0; i + nTargets < operands.size(); ++i) {
-      controls.push_back(ir::Control{operands[i].first, operands[i].second});
-    }
-    std::vector<ir::Qubit> targets;
-    for (std::size_t i = operands.size() - nTargets; i < operands.size();
-         ++i) {
-      if (!operands[i].second) {
-        fail("targets cannot be negated");
-      }
-      targets.push_back(operands[i].first);
-    }
-
-    ir::OpType type = ir::OpType::X;
-    if (kind == 'f') {
-      type = ir::OpType::SWAP;
-    } else if (kind == 'v') {
-      type = isVdg ? ir::OpType::Vdg : ir::OpType::V;
-    }
-    if (options.validate) {
-      try {
-        ops.emplace_back(type, std::move(targets), std::move(controls));
-      } catch (const std::invalid_argument& e) {
-        // IR invariant violations (control == target, duplicate control,
-        // SWAP on one wire) become parse errors with line information
-        fail(e.what());
-      }
-    } else {
-      // lint mode: admit the malformed gate for the analyzer to report
-      ops.push_back(ir::StandardOperation::makeUnchecked(
-          type, std::move(targets), std::move(controls)));
-    }
+    detail::emplaceGate(in, options, ops, head, *gate, operands);
   }
 
   if (inBody && !done) {
-    fail("missing .end");
+    in.fail("missing .end");
   }
   if (numvars == 0) {
-    fail("missing .numvars");
+    in.fail("missing .numvars");
   }
-
-  ir::QuantumComputation qc(numvars, name);
-  for (auto& op : ops) {
-    if (options.validate) {
-      qc.emplace(std::move(op));
-    } else {
-      qc.ops().push_back(std::move(op));
-    }
-  }
-  if (options.validate) {
-    const analysis::CircuitAnalyzer analyzer({.lint = false});
-    analysis::AnalysisReport report = analyzer.analyze(qc);
-    if (report.hasErrors()) {
-      throw analysis::ValidationError(name, std::move(report.diagnostics));
-    }
-  }
-  return qc;
+  return detail::finishCircuit(numvars, std::move(name), std::move(ops),
+                               options);
 }
+
+} // namespace
 
 ir::QuantumComputation parseRealString(const std::string& text,
                                        std::string name,
                                        ParseOptions options) {
-  std::istringstream is(text);
-  return parseReal(is, std::move(name), options);
+  return parseRealText(text, std::move(name), options);
 }
 
 ir::QuantumComputation parseRealFile(const std::string& path,
                                      ParseOptions options) {
-  std::ifstream is(path);
-  if (!is) {
-    throw std::runtime_error("cannot open " + path);
-  }
-  return parseReal(is, path, options);
+  return parseRealText(detail::readFile(path), path, options);
 }
 
 void writeReal(const ir::QuantumComputation& qc, std::ostream& os) {
-  if (!qc.initialLayout().isIdentity() ||
-      !qc.outputPermutation().isIdentity()) {
-    throw std::domain_error(".real export requires trivial layouts");
-  }
+  detail::requireTrivialLayouts(qc, ".real");
   const std::size_t n = qc.qubits();
   os << ".version 2.0\n.numvars " << n << "\n.variables";
   for (std::size_t i = 0; i < n; ++i) {
@@ -220,26 +141,7 @@ void writeReal(const ir::QuantumComputation& qc, std::ostream& os) {
   }
   os << "\n.begin\n";
   for (const ir::StandardOperation& op : qc) {
-    std::string kind;
-    switch (op.type()) {
-    case ir::OpType::X:
-      kind = "t";
-      break;
-    case ir::OpType::SWAP:
-      kind = "f";
-      break;
-    case ir::OpType::V:
-      kind = "v";
-      break;
-    case ir::OpType::Vdg:
-      kind = "v+";
-      break;
-    default:
-      throw std::domain_error(
-          ".real export supports only X/SWAP/V/Vdg operations");
-    }
-    const std::size_t arity = op.controls().size() + op.targets().size();
-    os << kind << arity;
+    os << detail::writerGateHead(op, ".real");
     for (const ir::Control& c : op.controls()) {
       os << " " << (c.positive ? "" : "-") << "x" << c.qubit;
     }

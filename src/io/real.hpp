@@ -12,24 +12,20 @@
 
 #pragma once
 
-#include "io/parse_options.hpp"
+#include "io/parse.hpp"
 #include "ir/quantum_computation.hpp"
 
 #include <iosfwd>
-#include <stdexcept>
 #include <string>
 
 namespace qsimec::io {
 
-class RealParseError : public std::runtime_error {
+class RealParseError : public ParseError {
 public:
   RealParseError(const std::string& message, std::size_t line)
-      : std::runtime_error("REAL parse error (line " + std::to_string(line) +
-                           "): " + message) {}
+      : ParseError("REAL", message, line) {}
 };
 
-[[nodiscard]] ir::QuantumComputation
-parseReal(std::istream& is, std::string name = "", ParseOptions options = {});
 [[nodiscard]] ir::QuantumComputation
 parseRealString(const std::string& text, std::string name = "",
                 ParseOptions options = {});

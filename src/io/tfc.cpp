@@ -1,303 +1,199 @@
 #include "io/tfc.hpp"
 
-#include "analysis/analyzer.hpp"
+#include "io/scanner.hpp"
 
-#include <algorithm>
-#include <cctype>
-#include <fstream>
 #include <map>
 #include <sstream>
-#include <vector>
 
 namespace qsimec::io {
 
 namespace {
 
-/// Strip a '#' comment, then split the line into a head token and a list
-/// of comma-separated operands (whitespace around commas is tolerated).
-struct TfcLine {
-  std::string head;
-  std::vector<std::string> operands;
-};
-
-TfcLine splitLine(const std::string& raw) {
-  std::string line = raw;
-  if (const std::size_t hash = line.find('#'); hash != std::string::npos) {
-    line.resize(hash);
-  }
-  TfcLine out;
-  std::istringstream ss(line);
-  ss >> out.head;
-  std::string rest;
-  std::getline(ss, rest);
-  std::string current;
-  const auto push = [&out, &current] {
-    // trim surrounding whitespace
-    const auto b = current.find_first_not_of(" \t\r");
-    if (b == std::string::npos) {
-      current.clear();
+/// Strip a '#' comment, then split the line into a head word and its
+/// comma-separated fields, each trimmed of " \t\r". An empty field
+/// before or after the last comma appends one empty field, for the caller
+/// to report.
+std::string_view splitLine(std::string_view line,
+                           std::vector<std::string_view>& fields) {
+  line = line.substr(0, line.find('#'));
+  const std::string_view head = detail::nextWord(line);
+  fields.clear();
+  const auto push = [&fields](std::string_view piece) {
+    const std::size_t begin = piece.find_first_not_of(" \t\r");
+    if (begin == std::string_view::npos) {
       return false;
     }
-    const auto e = current.find_last_not_of(" \t\r");
-    out.operands.push_back(current.substr(b, e - b + 1));
-    current.clear();
+    const std::size_t end = piece.find_last_not_of(" \t\r");
+    fields.push_back(piece.substr(begin, end - begin + 1));
     return true;
   };
   bool sawComma = false;
   bool danglingComma = false;
-  for (const char c : rest) {
-    if (c == ',') {
-      sawComma = true;
-      danglingComma = !push();
-    } else {
-      current += c;
-    }
+  for (std::size_t comma = line.find(','); comma != std::string_view::npos;
+       comma = line.find(',')) {
+    sawComma = true;
+    danglingComma = !push(line.substr(0, comma));
+    line.remove_prefix(comma + 1);
   }
-  const bool pushed = push();
-  danglingComma = sawComma && (danglingComma || !pushed);
-  if (danglingComma) {
-    out.operands.emplace_back(); // empty operand: reported by the caller
+  const bool pushed = push(line);
+  if (sawComma && (danglingComma || !pushed)) {
+    fields.emplace_back();
   }
-  if (!sawComma && out.operands.size() > 1) {
-    // whitespace-separated operand lists also appear in the wild; accept
-    // them for directives, gate lines resolve names either way
-    return out;
-  }
-  return out;
+  return head;
 }
 
-std::string upper(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::toupper(c); });
-  return s;
+/// `word` equals the upper-case keyword `upper`, ignoring case.
+bool equalsUpper(std::string_view word, std::string_view upper) {
+  return std::equal(word.begin(), word.end(), upper.begin(), upper.end(),
+                    [](char c, char u) {
+                      return (c >= 'a' && c <= 'z' ? c - 'a' + 'A' : c) == u;
+                    });
 }
 
-} // namespace
-
-ir::QuantumComputation parseTfc(std::istream& is, std::string name,
-                                ParseOptions options) {
-  std::size_t lineNo = 0;
-  std::vector<std::string> variables;
-  std::map<std::string, ir::Qubit> variableIndex;
+ir::QuantumComputation parseTfcText(std::string_view text, std::string name,
+                                    ParseOptions options) {
+  detail::Scanner<TfcParseError> in(text, 0); // counts the lines read
+  std::vector<std::string_view> variables;
+  std::map<std::string_view, ir::Qubit> variableIndex;
   std::size_t declaredInputs = 0;
   bool sawInputs = false;
   bool inBody = false;
   bool done = false;
   std::vector<ir::StandardOperation> ops;
+  std::vector<std::string_view> fields;
+  std::vector<ir::Control> operands;
 
-  const auto fail = [&lineNo](const std::string& message) -> void {
-    throw TfcParseError(message, lineNo);
-  };
-
-  const auto indexVariables = [&] {
-    // first listed variable = most-significant qubit
-    const std::size_t numvars = variables.size();
-    for (std::size_t i = 0; i < numvars; ++i) {
-      const auto qubit = static_cast<ir::Qubit>(numvars - 1 - i);
-      if (!variableIndex.emplace(variables[i], qubit).second) {
-        fail("duplicate variable " + variables[i]);
-      }
-    }
-  };
-
-  std::string line;
-  while (std::getline(is, line)) {
-    ++lineNo;
-    const TfcLine parsed = splitLine(line);
-    if (parsed.head.empty()) {
+  std::string_view line;
+  while (in.nextLine(line)) {
+    const std::string_view head = splitLine(line, fields);
+    if (head.empty()) {
       continue;
     }
-    const std::string& head = parsed.head;
 
     if (!inBody) {
       if (head == ".v" || head == ".V") {
         if (!variables.empty()) {
-          fail("duplicate .v directive");
+          in.fail("duplicate .v directive");
         }
-        if (parsed.operands.empty()) {
-          fail(".v expects at least one variable");
+        if (fields.empty()) {
+          in.fail(".v expects at least one variable");
         }
-        for (const std::string& var : parsed.operands) {
+        for (const std::string_view var : fields) {
           if (var.empty()) {
-            fail("empty variable name in .v");
+            in.fail("empty variable name in .v");
           }
           variables.push_back(var);
         }
-        indexVariables();
+        // first listed variable = most-significant qubit
+        for (std::size_t i = 0; i < variables.size(); ++i) {
+          const auto qubit = static_cast<ir::Qubit>(variables.size() - 1 - i);
+          if (!variableIndex.emplace(variables[i], qubit).second) {
+            in.fail("duplicate variable " + std::string(variables[i]));
+          }
+        }
         continue;
       }
       if (head == ".i" || head == ".o" || head == ".ol") {
         if (variables.empty()) {
-          fail(head + " before .v");
+          in.fail(std::string(head) + " before .v");
         }
-        for (const std::string& var : parsed.operands) {
-          if (variableIndex.find(var) == variableIndex.end()) {
-            fail(head + " names undeclared wire " + var);
+        for (const std::string_view var : fields) {
+          if (!variableIndex.contains(var)) {
+            in.fail(std::string(head) + " names undeclared wire " +
+                    std::string(var));
           }
         }
         if (head == ".i") {
           sawInputs = true;
-          declaredInputs = parsed.operands.size();
+          declaredInputs = fields.size();
         }
         continue;
       }
       if (head == ".c") {
         if (variables.empty()) {
-          fail(".c before .v");
+          in.fail(".c before .v");
         }
-        if (sawInputs &&
-            parsed.operands.size() > variables.size() - declaredInputs) {
-          fail(".c lists more constants than non-input wires");
+        if (sawInputs && fields.size() > variables.size() - declaredInputs) {
+          in.fail(".c lists more constants than non-input wires");
         }
-        if (parsed.operands.size() > variables.size()) {
-          fail(".c lists more constants than wires");
+        if (fields.size() > variables.size()) {
+          in.fail(".c lists more constants than wires");
         }
-        for (const std::string& c : parsed.operands) {
+        for (const std::string_view c : fields) {
           if (c != "0" && c != "1") {
-            fail(".c constant must be 0 or 1, got '" + c + "'");
+            in.fail(".c constant must be 0 or 1, got '" + std::string(c) +
+                    "'");
           }
         }
         continue;
       }
-      if (upper(head) == "BEGIN") {
+      if (equalsUpper(head, "BEGIN")) {
         if (variables.empty()) {
-          fail("BEGIN before .v");
+          in.fail("BEGIN before .v");
         }
         inBody = true;
         continue;
       }
-      fail("unexpected directive " + head);
+      in.fail("unexpected directive " + std::string(head));
     }
 
-    if (upper(head) == "END") {
+    if (equalsUpper(head, "END")) {
       done = true;
       break;
     }
 
     // gate line: <kind><arity> operand,operand,...
-    const char kind =
-        static_cast<char>(std::tolower(static_cast<unsigned char>(head[0])));
-    if (kind != 't' && kind != 'f' && kind != 'v') {
-      fail("unsupported gate " + head);
+    const auto gate = detail::parseGateHead(head, /*foldCase=*/true);
+    if (!gate) {
+      in.fail("unsupported gate " + std::string(head));
     }
-    const bool isVdg = head.rfind("v+", 0) == 0 || head.rfind("V+", 0) == 0;
-    const std::string arityStr = isVdg ? head.substr(2) : head.substr(1);
-    std::size_t arity = 0;
-    if (!arityStr.empty()) {
-      if (!std::all_of(arityStr.begin(), arityStr.end(), [](unsigned char c) {
-            return std::isdigit(c) != 0;
-          })) {
-        fail("unsupported gate " + head);
-      }
-      arity = std::stoul(arityStr);
-    } else {
-      arity = parsed.operands.size(); // unspecified arity: infer
+    const std::size_t arity = gate->arity.value_or(fields.size());
+    if (fields.size() != arity) {
+      in.fail("gate " + std::string(head) + " expects " +
+              std::to_string(arity) + " operands, got " +
+              std::to_string(fields.size()));
     }
-    if (parsed.operands.size() != arity) {
-      fail("gate " + head + " expects " + std::to_string(arity) +
-           " operands, got " + std::to_string(parsed.operands.size()));
-    }
-
     // resolve operands; a trailing apostrophe marks a negative control
-    std::vector<std::pair<ir::Qubit, bool>> operands; // (qubit, positive)
-    for (const std::string& raw : parsed.operands) {
-      std::string var = raw;
-      bool positive = true;
-      if (!var.empty() && var.back() == '\'') {
-        positive = false;
-        var.pop_back();
+    operands.clear();
+    for (const std::string_view raw : fields) {
+      std::string_view var = raw;
+      const bool positive = var.empty() || var.back() != '\'';
+      if (!positive) {
+        var.remove_suffix(1);
       }
       const auto it = variableIndex.find(var);
       if (it == variableIndex.end()) {
-        fail("unknown variable '" + raw + "'");
+        in.fail("unknown variable '" + std::string(raw) + "'");
       }
-      operands.emplace_back(it->second, positive);
+      operands.push_back(ir::Control{it->second, positive});
     }
-
-    const std::size_t nTargets = (kind == 'f') ? 2 : 1;
-    if (operands.size() < nTargets) {
-      fail("gate " + head + " needs at least " + std::to_string(nTargets) +
-           " targets");
-    }
-    std::vector<ir::Control> controls;
-    for (std::size_t i = 0; i + nTargets < operands.size(); ++i) {
-      controls.push_back(ir::Control{operands[i].first, operands[i].second});
-    }
-    std::vector<ir::Qubit> targets;
-    for (std::size_t i = operands.size() - nTargets; i < operands.size();
-         ++i) {
-      if (!operands[i].second) {
-        fail("targets cannot be negated");
-      }
-      targets.push_back(operands[i].first);
-    }
-
-    ir::OpType type = ir::OpType::X;
-    if (kind == 'f') {
-      type = ir::OpType::SWAP;
-    } else if (kind == 'v') {
-      type = isVdg ? ir::OpType::Vdg : ir::OpType::V;
-    }
-    if (options.validate) {
-      try {
-        ops.emplace_back(type, std::move(targets), std::move(controls));
-      } catch (const std::invalid_argument& e) {
-        // IR invariant violations (control == target, duplicate control,
-        // SWAP on one wire) become parse errors with line information
-        fail(e.what());
-      }
-    } else {
-      // lint mode: admit the malformed gate for the analyzer to report
-      ops.push_back(ir::StandardOperation::makeUnchecked(
-          type, std::move(targets), std::move(controls)));
-    }
+    detail::emplaceGate(in, options, ops, head, *gate, operands);
   }
 
   if (inBody && !done) {
-    fail("missing END");
+    in.fail("missing END");
   }
   if (variables.empty()) {
-    fail("missing .v");
+    in.fail("missing .v");
   }
-
-  ir::QuantumComputation qc(variables.size(), name);
-  for (auto& op : ops) {
-    if (options.validate) {
-      qc.emplace(std::move(op));
-    } else {
-      qc.ops().push_back(std::move(op));
-    }
-  }
-  if (options.validate) {
-    const analysis::CircuitAnalyzer analyzer({.lint = false});
-    analysis::AnalysisReport report = analyzer.analyze(qc);
-    if (report.hasErrors()) {
-      throw analysis::ValidationError(name, std::move(report.diagnostics));
-    }
-  }
-  return qc;
+  return detail::finishCircuit(variables.size(), std::move(name),
+                               std::move(ops), options);
 }
+
+} // namespace
 
 ir::QuantumComputation parseTfcString(const std::string& text,
                                       std::string name, ParseOptions options) {
-  std::istringstream is(text);
-  return parseTfc(is, std::move(name), options);
+  return parseTfcText(text, std::move(name), options);
 }
 
 ir::QuantumComputation parseTfcFile(const std::string& path,
                                     ParseOptions options) {
-  std::ifstream is(path);
-  if (!is) {
-    throw std::runtime_error("cannot open " + path);
-  }
-  return parseTfc(is, path, options);
+  return parseTfcText(detail::readFile(path), path, options);
 }
 
 void writeTfc(const ir::QuantumComputation& qc, std::ostream& os) {
-  if (!qc.initialLayout().isIdentity() ||
-      !qc.outputPermutation().isIdentity()) {
-    throw std::domain_error(".tfc export requires trivial layouts");
-  }
+  detail::requireTrivialLayouts(qc, ".tfc");
   const std::size_t n = qc.qubits();
   const auto wire = [n](ir::Qubit q) {
     return "x" + std::to_string(q);
@@ -308,26 +204,7 @@ void writeTfc(const ir::QuantumComputation& qc, std::ostream& os) {
   }
   os << "\nBEGIN\n";
   for (const ir::StandardOperation& op : qc) {
-    std::string kind;
-    switch (op.type()) {
-    case ir::OpType::X:
-      kind = "t";
-      break;
-    case ir::OpType::SWAP:
-      kind = "f";
-      break;
-    case ir::OpType::V:
-      kind = "v";
-      break;
-    case ir::OpType::Vdg:
-      kind = "v+";
-      break;
-    default:
-      throw std::domain_error(
-          ".tfc export supports only X/SWAP/V/Vdg operations");
-    }
-    const std::size_t arity = op.controls().size() + op.targets().size();
-    os << kind << arity << " ";
+    os << detail::writerGateHead(op, ".tfc") << " ";
     bool first = true;
     for (const ir::Control& c : op.controls()) {
       os << (first ? "" : ",") << wire(c.qubit) << (c.positive ? "" : "'");

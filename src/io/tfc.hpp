@@ -16,24 +16,20 @@
 
 #pragma once
 
-#include "io/parse_options.hpp"
+#include "io/parse.hpp"
 #include "ir/quantum_computation.hpp"
 
 #include <iosfwd>
-#include <stdexcept>
 #include <string>
 
 namespace qsimec::io {
 
-class TfcParseError : public std::runtime_error {
+class TfcParseError : public ParseError {
 public:
   TfcParseError(const std::string& message, std::size_t line)
-      : std::runtime_error("TFC parse error (line " + std::to_string(line) +
-                           "): " + message) {}
+      : ParseError("TFC", message, line) {}
 };
 
-[[nodiscard]] ir::QuantumComputation
-parseTfc(std::istream& is, std::string name = "", ParseOptions options = {});
 [[nodiscard]] ir::QuantumComputation
 parseTfcString(const std::string& text, std::string name = "",
                ParseOptions options = {});

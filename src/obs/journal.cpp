@@ -89,7 +89,9 @@ void Journal::commit(std::string line) {
     *stream_ << line << '\n';
     stream_->flush();
   }
-  lines_.push_back(std::move(line));
+  if (keepLines_) {
+    lines_.push_back(std::move(line));
+  }
 }
 
 std::string Journal::dump() const {

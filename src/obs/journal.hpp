@@ -70,7 +70,11 @@ class Journal {
 public:
   using Clock = std::chrono::steady_clock;
 
-  Journal() : epoch_(Clock::now()) {}
+  /// With `keepLines` false the journal keeps no line in memory: lines
+  /// only reach the stream, so a long-lived process (the daemon) does not
+  /// grow with every event it logs.
+  explicit Journal(bool keepLines = true)
+      : epoch_(Clock::now()), keepLines_(keepLines) {}
 
   /// Start a line: `{"ts_micros":...,"level":...,"event":...` plus whatever
   /// fields the returned builder appends. Committed when the builder dies.
@@ -88,6 +92,7 @@ public:
     stream_ = os;
   }
 
+  /// Lines kept in memory (all committed lines unless `keepLines` was off).
   [[nodiscard]] std::size_t lineCount() const {
     const std::lock_guard<std::mutex> lock(mutex_);
     return lines_.size();
@@ -110,6 +115,7 @@ private:
   void commit(std::string line);
 
   Clock::time_point epoch_;
+  bool keepLines_;
   mutable std::mutex mutex_;
   std::vector<std::string> lines_;
   std::ostream* stream_{nullptr};

@@ -2,9 +2,7 @@
 
 #include "ec/parallel.hpp"
 #include "ec/serialize.hpp"
-#include "io/qasm.hpp"
-#include "io/real.hpp"
-#include "io/tfc.hpp"
+#include "io/parse.hpp"
 #include "obs/postmortem.hpp"
 #include "transform/decomposition.hpp"
 #include "util/deadline.hpp"
@@ -90,24 +88,6 @@ void applyOverride(ec::FlowConfiguration& config, const std::string& key,
   } else {
     failLine(lineNumber, "unknown key: " + key);
   }
-}
-
-/// Parse a circuit by file extension, admitting malformed circuits: the
-/// flow's preflight turns defects into per-pair InvalidInput outcomes with
-/// diagnostics instead of one throw aborting the whole batch.
-ir::QuantumComputation loadCircuit(const std::string& path) {
-  const io::ParseOptions options{.validate = false};
-  if (path.size() >= 5 && path.ends_with(".real")) {
-    return io::parseRealFile(path, options);
-  }
-  if (path.ends_with(".qasm")) {
-    return io::parseQasmFile(path, options);
-  }
-  if (path.ends_with(".tfc")) {
-    return io::parseTfcFile(path, options);
-  }
-  throw std::runtime_error(
-      "unrecognized circuit format (want .qasm/.real/.tfc): " + path);
 }
 
 /// One dispatched (cache-missed) pair: the parsed circuits live here until
@@ -211,10 +191,9 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
   if (obs.flight == nullptr && wantWatchdog) {
     obs.flight = &ownFlight.emplace();
   }
+  // Started only once a pair is dispatched (below): a batch served
+  // entirely from the cache has nothing to watch and spawns no thread.
   std::optional<obs::Watchdog> watchdog;
-  if (wantWatchdog) {
-    watchdog.emplace(*obs.flight);
-  }
 
   const util::Stopwatch watch;
   obs::ScopedSpan batchSpan(obs, "svc.batch", "svc");
@@ -270,8 +249,13 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
       continue;
     }
     try {
-      ir::QuantumComputation g = loadCircuit(spec.gPath);
-      ir::QuantumComputation gPrime = loadCircuit(spec.gPrimePath);
+      // lint-mode parse: the flow's preflight turns a malformed circuit into
+      // this pair's InvalidInput with diagnostics, not a throw that aborts
+      // the whole batch
+      constexpr io::ParseOptions lenient{.validate = false};
+      ir::QuantumComputation g = io::parseCircuitFile(spec.gPath, lenient);
+      ir::QuantumComputation gPrime =
+          io::parseCircuitFile(spec.gPrimePath, lenient);
       // ancilla-adding flows produce different widths; pad the narrower one
       // (the same normalization `qsimec check` applies, so verdicts match)
       const std::size_t width = std::max(g.qubits(), gPrime.qubits());
@@ -496,6 +480,9 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
   };
 
   if (!jobs.empty()) {
+    if (wantWatchdog) {
+      watchdog.emplace(*obs.flight);
+    }
     if (options_.pool != nullptr) {
       // resident pool: the workers (and their flight-recorder slots) belong
       // to the caller and outlive this run — wait() is the drain barrier

@@ -4,6 +4,7 @@
 #include "ec/construction_checker.hpp"
 #include "io/qasm.hpp"
 #include "io/real.hpp"
+#include "io/tfc.hpp"
 
 #include <gtest/gtest.h>
 
@@ -287,4 +288,67 @@ TEST(RealWriter, RejectsNonReversibleGates) {
   ir::QuantumComputation qc(1);
   qc.h(0);
   EXPECT_THROW(io::toRealString(qc), std::domain_error);
+}
+
+// --- line endings and comments ---------------------------------------------
+// CRLF files parse like LF files, comments are skipped, and error lines are
+// counted the same either way.
+
+TEST(LineEndings, QasmCrlfAndComments) {
+  const std::string text = "OPENQASM 2.0;\r\n"
+                           "// a comment line\r\n"
+                           "qreg q[2]; // a trailing comment\r\n"
+                           "h q[0];\r\n"
+                           "cx q[0],q[1];\r\n";
+  const auto qc = io::parseQasmString(text);
+  ASSERT_EQ(qc.size(), 2U);
+  EXPECT_EQ(qc.at(1).target(), 1U);
+  try {
+    (void)io::parseQasmString(text + "bogus q[0];\r\n");
+    FAIL() << "expected QasmParseError";
+  } catch (const io::QasmParseError& e) {
+    EXPECT_EQ(e.line(), 6U);
+  }
+}
+
+TEST(LineEndings, RealCrlfAndComments) {
+  const std::string text = ".version 2.0\r\n"
+                           "# a comment line\r\n"
+                           ".numvars 2\r\n"
+                           ".variables a b\r\n"
+                           ".begin\r\n"
+                           "t2 a b # a trailing comment\r\n"
+                           "t1 b\r\n"
+                           ".end\r\n";
+  const auto qc = io::parseRealString(text);
+  ASSERT_EQ(qc.size(), 2U);
+  EXPECT_EQ(qc.at(0).target(), 0U);
+  ASSERT_EQ(qc.at(0).controls().size(), 1U);
+  EXPECT_EQ(qc.at(0).controls()[0].qubit, 1U);
+  try {
+    (void)io::parseRealString(text.substr(0, text.find("t1 b")) + "t1 z\r\n");
+    FAIL() << "expected RealParseError";
+  } catch (const io::RealParseError& e) {
+    EXPECT_EQ(e.line(), 7U);
+  }
+}
+
+TEST(LineEndings, TfcCrlfAndComments) {
+  const std::string text = "# a comment line\r\n"
+                           ".v a,b\r\n"
+                           "BEGIN\r\n"
+                           "t2 a,b # a trailing comment\r\n"
+                           "t1 b\r\n"
+                           "END\r\n";
+  const auto qc = io::parseTfcString(text);
+  ASSERT_EQ(qc.size(), 2U);
+  EXPECT_EQ(qc.at(0).target(), 0U);
+  ASSERT_EQ(qc.at(0).controls().size(), 1U);
+  EXPECT_EQ(qc.at(0).controls()[0].qubit, 1U);
+  try {
+    (void)io::parseTfcString(text.substr(0, text.find("t1 b")) + "t1 z\r\n");
+    FAIL() << "expected TfcParseError";
+  } catch (const io::TfcParseError& e) {
+    EXPECT_EQ(e.line(), 5U);
+  }
 }

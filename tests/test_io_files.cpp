@@ -4,14 +4,27 @@
 
 #include "analysis/diagnostic.hpp"
 #include "ec/construction_checker.hpp"
+#include "gen/corpus.hpp"
+#include "gen/grover.hpp"
+#include "gen/qft.hpp"
+#include "gen/revlib_like.hpp"
+#include "gen/supremacy.hpp"
 #include "io/qasm.hpp"
 #include "io/real.hpp"
 #include "io/tfc.hpp"
 #include "sim/dd_simulator.hpp"
+#include "transform/decomposition.hpp"
+#include "transform/mapper.hpp"
+#include "transform/optimizer.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <filesystem>
+#include <numbers>
 #include <string>
+#include <unistd.h>
 
 using namespace qsimec;
 
@@ -162,73 +175,258 @@ TEST(MalformedFiles, TfcOverlapRejectedByDefaultParse) {
 }
 
 // --- robustness ----------------------------------------------------------
+// Each case names the line its parse error must carry. The printer keeps
+// the test names those of the plain input strings.
 
-class QasmFuzzTest : public ::testing::TestWithParam<const char*> {};
+struct FuzzCase {
+  const char* text;
+  std::size_t line;
+};
+
+void PrintTo(const FuzzCase& fuzzCase, std::ostream* os) {
+  *os << ::testing::PrintToString(fuzzCase.text);
+}
+
+template <class Error, class Parse>
+void expectParseErrorAt(Parse parse, const FuzzCase& fuzzCase) {
+  try {
+    (void)parse(fuzzCase.text);
+    FAIL() << "expected a parse error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.line(), fuzzCase.line) << e.what();
+  }
+}
+
+class QasmFuzzTest : public ::testing::TestWithParam<FuzzCase> {};
 
 TEST_P(QasmFuzzTest, MalformedInputRaisesParseError) {
-  EXPECT_THROW((void)io::parseQasmString(GetParam()), io::QasmParseError);
+  expectParseErrorAt<io::QasmParseError>(
+      [](const std::string& text) { return io::parseQasmString(text); },
+      GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, QasmFuzzTest,
     ::testing::Values(
-        "", "garbage", "OPENQASM", "OPENQASM 2.0", "OPENQASM 2.0;\nqreg",
-        "OPENQASM 2.0;\nqreg q[2]\nh q[0];",   // missing semicolon
-        "OPENQASM 2.0;\nqreg q[2];\nh q[0]",   // missing final semicolon
-        "OPENQASM 2.0;\nqreg q[2];\nh q[2];",  // out of range
-        "OPENQASM 2.0;\nqreg q[2];\ncx q[0];", // arity
-        "OPENQASM 2.0;\nqreg q[2];\nrx() q[0];",
-        "OPENQASM 2.0;\nqreg q[2];\nrx(bogus) q[0];",
-        "OPENQASM 2.0;\nqreg q[2];\nrx(1+) q[0];",
-        "OPENQASM 2.0;\nqreg q[2];\nqreg q[3];",     // duplicate register
-        "OPENQASM 2.0;\nqreg q[2];\nh r[0];",        // unknown register
-        "OPENQASM 2.0;\nqreg q[2];\ngate g a { x b; } g q[0];",
-        "OPENQASM 2.0;\nqreg q[2];\ngate g a { g a; } g q[0];", // recursion
-        "OPENQASM 2.0;\nqreg q[2];\nreset q[0];",
-        "OPENQASM 2.0;\nqreg q[0];"));
+        FuzzCase{"", 1}, FuzzCase{"garbage", 1}, FuzzCase{"OPENQASM", 1},
+        FuzzCase{"OPENQASM 2.0", 1}, FuzzCase{"OPENQASM 2.0;\nqreg", 2},
+        FuzzCase{"OPENQASM 2.0;\nqreg q[2]\nh q[0];", 3}, // missing semicolon
+        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nh q[0]", 3}, // missing final ;
+        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nh q[2];", 3}, // out of range
+        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\ncx q[0];", 3}, // arity
+        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nrx() q[0];", 3},
+        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nrx(bogus) q[0];", 3},
+        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nrx(1+) q[0];", 3},
+        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nqreg q[3];", 3}, // duplicate
+        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nh r[0];", 3}, // unknown register
+        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\ngate g a { x b; } g q[0];", 3},
+        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\ngate g a { g a; } g q[0];",
+                 3}, // recursion
+        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nreset q[0];", 3},
+        FuzzCase{"OPENQASM 2.0;\nqreg q[0];", 2},
+        // register sizes and indices are unsigned integers, not reals
+        FuzzCase{"OPENQASM 2.0;\nqreg q[2.7];", 2},
+        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nx q[1.9];", 3},
+        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nx q[-1];", 3},
+        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nx q[1e0];", 3},
+        FuzzCase{"OPENQASM 2.0;\nqreg q[99999999999999999999];", 2},
+        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\ncreg c[1.5];", 3}));
 
-class RealFuzzTest : public ::testing::TestWithParam<const char*> {};
+class RealFuzzTest : public ::testing::TestWithParam<FuzzCase> {};
 
 TEST_P(RealFuzzTest, MalformedInputRaisesParseError) {
-  EXPECT_THROW((void)io::parseRealString(GetParam()), io::RealParseError);
+  expectParseErrorAt<io::RealParseError>(
+      [](const std::string& text) { return io::parseRealString(text); },
+      GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, RealFuzzTest,
     ::testing::Values(
-        "", ".begin\n.end\n", ".numvars 2\n.begin\nt1 a\n.end\n",
-        ".numvars 2\n.variables a\n",
-        ".numvars 2\n.variables a b\n.begin\nt1 z\n.end\n",
-        ".numvars 2\n.variables a b\n.begin\nq1 a\n.end\n",
-        ".numvars 2\n.variables a b\n.begin\nt3 a b\n.end\n",
-        ".numvars 2\n.variables a b\n.begin\nt2 a -b\n.end\n", // neg target
-        ".numvars 2\n.variables a b\n.begin\nt1 a\n",          // no .end
-        ".numvars 2\n.variables a a\n.begin\n.end\n"));
+        FuzzCase{"", 0}, FuzzCase{".begin\n.end\n", 1},
+        FuzzCase{".numvars 2\n.begin\nt1 a\n.end\n", 2},
+        FuzzCase{".numvars 2\n.variables a\n", 2},
+        FuzzCase{".numvars 2\n.variables a b\n.begin\nt1 z\n.end\n", 4},
+        FuzzCase{".numvars 2\n.variables a b\n.begin\nq1 a\n.end\n", 4},
+        FuzzCase{".numvars 2\n.variables a b\n.begin\nt3 a b\n.end\n", 4},
+        FuzzCase{".numvars 2\n.variables a b\n.begin\nt2 a -b\n.end\n",
+                 4}, // negated target
+        FuzzCase{".numvars 2\n.variables a b\n.begin\nt1 a\n", 4}, // no .end
+        FuzzCase{".numvars 2\n.variables a a\n.begin\n.end\n", 2},
+        // .numvars and gate arities are unsigned integers
+        FuzzCase{".version 2.0\n.numvars abc\n", 2},
+        FuzzCase{".numvars 99999999999999999999\n", 1},
+        FuzzCase{".numvars 2\n.variables a b\n.begin\ntz a\n.end\n", 4},
+        FuzzCase{".numvars 2\n.variables a b\n.begin\nt1x a\n.end\n", 4},
+        FuzzCase{".numvars 2\n.variables a b\n.begin\n"
+                 "t99999999999999999999999 a\n.end\n",
+                 4}));
 
-class TfcFuzzTest : public ::testing::TestWithParam<const char*> {};
+class TfcFuzzTest : public ::testing::TestWithParam<FuzzCase> {};
 
 TEST_P(TfcFuzzTest, MalformedInputRaisesParseError) {
-  EXPECT_THROW((void)io::parseTfcString(GetParam()), io::TfcParseError);
+  expectParseErrorAt<io::TfcParseError>(
+      [](const std::string& text) { return io::parseTfcString(text); },
+      GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, TfcFuzzTest,
     ::testing::Values(
-        "", "garbage\n", "BEGIN\nEND\n",               // body before .v
-        ".v\nBEGIN\nEND\n",                            // empty .v
-        ".v a,a\nBEGIN\nEND\n",                        // duplicate variable
-        ".v a,b\n.v c\nBEGIN\nEND\n",                  // duplicate .v
-        ".v a,b\n.i a,c\nBEGIN\nEND\n",                // undeclared input
-        ".v a,b\n.o z\nBEGIN\nEND\n",                  // undeclared output
-        ".v a,b\n.c 0,1,0\nBEGIN\nEND\n",              // too many constants
-        ".v a,b\n.i a\n.c 0,1\nBEGIN\nEND\n",          // constants > non-inputs
-        ".v a,b\n.c x\nBEGIN\nEND\n",                  // non-binary constant
-        ".v a,b\nBEGIN\nt2 a,b\n",                     // missing END
-        ".v a,b\nBEGIN\nt2 a\nEND\n",                  // arity mismatch
-        ".v a,b\nBEGIN\nt2 a,z\nEND\n",                // unknown operand
-        ".v a,b\nBEGIN\nt2 a,b'\nEND\n",               // negated target
-        ".v a,b\nBEGIN\nt2 a,,b\nEND\n",               // empty operand
-        ".v a,b\nBEGIN\ng2 a,b\nEND\n",                // unknown gate kind
-        ".v a,b\nBEGIN\ntx a,b\nEND\n",                // non-numeric arity
-        ".v a,b,c\nBEGIN\nf1 a\nEND\n",                // fredkin needs 2 targets
-        ".v a,b\nBEGIN\nf2 a,a\nEND\n"));              // swap on one wire
+        FuzzCase{"", 0}, FuzzCase{"garbage\n", 1},
+        FuzzCase{"BEGIN\nEND\n", 1},                     // body before .v
+        FuzzCase{".v\nBEGIN\nEND\n", 1},                 // empty .v
+        FuzzCase{".v a,a\nBEGIN\nEND\n", 1},             // duplicate variable
+        FuzzCase{".v a,b\n.v c\nBEGIN\nEND\n", 2},       // duplicate .v
+        FuzzCase{".v a,b\n.i a,c\nBEGIN\nEND\n", 2},     // undeclared input
+        FuzzCase{".v a,b\n.o z\nBEGIN\nEND\n", 2},       // undeclared output
+        FuzzCase{".v a,b\n.c 0,1,0\nBEGIN\nEND\n", 2},   // too many constants
+        FuzzCase{".v a,b\n.i a\n.c 0,1\nBEGIN\nEND\n", 3}, // > non-inputs
+        FuzzCase{".v a,b\n.c x\nBEGIN\nEND\n", 2},       // non-binary constant
+        FuzzCase{".v a,b\nBEGIN\nt2 a,b\n", 3},          // missing END
+        FuzzCase{".v a,b\nBEGIN\nt2 a\nEND\n", 3},       // arity mismatch
+        FuzzCase{".v a,b\nBEGIN\nt2 a,z\nEND\n", 3},     // unknown operand
+        FuzzCase{".v a,b\nBEGIN\nt2 a,b'\nEND\n", 3},    // negated target
+        FuzzCase{".v a,b\nBEGIN\nt2 a,,b\nEND\n", 3},    // empty operand
+        FuzzCase{".v a,b\nBEGIN\ng2 a,b\nEND\n", 3},     // unknown gate kind
+        FuzzCase{".v a,b\nBEGIN\ntx a,b\nEND\n", 3},     // non-numeric arity
+        FuzzCase{".v a,b,c\nBEGIN\nf1 a\nEND\n", 3},     // fredkin: 2 targets
+        FuzzCase{".v a,b\nBEGIN\nf2 a,a\nEND\n", 3},     // swap on one wire
+        // gate arities are unsigned integers
+        FuzzCase{".v a,b\nBEGIN\nt99999999999999999999999 a,b\nEND\n", 3},
+        FuzzCase{".v a,b\nBEGIN\nt-2 a,b\nEND\n", 3}));
+
+// --- round-trip lock -------------------------------------------------------
+// Every circuit of the generated corpus (seeds 1-4) and of the Table Ib
+// recipes, written by the writer of its format, parses back op by op: the
+// same types, targets and controls, and bit-identical parameters.
+
+namespace {
+
+void expectSameOps(const ir::QuantumComputation& expected,
+                   const ir::QuantumComputation& actual,
+                   const std::string& what) {
+  ASSERT_EQ(actual.qubits(), expected.qubits()) << what;
+  ASSERT_EQ(actual.size(), expected.size()) << what;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const ir::StandardOperation& e = expected.at(i);
+    const ir::StandardOperation& a = actual.at(i);
+    ASSERT_EQ(a.type(), e.type()) << what << ", op " << i;
+    ASSERT_EQ(a.targets(), e.targets()) << what << ", op " << i;
+    ASSERT_EQ(a.controls(), e.controls()) << what << ", op " << i;
+    for (std::size_t k = 0; k < e.params().size(); ++k) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a.params()[k]),
+                std::bit_cast<std::uint64_t>(e.params()[k]))
+          << what << ", op " << i << ", param " << k;
+    }
+  }
+}
+
+/// `qc` written by the writer of the format `extension` names, parsed back.
+ir::QuantumComputation roundTrip(const ir::QuantumComputation& qc,
+                                 const std::string& extension) {
+  if (extension == ".real") {
+    return io::parseRealString(io::toRealString(qc));
+  }
+  if (extension == ".tfc") {
+    return io::parseTfcString(io::toTfcString(qc));
+  }
+  return io::parseQasmString(io::toQasmString(qc));
+}
+
+/// `qc` as writeQasm spells it: V, V†, SY and SY† become their
+/// phase-equivalent qelib1 sequences (see io/qasm.hpp).
+ir::QuantumComputation qelibSpelling(const ir::QuantumComputation& qc) {
+  ir::QuantumComputation out(qc.qubits());
+  for (const ir::StandardOperation& op : qc) {
+    const ir::Qubit t = op.target();
+    switch (op.type()) {
+    case ir::OpType::V:
+      out.sdg(t);
+      out.h(t);
+      out.sdg(t);
+      break;
+    case ir::OpType::Vdg:
+      out.s(t);
+      out.h(t);
+      out.s(t);
+      break;
+    case ir::OpType::SY:
+      out.ry(std::numbers::pi / 2, t);
+      break;
+    case ir::OpType::SYdg:
+      out.ry(-std::numbers::pi / 2, t);
+      break;
+    default:
+      out.emplace(op);
+    }
+  }
+  return out;
+}
+
+bool reversibleOnly(const ir::QuantumComputation& qc) {
+  return std::all_of(qc.begin(), qc.end(), [](const ir::StandardOperation& op) {
+    return op.type() == ir::OpType::X || op.type() == ir::OpType::SWAP ||
+           op.type() == ir::OpType::V || op.type() == ir::OpType::Vdg;
+  });
+}
+
+} // namespace
+
+TEST(RoundTripLock, CorpusCircuitsParseBackOpByOp) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("qsimec_roundtrip_" + std::to_string(::getpid()));
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const gen::CorpusManifest corpus = gen::emitCorpus(
+        {.dir = (dir / std::to_string(seed)).string(), .seed = seed});
+    for (const gen::CorpusEntry& entry : corpus.entries) {
+      for (const std::string& path : {entry.gPath, entry.gPrimePath}) {
+        const ir::QuantumComputation qc = io::parseCircuitFile(path);
+        expectSameOps(qc, roundTrip(qc, fs::path(path).extension().string()),
+                      path);
+      }
+    }
+  }
+  fs::remove_all(dir);
+}
+
+TEST(RoundTripLock, TableIbRecipesParseBackOpByOp) {
+  std::vector<std::pair<std::string, ir::QuantumComputation>> circuits;
+  const auto add = [&circuits](const std::string& name,
+                               const ir::QuantumComputation& g,
+                               const ir::QuantumComputation& gPrime) {
+    circuits.emplace_back(name + " G", g.withMaterializedLayouts());
+    circuits.emplace_back(name + " G'", gPrime.withMaterializedLayouts());
+  };
+  const auto linear = [](const ir::QuantumComputation& g) {
+    return tf::mapCircuit(g, tf::CouplingMap::linear(g.qubits())).circuit;
+  };
+  for (const auto& [k, marked] : {std::pair<std::size_t, std::uint64_t>{
+                                      5, 0b10110},
+                                  {6, 0b101101}}) {
+    const auto g = tf::decompose(gen::grover(k, marked));
+    add("Grover " + std::to_string(k), g, tf::optimize(g, {}));
+  }
+  const auto supremacy = gen::supremacy(4, 4, 5, 3);
+  add("Supremacy 4x4 5", supremacy, linear(supremacy));
+  const auto qft = gen::qft(8);
+  add("QFT 8", qft, linear(qft));
+  for (const auto& [name, g] :
+       {std::pair{"hwb6", gen::hwbCircuit(6)},
+        std::pair{"urf-like 6", gen::urfCircuit(6, 7)},
+        std::pair{"adder8", gen::adderCircuit(8)},
+        std::pair{"inc8", gen::incrementCircuit(8)}}) {
+    add(name, g, tf::decompose(g));
+  }
+
+  for (const auto& [name, qc] : circuits) {
+    if (reversibleOnly(qc)) {
+      expectSameOps(qc, roundTrip(qc, ".real"), name + " (.real)");
+      expectSameOps(qc, roundTrip(qc, ".tfc"), name + " (.tfc)");
+    } else {
+      expectSameOps(qelibSpelling(qc), roundTrip(qc, ".qasm"),
+                    name + " (.qasm)");
+    }
+  }
+}

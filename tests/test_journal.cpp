@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <sstream>
 #include <thread>
@@ -125,6 +126,20 @@ TEST(Journal, StreamMirrorsCommittedLines) {
   EXPECT_EQ(journal.dump(),
             journal.lines()[0] + "\n" + journal.lines()[1] + "\n" +
                 journal.lines()[2] + "\n");
+}
+
+TEST(Journal, StreamOnlyJournalKeepsNoLines) {
+  std::ostringstream sink;
+  obs::Journal journal(/*keepLines=*/false);
+  journal.streamTo(&sink);
+  (void)journal.event(obs::JournalLevel::Info, "one");
+  (void)journal.event(obs::JournalLevel::Info, "two");
+  journal.streamTo(nullptr);
+
+  EXPECT_EQ(journal.lineCount(), 0U);
+  EXPECT_TRUE(journal.dump().empty());
+  const std::string streamed = sink.str();
+  EXPECT_EQ(std::count(streamed.begin(), streamed.end(), '\n'), 2);
 }
 
 TEST(Journal, ConcurrentCommitsStayLineAtomic) {
