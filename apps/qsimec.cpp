@@ -60,6 +60,7 @@
 #include "obs/openmetrics.hpp"
 #include "obs/postmortem.hpp"
 #include "obs/run_report.hpp"
+#include "obs/sampler.hpp"
 #include "sim/dd_simulator.hpp"
 #include "svc/batch.hpp"
 #include "svc/verdict_cache.hpp"
@@ -118,10 +119,10 @@ usage:
                             (open in about:tracing or ui.perfetto.dev)
       --journal FILE        write a structured JSONL run journal (stage
                             transitions, per-stimulus verdicts, GC pauses)
-      --sample FILE         poll live gauges (DD nodes, table rates, RSS,
-                            stimuli done) on a background thread; write the
-                            time-series CSV here; with --trace the samples
-                            also appear as Perfetto counter tracks
+      --sample FILE         poll DD live nodes and unique-table fill (via the
+                            flight recorder it implies), RSS and stimuli done;
+                            write the time-series CSV here; with --trace the
+                            samples also appear as Perfetto counter tracks
       --progress            live progress line on stderr
       --seed N              stimuli seed (default 42)
       --flight-recorder[=N] always-on bounded in-process flight recorder
@@ -532,7 +533,8 @@ int runCheck(ArgCursor& args) {
   const std::string tracePath = args.consumeOption("--trace", "");
   const std::string journalPath = args.consumeOption("--journal", "");
   const std::string samplePath = args.consumeOption("--sample", "");
-  const FlightFlags flightFlags = parseFlightFlags(args);
+  FlightFlags flightFlags = parseFlightFlags(args);
+  flightFlags.enabled |= !samplePath.empty(); // the DD probes read its cells
 
   ec::FlowConfiguration config;
   if (const int rc = parseFlowFlags(args, config); rc != 0) {
@@ -553,7 +555,8 @@ int runCheck(ArgCursor& args) {
   // itself free of clock reads and span/journal bookkeeping.
   obs::Tracer tracer;
   obs::Journal journal;
-  obs::LiveGauges gauges;
+  FlightScope flight(flightFlags); // these two outlive the sampler's thread
+  std::atomic<double> stimuliDone{0.0};
   obs::Sampler sampler;
   std::ofstream journalStream;
   obs::Context obsContext;
@@ -568,15 +571,6 @@ int runCheck(ArgCursor& args) {
     journal.streamTo(&journalStream);
     obsContext.journal = &journal;
   }
-  if (!samplePath.empty()) {
-    obsContext.live = &gauges;
-    sampler.addLiveGaugeProbes(gauges);
-    if (!tracePath.empty()) {
-      sampler.attachTracer(&tracer); // counter tracks under the spans
-    }
-    sampler.start();
-  }
-  FlightScope flight(flightFlags);
   std::size_t flightNote = obs::FlightRecorder::kMaxPairNotes;
   std::string pairFingerprint;
   if (flight.get() != nullptr) {
@@ -584,13 +578,25 @@ int runCheck(ArgCursor& args) {
     pairFingerprint = svc::fingerprint(a).hex();
     flightNote = flight.get()->notePair("check", pairFingerprint);
   }
-  if (showProgress) {
-    config.progress = [](const ec::FlowProgress& p) {
-      std::cerr << "\r[" << p.stage << "] tier=" << p.tier << " stimuli "
-                << p.simulationsDone << "/" << p.simulationsTotal << "   "
-                << std::flush;
-      if (p.stage == "done") {
-        std::cerr << "\n";
+  if (!samplePath.empty()) {
+    sampler.addFlightProbes(*flight.get());
+    sampler.addProbe("sim.stimuli_completed",
+                     [&stimuliDone] { return stimuliDone.load(); });
+    if (!tracePath.empty()) {
+      sampler.attachTracer(&tracer); // counter tracks under the spans
+    }
+    sampler.start();
+  }
+  if (showProgress || !samplePath.empty()) {
+    config.progress = [showProgress, &stimuliDone](const ec::FlowProgress& p) {
+      stimuliDone = static_cast<double>(p.simulationsDone);
+      if (showProgress) {
+        std::cerr << "\r[" << p.stage << "] tier=" << p.tier << " stimuli "
+                  << p.simulationsDone << "/" << p.simulationsTotal << "   "
+                  << std::flush;
+        if (p.stage == "done") {
+          std::cerr << "\n";
+        }
       }
     };
   }

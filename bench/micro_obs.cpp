@@ -63,24 +63,6 @@ void BM_ActiveJournalEvent(benchmark::State& state) {
 }
 BENCHMARK(BM_ActiveJournalEvent);
 
-// The gauge-publish path the DD package pays per interrupt poll (every 1024
-// steps) when a sampler is attached: a handful of relaxed stores. The
-// unattached case is a single pointer test inside pollInterrupt and is
-// covered by BM_GateApplyUntraced below.
-void BM_LiveGaugePublish(benchmark::State& state) {
-  obs::LiveGauges gauges;
-  double x = 0.0;
-  for (auto _ : state) {
-    gauges.ddNodesLive.store(x, std::memory_order_relaxed);
-    gauges.ddUniqueFill.store(x, std::memory_order_relaxed);
-    gauges.ddUniqueHitRate.store(x, std::memory_order_relaxed);
-    gauges.ddComputeHitRate.store(x, std::memory_order_relaxed);
-    x += 1.0;
-    benchmark::DoNotOptimize(&gauges);
-  }
-}
-BENCHMARK(BM_LiveGaugePublish);
-
 void simulateQft(std::size_t qubits, obs::Tracer* tracer,
                  benchmark::State& state) {
   const ir::QuantumComputation qc = gen::qft(qubits);

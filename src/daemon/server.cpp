@@ -667,15 +667,9 @@ std::string Daemon::statusJsonLocked() const {
   // watchdog view: how stale each ever-used worker heartbeat slot is; a
   // healthy idle pool reads large ages only while nothing is dispatched
   json.beginArray("heartbeat_age_micros");
-  const std::uint64_t now = flight_.nowMicros();
-  for (std::size_t i = 0; i < flight_.slotCount(); ++i) {
-    const obs::FlightRecorder::ThreadRing& ring = flight_.slot(i);
-    if (!ring.everUsed.load(std::memory_order_relaxed)) {
-      continue;
-    }
-    const std::uint64_t beat =
-        ring.lastBeatMicros.load(std::memory_order_relaxed);
-    json.value(now > beat ? now - beat : 0);
+  for (const obs::FlightRecorder::HeartbeatAge& heartbeat :
+       flight_.heartbeatAges()) {
+    json.value(heartbeat.ageMicros);
   }
   json.endArray();
 

@@ -762,10 +762,8 @@ void Package::garbageCollect(bool force) {
       .num("m_collected", static_cast<std::uint64_t>(mCollected))
       .num("reals_collected", static_cast<std::uint64_t>(realsCollected))
       .num("lane", static_cast<std::uint64_t>(lane_));
-  if (obs_.live != nullptr) {
-    publishPoll(/*beat=*/false); // node drops are most visible after a GC
-  }
   if (obs_.flight != nullptr) {
+    publishPoll(/*beat=*/false); // node drops are most visible after a GC
     obs_.flight->record(obs::FlightEventKind::Gc, "dd.gc",
                         static_cast<std::int64_t>(vCollected + mCollected),
                         static_cast<std::int64_t>(pause * 1e6));
@@ -773,45 +771,14 @@ void Package::garbageCollect(bool force) {
 }
 
 void Package::publishPoll(bool beat) noexcept {
-  const std::size_t live = vUnique_.liveNodes() + mUnique_.liveNodes();
-  const std::size_t allocated = vUnique_.allocated() + mUnique_.allocated();
-  if (obs::LiveGauges* gauges = obs_.live; gauges != nullptr) {
-    gauges->ddNodesLive.store(static_cast<double>(live),
-                              std::memory_order_relaxed);
-    if (allocated > 0) {
-      gauges->ddUniqueFill.store(static_cast<double>(live) /
-                                     static_cast<double>(allocated),
-                                 std::memory_order_relaxed);
-    }
-    const auto uniqueLookups =
-        static_cast<double>(vUnique_.lookups() + mUnique_.lookups());
-    if (uniqueLookups > 0) {
-      gauges->ddUniqueHitRate.store(
-          static_cast<double>(vUnique_.hits() + mUnique_.hits()) /
-              uniqueLookups,
-          std::memory_order_relaxed);
-    }
-    const auto computeLookups =
-        static_cast<double>(addVTable_.lookups() + addMTable_.lookups() +
-                            multMVTable_.lookups() + multMMTable_.lookups());
-    if (computeLookups > 0) {
-      gauges->ddComputeHitRate.store(
-          static_cast<double>(addVTable_.hits() + addMTable_.hits() +
-                              multMVTable_.hits() + multMMTable_.hits()) /
-              computeLookups,
-          std::memory_order_relaxed);
-    }
-  }
-  if (beat && obs_.flight != nullptr) {
-    // fill as parts-per-million: the flight recorder's DD state cells are
-    // integers so the async-signal-safe dump path never formats doubles
-    const auto liveNodes = static_cast<std::int64_t>(live);
-    const std::int64_t fillPpm =
-        allocated > 0
-            ? liveNodes * 1000000 / static_cast<std::int64_t>(allocated)
-            : -1;
-    obs_.flight->pollBeat(liveNodes, fillPpm);
-  }
+  // fill as parts-per-million: the flight recorder's DD state cells are
+  // integers so the async-signal-safe dump path never formats doubles
+  const auto live =
+      static_cast<std::int64_t>(vUnique_.liveNodes() + mUnique_.liveNodes());
+  const auto allocated =
+      static_cast<std::int64_t>(vUnique_.allocated() + mUnique_.allocated());
+  const std::int64_t fillPpm = allocated > 0 ? live * 1000000 / allocated : -1;
+  obs_.flight->pollBeat(live, fillPpm, beat);
 }
 
 void Package::resetComputationState() {

@@ -193,12 +193,11 @@ public:
   /// ring) with per-table reclaim counts, a "dd.gc" journal line carrying
   /// the pause and `lane` (the index of the worker that owns the package, so
   /// a reader can tell concurrent workers' pauses apart), a Gc flight event
-  /// and a live-gauge refresh; and every interrupt poll (every 1024 steps)
-  /// publishes node population and table rates into the live gauges and
-  /// heartbeats the flight recorder with the live-node count and
-  /// unique-table fill. The metrics registry is never kept: it is
-  /// single-threaded and packages run on workers. With nothing attached
-  /// each hook costs a pointer test per sink.
+  /// and a refresh of this thread's flight DD state cells; and every
+  /// interrupt poll (every 1024 steps) heartbeats the flight recorder with
+  /// the live-node count and unique-table fill. The metrics registry is
+  /// never kept: it is single-threaded and packages run on workers. With
+  /// nothing attached each hook costs a pointer test per sink.
   void attach(const obs::Context& obs, unsigned lane = 0) noexcept {
     obs_ = obs;
     obs_.metrics = nullptr;
@@ -295,9 +294,9 @@ private:
   obs::Context obs_;
   unsigned lane_{0};
 
-  /// Compute the node population once and publish it into the attached
-  /// live gauges and, when `beat` (the interrupt poll; a GC's own Gc event
-  /// already heartbeats), the flight recorder.
+  /// Publish the node population and unique-table fill into this thread's
+  /// flight DD state cells; `beat` (the interrupt poll) also heartbeats, a
+  /// GC does not (its own Gc event already does).
   void publishPoll(bool beat) noexcept;
 
   std::function<void()> interruptHook_;
@@ -317,7 +316,7 @@ private:
     if (interruptRequested_.load(std::memory_order_relaxed)) {
       throw util::CancelledError();
     }
-    if (obs_.live != nullptr || obs_.flight != nullptr) {
+    if (obs_.flight != nullptr) {
       publishPoll(/*beat=*/true);
     }
     if (interruptHook_) {

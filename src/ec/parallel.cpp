@@ -264,10 +264,6 @@ CheckResult runStimuliPortfolio(const SimulationConfiguration& config,
             .num("lane", static_cast<std::uint64_t>(workerIndex));
         const std::size_t done =
             completedRuns.fetch_add(1, std::memory_order_relaxed) + 1;
-        if (obs.live != nullptr) {
-          obs.live->stimuliCompleted.store(static_cast<double>(done),
-                                           std::memory_order_relaxed);
-        }
         if (config.onRunCompleted) {
           const std::lock_guard<std::mutex> progressLock(progressMutex);
           config.onRunCompleted(done, r);

@@ -189,6 +189,7 @@ private:
       if (size == 0) {
         in_.fail("empty quantum register");
       }
+      in_.checkWidth(totalQubits_, size);
       if (!qregs_.emplace(name, Register{totalQubits_, size}).second) {
         in_.fail("duplicate register " + std::string(name));
       }

@@ -48,6 +48,7 @@ ir::QuantumComputation parseRealText(std::string_view text, std::string name,
           in.fail(".numvars expects an unsigned integer, got " +
                   std::string(tokens[1]));
         }
+        in.checkWidth(0, *n);
         numvars = *n;
         continue;
       }

@@ -17,7 +17,9 @@
 #include <cerrno>
 #include <charconv>
 #include <cstdlib>
+#include <limits>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -66,6 +68,17 @@ public:
 
   [[noreturn]] void fail(const std::string& message) const {
     throw Error(message, line_);
+  }
+
+  /// Fail unless `declared` more qubits on top of `already` stay within
+  /// ir::Qubit's index range, so no index wraps; called where a width is
+  /// declared, before anything is allocated for it.
+  void checkWidth(std::size_t already, std::size_t declared) const {
+    constexpr std::size_t kMaxQubits =
+        std::size_t{std::numeric_limits<ir::Qubit>::max()} + 1;
+    if (declared > kMaxQubits - already) {
+      fail("circuit width exceeds " + std::to_string(kMaxQubits) + " qubits");
+    }
   }
 
   /// The next line without its '\n', split as std::getline splits (the

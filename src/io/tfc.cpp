@@ -78,6 +78,7 @@ ir::QuantumComputation parseTfcText(std::string_view text, std::string name,
         if (fields.empty()) {
           in.fail(".v expects at least one variable");
         }
+        in.checkWidth(0, fields.size());
         for (const std::string_view var : fields) {
           if (var.empty()) {
             in.fail("empty variable name in .v");

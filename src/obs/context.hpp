@@ -2,10 +2,11 @@
 //
 // A Context bundles the optional sinks — a Tracer for timed spans, a
 // MetricsRegistry for named values, a Journal for the structured event log,
-// a LiveGauges block for the Sampler's time-series probes, and the
-// FlightRecorder's rings. It is the one handle through which src/dd, src/ec
-// and src/svc reach a sink: a dd::Package is attached to one, every span is
-// opened against one, and the Context decides which sinks an event reaches.
+// and the FlightRecorder's rings and per-thread DD state cells (which the
+// Sampler's probes also read). It is the one handle through which src/dd,
+// src/ec and src/svc reach a sink: a dd::Package is attached to one, every
+// span is opened against one, and the Context decides which sinks an event
+// reaches.
 // All sinks default to null; instrumented code calls the helpers
 // unconditionally and pays one pointer test per sink when none is attached
 // (the null fast path the bench guard in bench/micro_obs.cpp pins down).
@@ -15,7 +16,6 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
 #include "obs/tracer.hpp"
 
 #include <algorithm>
@@ -26,14 +26,11 @@ struct Context {
   Tracer* tracer{nullptr};
   MetricsRegistry* metrics{nullptr};
   Journal* journal{nullptr};
-  /// Gauge slots the computation publishes into (relaxed atomic stores) for
-  /// a concurrently polling Sampler. Unlike the other sinks this is written
-  /// from the hot side, so publishers throttle themselves (the DD package
-  /// uses its interrupt-poll cadence, the portfolio one store per run).
-  LiveGauges* live{nullptr};
   /// The always-on black box (obs/flight_recorder.hpp): span begin/end,
   /// journal-event names, gauge samples, and flow marks land in per-thread
-  /// rings that postmortem dumps read on the failure paths.
+  /// rings that postmortem dumps read on the failure paths, and the DD
+  /// package keeps its thread's live-state cells current for the watchdog,
+  /// the postmortems and the Sampler.
   FlightRecorder* flight{nullptr};
 
   void count(std::string_view name, std::uint64_t delta = 1) const {

@@ -170,14 +170,17 @@ void FlightRecorder::beat() noexcept {
 }
 
 void FlightRecorder::pollBeat(std::int64_t nodesLive,
-                              std::int64_t uniqueFillPpm) noexcept {
+                              std::int64_t uniqueFillPpm, bool beat) noexcept {
   ThreadRing* ring = ringForThisThread();
   if (ring == nullptr) {
     return;
   }
-  ring->lastBeatMicros.store(nowMicros(), std::memory_order_relaxed);
   ring->nodesLive.store(nodesLive, std::memory_order_relaxed);
   ring->uniqueFillPpm.store(uniqueFillPpm, std::memory_order_relaxed);
+  if (!beat) {
+    return;
+  }
+  ring->lastBeatMicros.store(nowMicros(), std::memory_order_relaxed);
   if ((ring->pollCount++ & 63U) == 0) {
     record(FlightEventKind::Gauge, "dd.gauges", nodesLive, uniqueFillPpm);
   }
@@ -260,6 +263,21 @@ std::size_t FlightRecorder::threadsRegistered() const noexcept {
     }
   }
   return n;
+}
+
+std::vector<FlightRecorder::HeartbeatAge>
+FlightRecorder::heartbeatAges() const {
+  std::vector<HeartbeatAge> ages;
+  const std::uint64_t now = nowMicros();
+  for (std::size_t i = 0; i < maxThreads_; ++i) {
+    if (!slots_[i].everUsed.load(std::memory_order_relaxed)) {
+      continue;
+    }
+    const std::uint64_t beat =
+        slots_[i].lastBeatMicros.load(std::memory_order_relaxed);
+    ages.push_back(HeartbeatAge{i, now > beat ? now - beat : 0});
+  }
+  return ages;
 }
 
 // --- Watchdog ---------------------------------------------------------------

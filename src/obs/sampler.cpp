@@ -6,6 +6,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace qsimec::obs {
 
@@ -32,23 +33,41 @@ void Sampler::addProbe(std::string name, std::function<double()> probe) {
   series_.push_back(Series{std::move(name), {}});
 }
 
-void Sampler::addLiveGaugeProbes(const LiveGauges& gauges) {
-  const LiveGauges* g = &gauges;
-  addProbe("dd.nodes_live", [g] {
-    return g->ddNodesLive.load(std::memory_order_relaxed);
-  });
-  addProbe("dd.unique_fill", [g] {
-    return g->ddUniqueFill.load(std::memory_order_relaxed);
-  });
-  addProbe("dd.unique_hit_rate", [g] {
-    return g->ddUniqueHitRate.load(std::memory_order_relaxed);
-  });
-  addProbe("dd.compute_hit_rate", [g] {
-    return g->ddComputeHitRate.load(std::memory_order_relaxed);
-  });
-  addProbe("sim.stimuli_completed", [g] {
-    return g->stimuliCompleted.load(std::memory_order_relaxed);
-  });
+namespace {
+
+/// (live nodes, unique-table fill) pooled over the in-use slots a package
+/// has published into (nodesLive >= 0). A slot's allocated count comes back
+/// as live * 1e6 / ppm; the ppm cell is floored, so that count is never
+/// below the true one and the fill stays in [0, 1]. A slot at 0 ppm has no
+/// recoverable count and stays out of the fill.
+std::pair<double, double> pooledDdState(const FlightRecorder& recorder) {
+  double live = 0.0;
+  double fillLive = 0.0;
+  double allocated = 0.0;
+  for (std::size_t i = 0; i < recorder.slotCount(); ++i) {
+    const FlightRecorder::ThreadRing& ring = recorder.slot(i);
+    const auto nodes =
+        static_cast<double>(ring.nodesLive.load(std::memory_order_relaxed));
+    if (!ring.inUse.load(std::memory_order_relaxed) || nodes < 0.0) {
+      continue;
+    }
+    live += nodes;
+    const auto ppm =
+        static_cast<double>(ring.uniqueFillPpm.load(std::memory_order_relaxed));
+    if (ppm > 0.0) {
+      fillLive += nodes;
+      allocated += nodes * 1e6 / ppm;
+    }
+  }
+  return {live, allocated > 0.0 ? fillLive / allocated : 0.0};
+}
+
+} // namespace
+
+void Sampler::addFlightProbes(const FlightRecorder& recorder) {
+  const FlightRecorder* r = &recorder;
+  addProbe("dd.nodes_live", [r] { return pooledDdState(*r).first; });
+  addProbe("dd.unique_fill", [r] { return pooledDdState(*r).second; });
   addProbe("process.rss_bytes", [] { return processRssBytes(); });
 }
 

@@ -1,7 +1,7 @@
-// Time-series sampling of live gauges on a background thread.
+// Time-series sampling of live state on a background thread.
 //
 // The Tracer and MetricsRegistry capture end-of-run aggregates; the Sampler
-// captures the *trajectory* — DD node population, table fill and hit rates,
+// captures the *trajectory* — DD node population, unique-table fill,
 // process RSS, stimuli completed — by polling registered probes from its own
 // std::jthread at a fixed period while the check runs. Samples land in
 // per-probe series, exportable as CSV and (when a Tracer is attached)
@@ -10,15 +10,15 @@
 //
 // Thread safety: probes are called from the sampler thread concurrently
 // with the instrumented computation, so a probe must only read data that is
-// safe to read cross-thread — in practice the relaxed atomics of a
-// LiveGauges block that the computation's own thread publishes into (the DD
-// package does this from its interrupt-poll cadence, the stimuli portfolio
-// after each run). Nothing here touches a hot path: a computation with no
-// sampler attached pays at most the LiveGauges pointer tests the publishers
-// already amortize (guarded by bench/micro_obs.cpp).
+// safe to read cross-thread — in practice relaxed atomics. The DD probes
+// read the flight recorder's per-thread cells (obs/flight_recorder.hpp),
+// which every attached dd::Package refreshes from its interrupt poll and
+// after each GC. Nothing here touches a hot path: a computation with no
+// recorder attached pays one pointer test per poll.
 
 #pragma once
 
+#include "obs/flight_recorder.hpp"
 #include "obs/tracer.hpp"
 
 #include <atomic>
@@ -32,26 +32,6 @@
 #include <vector>
 
 namespace qsimec::obs {
-
-/// Single-writer/single-reader gauge slots bridging an instrumented
-/// computation and a Sampler. The computation's thread stores (relaxed),
-/// the sampler thread loads (relaxed); no ordering is implied — a sample is
-/// an approximate instantaneous view, which is all a trend line needs.
-/// Handed down via obs::Context::live; publishers null-test it exactly like
-/// the tracer.
-struct LiveGauges {
-  /// Live DD nodes (vector + matrix) of the most recently publishing
-  /// package. With several worker packages the slot shows the last writer —
-  /// an approximate but honest live view.
-  std::atomic<double> ddNodesLive{0.0};
-  /// Unique-table fill: live nodes / nodes ever allocated.
-  std::atomic<double> ddUniqueFill{0.0};
-  std::atomic<double> ddUniqueHitRate{0.0};
-  std::atomic<double> ddComputeHitRate{0.0};
-  /// Monotonic count of completed stimulus runs across all portfolio
-  /// workers.
-  std::atomic<double> stimuliCompleted{0.0};
-};
 
 /// Resident-set size of this process in bytes (Linux: VmRSS from
 /// /proc/self/status; 0 where unavailable). Safe to call from any thread —
@@ -91,10 +71,11 @@ public:
   /// the instrumented computation runs (read atomics, not plain state).
   void addProbe(std::string name, std::function<double()> probe);
 
-  /// Convenience: register the standard probes over a LiveGauges block
-  /// (dd.nodes_live, dd.unique_fill, dd.unique_hit_rate,
-  /// dd.compute_hit_rate, sim.stimuli_completed) plus process.rss_bytes.
-  void addLiveGaugeProbes(const LiveGauges& gauges);
+  /// Register the standard probes over `recorder`'s in-use thread slots
+  /// that a package has published into: dd.nodes_live (their live nodes,
+  /// summed) and dd.unique_fill (live / allocated, pooled across them), plus
+  /// process.rss_bytes. The recorder must outlive the sampling.
+  void addFlightProbes(const FlightRecorder& recorder);
 
   /// Mirror every sample into `tracer` as a Chrome "C" counter event. Call
   /// before start(); pass nullptr to detach.

@@ -415,11 +415,9 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
     config.simulation.cancelFlag = &cancelFlags[index];
     config.complete.cancelFlag = &cancelFlags[index];
     // Workers share the thread-safe sinks (tracer, journal, flight) but
-    // never the metrics registry or live gauges — the registry is
-    // single-threaded and the gauge block expects one publisher.
+    // never the metrics registry, which is single-threaded.
     obs::Context workerObs = obs;
     workerObs.metrics = nullptr;
-    workerObs.live = nullptr;
     try {
       const ec::FlowResult flow =
           ec::EquivalenceCheckingFlow(config).run(job.g, job.gPrime,
@@ -633,16 +631,9 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
   if (obs.flight != nullptr) {
     obs.count("flight.events", obs.flight->eventsRecorded());
     obs.count("flight.events_dropped", obs.flight->eventsDropped());
-    const std::uint64_t now = obs.flight->nowMicros();
-    for (std::size_t i = 0; i < obs.flight->slotCount(); ++i) {
-      const obs::FlightRecorder::ThreadRing& ring = obs.flight->slot(i);
-      if (!ring.everUsed.load(std::memory_order_relaxed)) {
-        continue;
-      }
-      const std::uint64_t beat =
-          ring.lastBeatMicros.load(std::memory_order_relaxed);
-      obs.gauge("watchdog.heartbeat_age_micros.t" + std::to_string(i),
-                static_cast<double>(now > beat ? now - beat : 0));
+    for (const auto& [slot, age] : obs.flight->heartbeatAges()) {
+      obs.gauge("watchdog.heartbeat_age_micros.t" + std::to_string(slot),
+                static_cast<double>(age));
     }
   }
   return result;

@@ -354,7 +354,8 @@ TEST_F(CliTest, SampleFlagWritesCsvAndCountersLandInTrace) {
   const std::string trace = path("trace.json");
   ASSERT_EQ(runCli("gen qft 6 " + a).exitCode, 0);
   const auto check = runCli("check " + a + " " + a + " --sample " + csv +
-                            " --trace " + trace + " --timeout 30");
+                            " --trace " + trace +
+                            " --threads 2 --timeout 30");
   EXPECT_EQ(check.exitCode, 0) << check.output;
   EXPECT_NE(check.output.find("samples:"), std::string::npos);
 
@@ -363,12 +364,20 @@ TEST_F(CliTest, SampleFlagWritesCsvAndCountersLandInTrace) {
   std::string header;
   ASSERT_TRUE(std::getline(is, header));
   EXPECT_EQ(header, "ts_micros,probe,value");
+  const std::vector<std::string> probes{"dd.nodes_live", "dd.unique_fill",
+                                        "sim.stimuli_completed",
+                                        "process.rss_bytes"};
+  std::vector<bool> seen(probes.size(), false);
   std::string row;
-  bool sawRss = false;
   while (std::getline(is, row)) {
-    sawRss = sawRss || row.find(",process.rss_bytes,") != std::string::npos;
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      seen[i] = seen[i] ||
+                row.find("," + probes[i] + ",") != std::string::npos;
+    }
   }
-  EXPECT_TRUE(sawRss);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_TRUE(seen[i]) << probes[i];
+  }
 
   // the sampler mirrors its samples into the Chrome trace as counter events
   ASSERT_TRUE(fs::exists(trace));

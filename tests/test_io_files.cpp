@@ -230,7 +230,13 @@ INSTANTIATE_TEST_SUITE_P(
         FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nx q[-1];", 3},
         FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nx q[1e0];", 3},
         FuzzCase{"OPENQASM 2.0;\nqreg q[99999999999999999999];", 2},
-        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\ncreg c[1.5];", 3}));
+        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\ncreg c[1.5];", 3},
+        // widths past ir::Qubit's range fail where they are declared
+        FuzzCase{"OPENQASM 2.0;\nqreg q[65537];", 2},
+        FuzzCase{"OPENQASM 2.0;\nqreg q[70000];\nx q[65537];", 2},
+        FuzzCase{"OPENQASM 2.0;\nqreg a[40000];\nqreg b[30000];", 3},
+        FuzzCase{"OPENQASM 2.0;\nqreg a[1];\nqreg b[18446744073709551615];",
+                 3}));
 
 class RealFuzzTest : public ::testing::TestWithParam<FuzzCase> {};
 
@@ -256,6 +262,8 @@ INSTANTIATE_TEST_SUITE_P(
         // .numvars and gate arities are unsigned integers
         FuzzCase{".version 2.0\n.numvars abc\n", 2},
         FuzzCase{".numvars 99999999999999999999\n", 1},
+        FuzzCase{".version 2.0\n.numvars 65537\n.variables a\n", 2},
+        FuzzCase{".numvars 18446744073709551615\n", 1},
         FuzzCase{".numvars 2\n.variables a b\n.begin\ntz a\n.end\n", 4},
         FuzzCase{".numvars 2\n.variables a b\n.begin\nt1x a\n.end\n", 4},
         FuzzCase{".numvars 2\n.variables a b\n.begin\n"
@@ -295,6 +303,56 @@ INSTANTIATE_TEST_SUITE_P(
         // gate arities are unsigned integers
         FuzzCase{".v a,b\nBEGIN\nt99999999999999999999999 a,b\nEND\n", 3},
         FuzzCase{".v a,b\nBEGIN\nt-2 a,b\nEND\n", 3}));
+
+// ir::Qubit is 16 bits wide: a declared width above 65536 must fail at its
+// declaring line whether or not the parse validates (batch and daemon parse
+// leniently), and exactly 65536 still parses with the last index intact.
+std::string wires(const char* prefix, std::size_t count) {
+  std::string out;
+  for (std::size_t i = 0; i < count; ++i) {
+    out += (i == 0 ? "" : prefix) + ("w" + std::to_string(i));
+  }
+  return out;
+}
+
+TEST(MalformedFiles, WidthsPastTheQubitRangeFailAtTheirLine) {
+  const std::string tfc = "# wide\n.v " + wires(",", 65537) + "\nBEGIN\nEND\n";
+  const std::string real =
+      ".version 2.0\n.numvars 65537\n.variables " + wires(" ", 65537) + "\n";
+  for (const bool validate : {true, false}) {
+    SCOPED_TRACE(validate ? "validate" : "lint");
+    const io::ParseOptions options{.validate = validate};
+    expectParseErrorAt<io::QasmParseError>(
+        [&](const std::string& text) {
+          return io::parseQasmString(text, "", options);
+        },
+        FuzzCase{"OPENQASM 2.0;\nqreg a[65000];\n\nqreg b[537];\n", 4});
+    expectParseErrorAt<io::RealParseError>(
+        [&](const std::string& text) {
+          return io::parseRealString(text, "", options);
+        },
+        FuzzCase{real.c_str(), 2});
+    expectParseErrorAt<io::TfcParseError>(
+        [&](const std::string& text) {
+          return io::parseTfcString(text, "", options);
+        },
+        FuzzCase{tfc.c_str(), 2});
+  }
+}
+
+TEST(MalformedFiles, WidestCircuitKeepsItsLastQubit) {
+  for (const bool validate : {true, false}) {
+    const io::ParseOptions options{.validate = validate};
+    const auto qasm = io::parseQasmString(
+        "OPENQASM 2.0;\nqreg a[65535];\nqreg b[1];\nx b[0];\n", "", options);
+    ASSERT_EQ(qasm.qubits(), 65536U);
+    EXPECT_EQ(qasm.ops().front().targets().front(), 65535U);
+    const auto tfc = io::parseTfcString(
+        ".v " + wires(",", 65536) + "\nBEGIN\nt1 w0\nEND\n", "", options);
+    ASSERT_EQ(tfc.qubits(), 65536U);
+    EXPECT_EQ(tfc.ops().front().targets().front(), 65535U); // first = MSB
+  }
+}
 
 // --- round-trip lock -------------------------------------------------------
 // Every circuit of the generated corpus (seeds 1-4) and of the Table Ib

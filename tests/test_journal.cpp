@@ -7,13 +7,16 @@
 #include "ec/flow.hpp"
 #include "gen/qft.hpp"
 #include "obs/context.hpp"
+#include "obs/sampler.hpp"
 #include "sim/dd_simulator.hpp"
 #include "util/json_parse.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <latch>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -317,11 +320,11 @@ TEST(Sampler, MirrorsSamplesAsTracerCounterEvents) {
   EXPECT_TRUE(util::isValidJson(tracer.toChromeTraceJson()));
 }
 
-// One attach call feeds every sink the package publishes into: the live
-// gauges, the tracer and journal (with the lane) on each GC, and the flight
-// recorder on each GC and interrupt poll — but never the metrics registry.
-TEST(Sampler, LiveGaugesAreFedByThePackage) {
-  obs::LiveGauges gauges;
+// One attach call feeds every sink the package publishes into: the tracer
+// and journal (with the lane) on each GC, and the flight recorder (ring and
+// DD state cells) on each GC and interrupt poll — but never the metrics
+// registry.
+TEST(Sampler, FlightCellsAreFedByThePackage) {
   obs::Tracer tracer;
   obs::Journal journal;
   obs::FlightRecorder recorder;
@@ -330,7 +333,6 @@ TEST(Sampler, LiveGaugesAreFedByThePackage) {
   pkg.attach({.tracer = &tracer,
               .metrics = &metrics,
               .journal = &journal,
-              .live = &gauges,
               .flight = &recorder},
              /*lane=*/3);
   const ir::QuantumComputation qc = gen::qft(8);
@@ -340,15 +342,6 @@ TEST(Sampler, LiveGaugesAreFedByThePackage) {
   pkg.attach({});
   pkg.garbageCollect(/*force=*/true); // detached: reaches no sink
 
-  // after a forced GC the slots reflect the package's own stats
-  const dd::PackageStats stats = pkg.stats();
-  EXPECT_DOUBLE_EQ(gauges.ddNodesLive.load(),
-                   static_cast<double>(stats.vNodesLive + stats.mNodesLive));
-  EXPECT_GT(gauges.ddUniqueFill.load(), 0.0);
-  EXPECT_LE(gauges.ddUniqueFill.load(), 1.0);
-  EXPECT_GE(gauges.ddUniqueHitRate.load(), 0.0);
-  EXPECT_LE(gauges.ddUniqueHitRate.load(), 1.0);
-
   ASSERT_EQ(tracer.events().size(), 1U);
   EXPECT_EQ(tracer.events()[0].name, "dd.gc");
   ASSERT_EQ(journal.lineCount(), 1U);
@@ -357,11 +350,21 @@ TEST(Sampler, LiveGaugesAreFedByThePackage) {
   EXPECT_EQ(gc.at("lane").asNumber(), 3.0);
   EXPECT_TRUE(metrics.snapshot().counters.empty());
 
-  // the ring holds the poll heartbeat's gauge sample, then the GC's span
-  // around its Gc event, all on this thread's slot
+  // after a forced GC this thread's cells reflect the package's own stats
   ASSERT_EQ(recorder.threadsRegistered(), 1U);
   const obs::FlightRecorder::ThreadRing& ring = recorder.slot(0);
-  EXPECT_GE(ring.nodesLive.load(), 0);
+  const dd::PackageStats stats = pkg.stats();
+  const auto live =
+      static_cast<std::int64_t>(stats.vNodesLive + stats.mNodesLive);
+  const auto allocated =
+      static_cast<std::int64_t>(stats.vNodesAllocated + stats.mNodesAllocated);
+  EXPECT_EQ(ring.nodesLive.load(), live);
+  ASSERT_GT(allocated, 0);
+  EXPECT_EQ(ring.uniqueFillPpm.load(), live * 1000000 / allocated);
+
+  // the ring holds the poll heartbeat's gauge sample, then the GC's span
+  // around its Gc event, all on this thread's slot: the GC's cell refresh
+  // adds no event
   std::vector<std::pair<obs::FlightEventKind, std::string>> events;
   for (std::uint64_t i = 0; i < ring.head.load(); ++i) {
     events.emplace_back(static_cast<obs::FlightEventKind>(ring.events[i].kind),
@@ -374,6 +377,53 @@ TEST(Sampler, LiveGaugesAreFedByThePackage) {
       {Kind::Gc, "dd.gc"},
       {Kind::SpanEnd, "dd.gc"}};
   EXPECT_EQ(events, expected);
+}
+
+// dd.nodes_live sums the cells of every thread running a package, not the
+// last writer's; dd.unique_fill pools them and stays a fraction.
+TEST(Sampler, FlightProbesSumThePackagesOfEveryThread) {
+  obs::FlightRecorder recorder;
+  std::array<std::size_t, 2> live{};
+  std::latch published(2);
+  std::latch sampled(1);
+  std::vector<std::jthread> workers;
+  for (std::size_t t = 0; t < 2; ++t) {
+    workers.emplace_back([&, t] {
+      dd::Package pkg(6 + 2 * t);
+      pkg.attach({.flight = &recorder});
+      const ir::QuantumComputation qc = gen::qft(6 + 2 * t);
+      const auto out = sim::simulate(qc, pkg.makeBasisState(1), pkg);
+      pkg.incRef(out);
+      pkg.garbageCollect(/*force=*/true);
+      const dd::PackageStats stats = pkg.stats();
+      live[t] = stats.vNodesLive + stats.mNodesLive;
+      published.count_down();
+      sampled.wait(); // keep the slot (and the package) alive
+    });
+  }
+  published.wait();
+  obs::Sampler sampler(obs::Sampler::Options{std::chrono::hours(1), 16});
+  sampler.addFlightProbes(recorder);
+  sampler.start();
+  sampler.stop();
+  sampled.count_down();
+
+  ASSERT_EQ(sampler.series().size(), 3U);
+  const obs::Sampler::Series& nodes = sampler.series()[0];
+  const obs::Sampler::Series& fill = sampler.series()[1];
+  EXPECT_EQ(nodes.name, "dd.nodes_live");
+  EXPECT_EQ(fill.name, "dd.unique_fill");
+  EXPECT_EQ(sampler.series()[2].name, "process.rss_bytes");
+  ASSERT_FALSE(nodes.samples.empty());
+  ASSERT_GT(live[0], 0U);
+  ASSERT_GT(live[1], 0U);
+  for (const obs::Sampler::Sample& sample : nodes.samples) {
+    EXPECT_EQ(sample.value, static_cast<double>(live[0] + live[1]));
+  }
+  for (const obs::Sampler::Sample& sample : fill.samples) {
+    EXPECT_GT(sample.value, 0.0);
+    EXPECT_LE(sample.value, 1.0);
+  }
 }
 
 TEST(Sampler, ProcessRssIsPositiveOnLinux) {

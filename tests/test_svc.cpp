@@ -608,4 +608,35 @@ TEST_F(BatchTest, UnreadableFileYieldsInvalidInputAndBatchContinues) {
   EXPECT_EQ(result.summary.equivalent, 1U);
 }
 
+// A width past ir::Qubit's range is bad input at its declaring line, even
+// though the batch pre-pass parses leniently; the other pairs still run.
+TEST_F(BatchTest, TooWideCircuitYieldsInvalidInputAndBatchContinues) {
+  std::ofstream(dir_ / "wide.qasm")
+      << "OPENQASM 2.0;\nqreg q[70000];\nx q[65537];\n";
+  std::ofstream(dir_ / "wide.real") << ".version 2.0\n.numvars 65537\n";
+  ec::FlowConfiguration base;
+  std::istringstream is(
+      "{\"g\": \"" + path("wide.qasm") + "\", \"gp\": \"" +
+      path("qft_a.qasm") + "\"}\n"
+      "{\"g\": \"" + path("adder.real") + "\", \"gp\": \"" +
+      path("adder.real") + "\"}\n"
+      "{\"g\": \"" + path("adder.real") + "\", \"gp\": \"" +
+      path("wide.real") + "\"}\n");
+  const svc::BatchManifest m = svc::parseManifest(is, base);
+  svc::BatchScheduler scheduler(options(2));
+  const svc::BatchResult result = scheduler.run(m);
+
+  ASSERT_EQ(result.outcomes.size(), 3U);
+  for (const std::size_t i : {0U, 2U}) {
+    EXPECT_EQ(result.outcomes[i].equivalence, ec::Equivalence::InvalidInput);
+    EXPECT_NE(result.outcomes[i].error.find("(line 2)"), std::string::npos)
+        << result.outcomes[i].error;
+    EXPECT_NE(result.outcomes[i].error.find("65536 qubits"), std::string::npos)
+        << result.outcomes[i].error;
+  }
+  EXPECT_EQ(result.outcomes[1].equivalence, ec::Equivalence::Equivalent);
+  EXPECT_EQ(result.summary.invalid, 2U);
+  EXPECT_EQ(result.summary.equivalent, 1U);
+}
+
 } // namespace
