@@ -1223,27 +1223,12 @@ int runLint(ArgCursor& args) {
   const std::size_t notes = report.count(analysis::Severity::Note);
 
   if (jsonOutput) {
-    const auto quote = [](const std::string& s) {
-      std::string out = "\"";
-      for (const char c : s) {
-        if (c == '"' || c == '\\') {
-          out += '\\';
-        }
-        out += c;
-      }
-      return out + "\"";
-    };
-    std::string filesJson = "[";
-    for (std::size_t i = 0; i < files.size(); ++i) {
-      if (i > 0) {
-        filesJson += ',';
-      }
-      filesJson += quote(files[i]);
-    }
-    filesJson += "]";
     util::JsonWriter json;
-    json.beginObject()
-        .rawField("files", filesJson)
+    json.beginObject().beginArray("files");
+    for (const std::string& f : files) {
+      json.value(f);
+    }
+    json.endArray()
         .rawField("diagnostics", analysis::toJson(report.diagnostics))
         .field("errors", errors)
         .field("warnings", warnings)
@@ -1782,12 +1767,6 @@ int main(int argc, char** argv) {
     }
     std::cerr << "unknown command: " << command << "\n";
     usage(2);
-  } catch (const analysis::ValidationError& e) {
-    std::cerr << "invalid input: " << e.what() << "\n";
-    for (const auto& d : e.diagnostics()) {
-      std::cerr << "  " << analysis::toString(d) << "\n";
-    }
-    return 4;
   } catch (const io::ParseError& e) {
     std::cerr << "invalid input: " << e.what() << "\n";
     return 4;

@@ -10,7 +10,8 @@
 //   QA001  error    qubit index out of range
 //   QA002  error    control coincides with a target
 //   QA003  error    duplicate control qubit
-//   QA004  error    non-finite (NaN/Inf) gate parameter
+//   QA004  error    non-finite (NaN/Inf) gate parameter (the checked
+//                   ir::StandardOperation constructor enforces it too)
 //   QA005  error    invalid initial layout (wrong size / not a bijection)
 //   QA006  error    invalid output permutation (wrong size / not a bijection)
 //   QA007  error    zero-qubit circuit
@@ -58,8 +59,8 @@ inline constexpr const char* StaticallyEqualUpToPhase = "QS006";
 
 struct AnalyzerOptions {
   /// Include the lint rules (QL...). Error- and warning-level structural
-  /// rules always run; preflight consumers (parsers, ec::flow) switch lint
-  /// off, the `qsimec lint` CLI keeps it on.
+  /// rules always run; preflight consumers (ec::flow, `qsimec profile`)
+  /// switch lint off, the `qsimec lint` CLI keeps it on.
   bool lint{true};
 };
 

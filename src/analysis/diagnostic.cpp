@@ -65,30 +65,4 @@ void AnalysisReport::absorb(AnalysisReport other, std::size_t circuit) {
   }
 }
 
-std::string ValidationError::buildMessage(const std::string& context,
-                                          const std::vector<Diagnostic>& ds) {
-  std::string msg = context.empty() ? "circuit" : context;
-  msg += ": circuit validation failed";
-  const auto firstError =
-      std::find_if(ds.begin(), ds.end(), [](const Diagnostic& d) {
-        return d.severity == Severity::Error;
-      });
-  if (firstError != ds.end()) {
-    msg += ": " + toString(*firstError);
-  }
-  const auto errors = static_cast<std::size_t>(
-      std::count_if(ds.begin(), ds.end(), [](const Diagnostic& d) {
-        return d.severity == Severity::Error;
-      }));
-  if (errors > 1) {
-    msg += " (+" + std::to_string(errors - 1) + " more)";
-  }
-  return msg;
-}
-
-ValidationError::ValidationError(const std::string& context,
-                                 std::vector<Diagnostic> ds)
-    : std::runtime_error(buildMessage(context, ds)),
-      diagnostics_(std::move(ds)) {}
-
 } // namespace qsimec::analysis

@@ -4,15 +4,14 @@
 // the catalog), a severity, and — where it concerns a single operation — a
 // gate index. Pair-level rules (QP...) reference the circuit pair as a whole.
 // Diagnostics are plain values; the analyzer never throws on findings, so
-// callers decide whether errors are fatal (parsers, the EC flow) or merely
-// reported (the `qsimec lint` CLI).
+// callers decide whether errors are fatal (the EC flow's preflight) or
+// merely reported (the `qsimec lint` CLI).
 
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <ostream>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -79,25 +78,6 @@ struct AnalysisReport {
   /// Append another report's findings, tagging them as belonging to
   /// circuit `circuit` of a pair.
   void absorb(AnalysisReport other, std::size_t circuit);
-};
-
-/// Thrown by consumers that treat error-level diagnostics as fatal (the
-/// parsers after their post-parse analysis). Carries the full report so the
-/// CLI can still render structured findings.
-class ValidationError : public std::runtime_error {
-public:
-  ValidationError(const std::string& context, std::vector<Diagnostic> ds);
-
-  [[nodiscard]] const std::vector<Diagnostic>& diagnostics() const noexcept {
-    return diagnostics_;
-  }
-
-private:
-  static std::string
-  buildMessage(const std::string& context,
-               const std::vector<Diagnostic>& ds);
-
-  std::vector<Diagnostic> diagnostics_;
 };
 
 } // namespace qsimec::analysis

@@ -17,6 +17,13 @@ Package::Package(std::size_t nqubits) : nqubits_(nqubits) {
   idTable_.reserve(nqubits + 1);
 }
 
+Package::~Package() {
+  // cells only, as a GC's refresh: no heartbeat, no ring event
+  if (obs_.flight != nullptr) {
+    obs_.flight->pollBeat(-1, -1, /*beat=*/false);
+  }
+}
+
 // --- node construction -------------------------------------------------------
 
 vEdge Package::makeVNode(Var v, const std::array<vEdge, 2>& childrenIn) {

@@ -43,6 +43,9 @@ struct Control {
 class Package {
 public:
   explicit Package(std::size_t nqubits);
+  /// With a flight recorder attached, resets this thread's DD state cells to
+  /// -1 (unpublished), so a dead package's nodes stop counting.
+  ~Package();
   Package(const Package&) = delete;
   Package& operator=(const Package&) = delete;
 

@@ -1,6 +1,5 @@
 #include "io/parse.hpp"
 
-#include "analysis/analyzer.hpp"
 #include "io/qasm.hpp"
 #include "io/real.hpp"
 #include "io/scanner.hpp"
@@ -57,19 +56,11 @@ std::string writerGateHead(const ir::StandardOperation& op,
 }
 
 ir::QuantumComputation finishCircuit(std::size_t qubits, std::string name,
-                                     std::vector<ir::StandardOperation> ops,
-                                     const ParseOptions& options) {
-  ir::QuantumComputation qc(qubits, name);
+                                     std::vector<ir::StandardOperation> ops) {
+  ir::QuantumComputation qc(qubits, std::move(name));
   // every parser resolves operands within the declared width (lint mode
   // keeps out-of-range ones for the analyzer), so the ops move in whole
   qc.ops() = std::move(ops);
-  if (options.validate) {
-    const analysis::CircuitAnalyzer analyzer({.lint = false});
-    analysis::AnalysisReport report = analyzer.analyze(qc);
-    if (report.hasErrors()) {
-      throw analysis::ValidationError(name, std::move(report.diagnostics));
-    }
-  }
   return qc;
 }
 

@@ -13,13 +13,15 @@ namespace qsimec::io {
 
 /// Controls what the parsers do beyond syntax.
 struct ParseOptions {
-  /// When true (the default), IR invariant violations surface as parse
-  /// errors with line information, and the parsed circuit is run through
-  /// error-level static analysis (analysis::CircuitAnalyzer); defects throw
-  /// analysis::ValidationError. When false, the parser admits malformed
-  /// circuits — out-of-range indices, overlapping controls, non-finite
-  /// parameters — so that `qsimec lint` can report structured diagnostics
-  /// instead of stopping at the first error.
+  /// When true (the default): strict grammar and IR invariants, with line
+  /// numbers. Operands lie within the declared width, every operation
+  /// passes the checked ir::StandardOperation constructor and the circuit
+  /// has a qubit, or the parse throws a ParseError at the offending line;
+  /// what it accepts is clean at the analyzer's error level. When false, the
+  /// parser admits malformed circuits — out-of-range indices, overlapping
+  /// controls, non-finite parameters, an OpenQASM file with no qreg — so
+  /// that `qsimec lint` and the flow's preflight can report structured
+  /// diagnostics instead of stopping at the first error.
   bool validate{true};
 };
 

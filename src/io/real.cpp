@@ -116,8 +116,7 @@ ir::QuantumComputation parseRealText(std::string_view text, std::string name,
   if (numvars == 0) {
     in.fail("missing .numvars");
   }
-  return detail::finishCircuit(numvars, std::move(name), std::move(ops),
-                               options);
+  return detail::finishCircuit(numvars, std::move(name), std::move(ops));
 }
 
 } // namespace

@@ -311,11 +311,9 @@ void requireTrivialLayouts(const ir::QuantumComputation& qc,
 std::string writerGateHead(const ir::StandardOperation& op,
                            const std::string& format);
 
-/// The circuit of `ops` on `qubits` wires; when validating, it must also
-/// pass error-level static analysis (analysis::ValidationError otherwise),
-/// which catches what the grammar cannot, e.g. rx(1/0).
+/// The circuit of `ops` on `qubits` wires; every parser has already
+/// enforced what its options ask of them.
 ir::QuantumComputation finishCircuit(std::size_t qubits, std::string name,
-                                     std::vector<ir::StandardOperation> ops,
-                                     const ParseOptions& options);
+                                     std::vector<ir::StandardOperation> ops);
 
 } // namespace qsimec::io::detail

@@ -178,7 +178,7 @@ ir::QuantumComputation parseTfcText(std::string_view text, std::string name,
     in.fail("missing .v");
   }
   return detail::finishCircuit(variables.size(), std::move(name),
-                               std::move(ops), options);
+                               std::move(ops));
 }
 
 } // namespace

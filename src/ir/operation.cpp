@@ -18,6 +18,11 @@ StandardOperation::StandardOperation(OpType type, std::vector<Qubit> targets,
   if (type == OpType::SWAP && targets_[0] == targets_[1]) {
     throw std::invalid_argument("StandardOperation: SWAP targets must differ");
   }
+  for (std::size_t i = 0; i < numParams(type); ++i) {
+    if (!std::isfinite(params_[i])) {
+      throw std::invalid_argument("StandardOperation: non-finite parameter");
+    }
+  }
   std::sort(controls_.begin(), controls_.end());
   for (std::size_t i = 0; i < controls_.size(); ++i) {
     if (i > 0 && controls_[i - 1].qubit == controls_[i].qubit) {
@@ -120,7 +125,10 @@ StandardOperation StandardOperation::inverse() const {
     p = {-params_[0], -params_[2], -params_[1]};
     break;
   }
-  return StandardOperation(t, targets_, controls_, p);
+  // unchecked: a valid operation's inverse is valid, and a malformed one
+  // (admitted by a lint-mode parse) still gets an inverse for
+  // isInverseOf to compare against
+  return makeUnchecked(t, targets_, controls_, p);
 }
 
 bool StandardOperation::isInverseOf(const StandardOperation& other) const {

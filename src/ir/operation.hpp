@@ -27,12 +27,15 @@ struct Control {
 class StandardOperation {
 public:
   StandardOperation() = default;
+  /// std::invalid_argument unless the class invariants hold: numTargets(type)
+  /// distinct targets, controls disjoint from the targets and from each
+  /// other, and finite values in the first numParams(type) parameter slots
+  /// (the others are never read).
   StandardOperation(OpType type, std::vector<Qubit> targets,
                     std::vector<Control> controls = {},
                     std::array<double, 3> params = {});
 
-  /// Build an operation WITHOUT enforcing the class invariants (distinct
-  /// targets, controls disjoint from targets, no duplicate controls). For
+  /// Build an operation WITHOUT enforcing the class invariants. For
   /// deserializers and the lint front end, which admit malformed input and
   /// hand it to analysis::CircuitAnalyzer instead of throwing; everything
   /// else should use the checked constructor.

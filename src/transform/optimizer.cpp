@@ -211,6 +211,9 @@ std::size_t mergePass(Worklist& work, bool commutationAware) {
         }
         if (prev.type() == op.type() && sameQubitFootprint(op, prev)) {
           const double sum = op.param(0) + prev.param(0);
+          if (!std::isfinite(sum)) {
+            break; // two huge angles overflow a double: keep both gates
+          }
           work.remove(j);
           ++merged;
           if (angleIsZero(op.type(), sum)) {

@@ -167,6 +167,21 @@ TEST_F(CliTest, LintJsonShape) {
   EXPECT_NE(lint.output.find("\"errors\":0"), std::string::npos);
 }
 
+// The files array goes through the one JSON escaper: a file name with a
+// tab (or a quote) in it still yields JSON that reads back as the name.
+TEST_F(CliTest, LintJsonEscapesFileNames) {
+  const std::string a = path("tab\tand \"quote\".qasm");
+  {
+    std::ofstream os(a);
+    os << "OPENQASM 2.0;\nqreg q[1];\nh q[0];\n";
+  }
+  const auto lint = runCli("lint '" + a + "' --json");
+  EXPECT_EQ(lint.exitCode, 0) << lint.output;
+  const qsimec::util::JsonValue doc = qsimec::util::parseJson(lint.output);
+  ASSERT_EQ(doc.at("files").elements().size(), 1U);
+  EXPECT_EQ(doc.at("files").elements()[0].asString(), a);
+}
+
 TEST_F(CliTest, LintPairReportsWidthMismatch) {
   const std::string narrow = path("ln.qasm");
   const std::string wide = path("lw.qasm");

@@ -2,7 +2,7 @@
 // robustness (fuzz-ish) checks — malformed input must raise parse errors,
 // never crash or silently succeed.
 
-#include "analysis/diagnostic.hpp"
+#include "analysis/analyzer.hpp"
 #include "ec/construction_checker.hpp"
 #include "gen/corpus.hpp"
 #include "gen/grover.hpp"
@@ -127,9 +127,13 @@ TEST(MalformedFiles, QasmOverlapRejectedByDefaultParse) {
   EXPECT_EQ(qc.size(), 2U); // h + the malformed cx, both admitted
 }
 
-TEST(MalformedFiles, QasmNonFiniteParamFailsPostParseValidation) {
-  EXPECT_THROW((void)io::parseQasmFile(dataPath("bad_nonfinite.qasm")),
-               analysis::ValidationError);
+TEST(MalformedFiles, QasmNonFiniteParamFailsAtItsLine) {
+  try {
+    (void)io::parseQasmFile(dataPath("bad_nonfinite.qasm"));
+    FAIL() << "expected QasmParseError";
+  } catch (const io::QasmParseError& e) {
+    EXPECT_EQ(e.line(), 4U) << e.what();
+  }
   const auto qc =
       io::parseQasmFile(dataPath("bad_nonfinite.qasm"), {.validate = false});
   EXPECT_EQ(qc.size(), 1U);
@@ -197,6 +201,47 @@ void expectParseErrorAt(Parse parse, const FuzzCase& fuzzCase) {
   }
 }
 
+const FuzzCase kQasmFuzzCases[] = {
+    FuzzCase{"", 1}, FuzzCase{"garbage", 1}, FuzzCase{"OPENQASM", 1},
+    FuzzCase{"OPENQASM 2.0", 1}, FuzzCase{"OPENQASM 2.0;\nqreg", 2},
+    FuzzCase{"OPENQASM 2.0;\nqreg q[2]\nh q[0];", 3}, // missing semicolon
+    FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nh q[0]", 3}, // missing final ;
+    FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nh q[2];", 3}, // out of range
+    FuzzCase{"OPENQASM 2.0;\nqreg q[2];\ncx q[0];", 3}, // arity
+    FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nrx() q[0];", 3},
+    FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nrx(bogus) q[0];", 3},
+    FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nrx(1+) q[0];", 3},
+    FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nqreg q[3];", 3}, // duplicate
+    FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nh r[0];", 3}, // unknown register
+    FuzzCase{"OPENQASM 2.0;\nqreg q[2];\ngate g a { x b; } g q[0];", 3},
+    FuzzCase{"OPENQASM 2.0;\nqreg q[2];\ngate g a { g a; } g q[0];",
+             3}, // recursion
+    FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nreset q[0];", 3},
+    FuzzCase{"OPENQASM 2.0;\nqreg q[0];", 2},
+    // register sizes and indices are unsigned integers, not reals
+    FuzzCase{"OPENQASM 2.0;\nqreg q[2.7];", 2},
+    FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nx q[1.9];", 3},
+    FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nx q[-1];", 3},
+    FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nx q[1e0];", 3},
+    FuzzCase{"OPENQASM 2.0;\nqreg q[99999999999999999999];", 2},
+    FuzzCase{"OPENQASM 2.0;\nqreg q[2];\ncreg c[1.5];", 3},
+    // widths past ir::Qubit's range fail where they are declared
+    FuzzCase{"OPENQASM 2.0;\nqreg q[65537];", 2},
+    FuzzCase{"OPENQASM 2.0;\nqreg q[70000];\nx q[65537];", 2},
+    FuzzCase{"OPENQASM 2.0;\nqreg a[40000];\nqreg b[30000];", 3},
+    FuzzCase{"OPENQASM 2.0;\nqreg a[1];\nqreg b[18446744073709551615];",
+             3},
+    // parameters must be finite, also through a user gate's body
+    FuzzCase{"OPENQASM 2.0;\nqreg q[1];\nrx(1/0) q[0];", 3},
+    FuzzCase{"OPENQASM 2.0;\nqreg q[1];\nrx(-1/0) q[0];", 3},
+    FuzzCase{"OPENQASM 2.0;\nqreg q[1];\nrx(0/0) q[0];", 3},
+    FuzzCase{"OPENQASM 2.0;\nqreg q[1];\n\nu3(0, 1e308*10, 0) q[0];", 4},
+    FuzzCase{"OPENQASM 2.0;\nqreg q[1];\ngate g(a) x { rz(a) x; }\n"
+             "g(1/0) q[0];",
+             4},
+    // zero width: no register declared
+    FuzzCase{"OPENQASM 2.0;\ninclude \"qelib1.inc\";", 2}};
+
 class QasmFuzzTest : public ::testing::TestWithParam<FuzzCase> {};
 
 TEST_P(QasmFuzzTest, MalformedInputRaisesParseError) {
@@ -205,38 +250,31 @@ TEST_P(QasmFuzzTest, MalformedInputRaisesParseError) {
       GetParam());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Cases, QasmFuzzTest,
-    ::testing::Values(
-        FuzzCase{"", 1}, FuzzCase{"garbage", 1}, FuzzCase{"OPENQASM", 1},
-        FuzzCase{"OPENQASM 2.0", 1}, FuzzCase{"OPENQASM 2.0;\nqreg", 2},
-        FuzzCase{"OPENQASM 2.0;\nqreg q[2]\nh q[0];", 3}, // missing semicolon
-        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nh q[0]", 3}, // missing final ;
-        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nh q[2];", 3}, // out of range
-        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\ncx q[0];", 3}, // arity
-        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nrx() q[0];", 3},
-        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nrx(bogus) q[0];", 3},
-        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nrx(1+) q[0];", 3},
-        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nqreg q[3];", 3}, // duplicate
-        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nh r[0];", 3}, // unknown register
-        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\ngate g a { x b; } g q[0];", 3},
-        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\ngate g a { g a; } g q[0];",
-                 3}, // recursion
-        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nreset q[0];", 3},
-        FuzzCase{"OPENQASM 2.0;\nqreg q[0];", 2},
-        // register sizes and indices are unsigned integers, not reals
-        FuzzCase{"OPENQASM 2.0;\nqreg q[2.7];", 2},
-        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nx q[1.9];", 3},
-        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nx q[-1];", 3},
-        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\nx q[1e0];", 3},
-        FuzzCase{"OPENQASM 2.0;\nqreg q[99999999999999999999];", 2},
-        FuzzCase{"OPENQASM 2.0;\nqreg q[2];\ncreg c[1.5];", 3},
-        // widths past ir::Qubit's range fail where they are declared
-        FuzzCase{"OPENQASM 2.0;\nqreg q[65537];", 2},
-        FuzzCase{"OPENQASM 2.0;\nqreg q[70000];\nx q[65537];", 2},
-        FuzzCase{"OPENQASM 2.0;\nqreg a[40000];\nqreg b[30000];", 3},
-        FuzzCase{"OPENQASM 2.0;\nqreg a[1];\nqreg b[18446744073709551615];",
-                 3}));
+INSTANTIATE_TEST_SUITE_P(Cases, QasmFuzzTest,
+                         ::testing::ValuesIn(kQasmFuzzCases));
+
+const FuzzCase kRealFuzzCases[] = {
+    FuzzCase{"", 0}, FuzzCase{".begin\n.end\n", 1},
+    FuzzCase{".numvars 2\n.begin\nt1 a\n.end\n", 2},
+    FuzzCase{".numvars 2\n.variables a\n", 2},
+    FuzzCase{".numvars 2\n.variables a b\n.begin\nt1 z\n.end\n", 4},
+    FuzzCase{".numvars 2\n.variables a b\n.begin\nq1 a\n.end\n", 4},
+    FuzzCase{".numvars 2\n.variables a b\n.begin\nt3 a b\n.end\n", 4},
+    FuzzCase{".numvars 2\n.variables a b\n.begin\nt2 a -b\n.end\n",
+             4}, // negated target
+    FuzzCase{".numvars 2\n.variables a b\n.begin\nt1 a\n", 4}, // no .end
+    FuzzCase{".numvars 2\n.variables a a\n.begin\n.end\n", 2},
+    // .numvars and gate arities are unsigned integers
+    FuzzCase{".version 2.0\n.numvars abc\n", 2},
+    FuzzCase{".numvars 99999999999999999999\n", 1},
+    FuzzCase{".version 2.0\n.numvars 65537\n.variables a\n", 2},
+    FuzzCase{".numvars 18446744073709551615\n", 1},
+    FuzzCase{".numvars 2\n.variables a b\n.begin\ntz a\n.end\n", 4},
+    FuzzCase{".numvars 2\n.variables a b\n.begin\nt1x a\n.end\n", 4},
+    FuzzCase{".numvars 2\n.variables a b\n.begin\n"
+             "t99999999999999999999999 a\n.end\n",
+             4},
+    FuzzCase{".version 2.0\n.numvars 0\n", 2}}; // zero width
 
 class RealFuzzTest : public ::testing::TestWithParam<FuzzCase> {};
 
@@ -246,29 +284,32 @@ TEST_P(RealFuzzTest, MalformedInputRaisesParseError) {
       GetParam());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Cases, RealFuzzTest,
-    ::testing::Values(
-        FuzzCase{"", 0}, FuzzCase{".begin\n.end\n", 1},
-        FuzzCase{".numvars 2\n.begin\nt1 a\n.end\n", 2},
-        FuzzCase{".numvars 2\n.variables a\n", 2},
-        FuzzCase{".numvars 2\n.variables a b\n.begin\nt1 z\n.end\n", 4},
-        FuzzCase{".numvars 2\n.variables a b\n.begin\nq1 a\n.end\n", 4},
-        FuzzCase{".numvars 2\n.variables a b\n.begin\nt3 a b\n.end\n", 4},
-        FuzzCase{".numvars 2\n.variables a b\n.begin\nt2 a -b\n.end\n",
-                 4}, // negated target
-        FuzzCase{".numvars 2\n.variables a b\n.begin\nt1 a\n", 4}, // no .end
-        FuzzCase{".numvars 2\n.variables a a\n.begin\n.end\n", 2},
-        // .numvars and gate arities are unsigned integers
-        FuzzCase{".version 2.0\n.numvars abc\n", 2},
-        FuzzCase{".numvars 99999999999999999999\n", 1},
-        FuzzCase{".version 2.0\n.numvars 65537\n.variables a\n", 2},
-        FuzzCase{".numvars 18446744073709551615\n", 1},
-        FuzzCase{".numvars 2\n.variables a b\n.begin\ntz a\n.end\n", 4},
-        FuzzCase{".numvars 2\n.variables a b\n.begin\nt1x a\n.end\n", 4},
-        FuzzCase{".numvars 2\n.variables a b\n.begin\n"
-                 "t99999999999999999999999 a\n.end\n",
-                 4}));
+INSTANTIATE_TEST_SUITE_P(Cases, RealFuzzTest,
+                         ::testing::ValuesIn(kRealFuzzCases));
+
+const FuzzCase kTfcFuzzCases[] = {
+    FuzzCase{"", 0}, FuzzCase{"garbage\n", 1},
+    FuzzCase{"BEGIN\nEND\n", 1},                     // body before .v
+    FuzzCase{".v\nBEGIN\nEND\n", 1},                 // empty .v: no wires
+    FuzzCase{".v a,a\nBEGIN\nEND\n", 1},             // duplicate variable
+    FuzzCase{".v a,b\n.v c\nBEGIN\nEND\n", 2},       // duplicate .v
+    FuzzCase{".v a,b\n.i a,c\nBEGIN\nEND\n", 2},     // undeclared input
+    FuzzCase{".v a,b\n.o z\nBEGIN\nEND\n", 2},       // undeclared output
+    FuzzCase{".v a,b\n.c 0,1,0\nBEGIN\nEND\n", 2},   // too many constants
+    FuzzCase{".v a,b\n.i a\n.c 0,1\nBEGIN\nEND\n", 3}, // > non-inputs
+    FuzzCase{".v a,b\n.c x\nBEGIN\nEND\n", 2},       // non-binary constant
+    FuzzCase{".v a,b\nBEGIN\nt2 a,b\n", 3},          // missing END
+    FuzzCase{".v a,b\nBEGIN\nt2 a\nEND\n", 3},       // arity mismatch
+    FuzzCase{".v a,b\nBEGIN\nt2 a,z\nEND\n", 3},     // unknown operand
+    FuzzCase{".v a,b\nBEGIN\nt2 a,b'\nEND\n", 3},    // negated target
+    FuzzCase{".v a,b\nBEGIN\nt2 a,,b\nEND\n", 3},    // empty operand
+    FuzzCase{".v a,b\nBEGIN\ng2 a,b\nEND\n", 3},     // unknown gate kind
+    FuzzCase{".v a,b\nBEGIN\ntx a,b\nEND\n", 3},     // non-numeric arity
+    FuzzCase{".v a,b,c\nBEGIN\nf1 a\nEND\n", 3},     // fredkin: 2 targets
+    FuzzCase{".v a,b\nBEGIN\nf2 a,a\nEND\n", 3},     // swap on one wire
+    // gate arities are unsigned integers
+    FuzzCase{".v a,b\nBEGIN\nt99999999999999999999999 a,b\nEND\n", 3},
+    FuzzCase{".v a,b\nBEGIN\nt-2 a,b\nEND\n", 3}};
 
 class TfcFuzzTest : public ::testing::TestWithParam<FuzzCase> {};
 
@@ -278,31 +319,62 @@ TEST_P(TfcFuzzTest, MalformedInputRaisesParseError) {
       GetParam());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Cases, TfcFuzzTest,
-    ::testing::Values(
-        FuzzCase{"", 0}, FuzzCase{"garbage\n", 1},
-        FuzzCase{"BEGIN\nEND\n", 1},                     // body before .v
-        FuzzCase{".v\nBEGIN\nEND\n", 1},                 // empty .v
-        FuzzCase{".v a,a\nBEGIN\nEND\n", 1},             // duplicate variable
-        FuzzCase{".v a,b\n.v c\nBEGIN\nEND\n", 2},       // duplicate .v
-        FuzzCase{".v a,b\n.i a,c\nBEGIN\nEND\n", 2},     // undeclared input
-        FuzzCase{".v a,b\n.o z\nBEGIN\nEND\n", 2},       // undeclared output
-        FuzzCase{".v a,b\n.c 0,1,0\nBEGIN\nEND\n", 2},   // too many constants
-        FuzzCase{".v a,b\n.i a\n.c 0,1\nBEGIN\nEND\n", 3}, // > non-inputs
-        FuzzCase{".v a,b\n.c x\nBEGIN\nEND\n", 2},       // non-binary constant
-        FuzzCase{".v a,b\nBEGIN\nt2 a,b\n", 3},          // missing END
-        FuzzCase{".v a,b\nBEGIN\nt2 a\nEND\n", 3},       // arity mismatch
-        FuzzCase{".v a,b\nBEGIN\nt2 a,z\nEND\n", 3},     // unknown operand
-        FuzzCase{".v a,b\nBEGIN\nt2 a,b'\nEND\n", 3},    // negated target
-        FuzzCase{".v a,b\nBEGIN\nt2 a,,b\nEND\n", 3},    // empty operand
-        FuzzCase{".v a,b\nBEGIN\ng2 a,b\nEND\n", 3},     // unknown gate kind
-        FuzzCase{".v a,b\nBEGIN\ntx a,b\nEND\n", 3},     // non-numeric arity
-        FuzzCase{".v a,b,c\nBEGIN\nf1 a\nEND\n", 3},     // fredkin: 2 targets
-        FuzzCase{".v a,b\nBEGIN\nf2 a,a\nEND\n", 3},     // swap on one wire
-        // gate arities are unsigned integers
-        FuzzCase{".v a,b\nBEGIN\nt99999999999999999999999 a,b\nEND\n", 3},
-        FuzzCase{".v a,b\nBEGIN\nt-2 a,b\nEND\n", 3}));
+INSTANTIATE_TEST_SUITE_P(Cases, TfcFuzzTest,
+                         ::testing::ValuesIn(kTfcFuzzCases));
+
+// A validating parse is the only validation a file gets before the flow's
+// preflight, so whatever it accepts — the generated corpus, the fixture
+// files, any fuzz case that parses — must be clean at the analyzer's error
+// level, and whatever it rejects must fail with a line.
+TEST(ParseValidation, ValidatedParseIsAnalyzerClean) {
+  namespace fs = std::filesystem;
+  const analysis::CircuitAnalyzer analyzer({.lint = false});
+  std::size_t accepted = 0;
+  const auto expectClean = [&](const auto& parse, const std::string& what) {
+    try {
+      const analysis::AnalysisReport report = analyzer.analyze(parse());
+      ++accepted;
+      EXPECT_FALSE(report.hasErrors())
+          << what << ": " << analysis::toString(report.diagnostics.front());
+    } catch (const io::ParseError&) {
+      // rejected at its line: nothing reaches the analyzer
+    }
+  };
+  for (const FuzzCase& c : kQasmFuzzCases) {
+    expectClean([&] { return io::parseQasmString(c.text); }, c.text);
+  }
+  for (const FuzzCase& c : kRealFuzzCases) {
+    expectClean([&] { return io::parseRealString(c.text); }, c.text);
+  }
+  for (const FuzzCase& c : kTfcFuzzCases) {
+    expectClean([&] { return io::parseTfcString(c.text); }, c.text);
+  }
+  for (const auto& entry :
+       fs::recursive_directory_iterator(QSIMEC_TESTDATA_DIR)) {
+    const std::string ext = entry.path().extension().string();
+    if (ext == ".qasm" || ext == ".real" || ext == ".tfc") {
+      const std::string path = entry.path().string();
+      expectClean([&] { return io::parseCircuitFile(path); }, path);
+    }
+  }
+  EXPECT_GE(accepted, 6U); // the golden files of tests/data
+
+  const fs::path dir = fs::temp_directory_path() /
+                       ("qsimec_validated_" + std::to_string(::getpid()));
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const gen::CorpusManifest corpus = gen::emitCorpus(
+        {.dir = (dir / std::to_string(seed)).string(), .seed = seed});
+    const std::size_t before = accepted;
+    for (const gen::CorpusEntry& entry : corpus.entries) {
+      for (const std::string& path : {entry.gPath, entry.gPrimePath}) {
+        expectClean([&] { return io::parseCircuitFile(path); }, path);
+      }
+    }
+    EXPECT_EQ(accepted - before, 2 * corpus.entries.size())
+        << "every corpus file parses";
+  }
+  fs::remove_all(dir);
+}
 
 // ir::Qubit is 16 bits wide: a declared width above 65536 must fail at its
 // declaring line whether or not the parse validates (batch and daemon parse

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 
 #include <sstream>
@@ -24,6 +25,20 @@ TEST(Operation, ValidatesControls) {
   EXPECT_THROW(
       StandardOperation(OpType::X, {0}, {Control{1, true}, Control{1, false}}),
       std::invalid_argument);
+}
+
+// Only the first numParams(type) slots are read, so only they must be finite.
+TEST(Operation, ValidatesUsedParameterSlots) {
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(StandardOperation(OpType::RX, {0}, {}, {nan, 0, 0}),
+               std::invalid_argument);
+  EXPECT_THROW(StandardOperation(OpType::U3, {0}, {}, {0, 0, -inf}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(StandardOperation(OpType::RX, {0}, {}, {0.5, nan, inf}));
+  EXPECT_NO_THROW(StandardOperation(OpType::H, {0}, {}, {nan, nan, nan}));
+  EXPECT_NO_THROW(StandardOperation::makeUnchecked(OpType::RX, {0}, {},
+                                                   {nan, 0, 0}));
 }
 
 TEST(Operation, ControlsAreSorted) {

@@ -426,6 +426,54 @@ TEST(Sampler, FlightProbesSumThePackagesOfEveryThread) {
   }
 }
 
+// A destroyed package stops counting: its destructor resets its thread's
+// cells (no heartbeat, no ring event), so dd.nodes_live reads 0 while the
+// thread, and its slot, live on.
+TEST(Sampler, FlightProbesForgetDestroyedPackages) {
+  obs::FlightRecorder recorder;
+  std::int64_t published = -1;
+  std::uint64_t eventsBefore = 0;
+  std::uint64_t beatBefore = 0;
+  std::latch destroyed(1);
+  std::latch sampled(1);
+  std::jthread worker([&] {
+    {
+      dd::Package pkg(6);
+      pkg.attach({.flight = &recorder});
+      const auto out = sim::simulate(gen::qft(6), pkg.makeBasisState(1), pkg);
+      pkg.incRef(out);
+      pkg.garbageCollect(/*force=*/true); // publishes the live count
+      const obs::FlightRecorder::ThreadRing& ring = recorder.slot(0);
+      published = ring.nodesLive.load();
+      eventsBefore = ring.head.load();
+      beatBefore = ring.lastBeatMicros.load();
+    }
+    destroyed.count_down();
+    sampled.wait(); // keep the slot in use
+  });
+  destroyed.wait();
+  obs::Sampler sampler(obs::Sampler::Options{std::chrono::hours(1), 16});
+  sampler.addFlightProbes(recorder);
+  sampler.start();
+  sampler.stop();
+  sampled.count_down();
+  worker.join();
+
+  EXPECT_GT(published, 0);
+  ASSERT_EQ(recorder.threadsRegistered(), 1U);
+  const obs::FlightRecorder::ThreadRing& ring = recorder.slot(0);
+  EXPECT_EQ(ring.nodesLive.load(), -1);
+  EXPECT_EQ(ring.uniqueFillPpm.load(), -1);
+  EXPECT_EQ(ring.head.load(), eventsBefore);
+  EXPECT_EQ(ring.lastBeatMicros.load(), beatBefore);
+  const obs::Sampler::Series& nodes = sampler.series()[0];
+  ASSERT_EQ(nodes.name, "dd.nodes_live");
+  ASSERT_FALSE(nodes.samples.empty());
+  for (const obs::Sampler::Sample& sample : nodes.samples) {
+    EXPECT_EQ(sample.value, 0.0);
+  }
+}
+
 TEST(Sampler, ProcessRssIsPositiveOnLinux) {
 #ifdef __linux__
   EXPECT_GT(obs::processRssBytes(), 0.0);

@@ -523,6 +523,18 @@ TEST(Optimizer, MergesRotations) {
   expectEquivalent(qc, opt);
 }
 
+// Two finite angles can sum past the largest double: the pass keeps both
+// gates rather than build a rotation the IR rejects.
+TEST(Optimizer, KeepsRotationsWhoseSumOverflows) {
+  ir::QuantumComputation qc(1);
+  qc.rx(1e308, 0);
+  qc.rx(1e308, 0);
+  const auto opt = tf::optimize(qc);
+  ASSERT_EQ(opt.size(), 2U);
+  EXPECT_EQ(opt.at(0).param(0), 1e308);
+  EXPECT_EQ(opt.at(1).param(0), 1e308);
+}
+
 TEST(Optimizer, CancelsAcrossCommutingGates) {
   // CX(0->1) · T(0) · RZ(0.4, 1)? no — RZ on the CX *target* does not
   // commute; use diagonal-on-control and X-on-target interposers:
