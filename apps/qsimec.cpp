@@ -14,10 +14,8 @@
 //   qsimec gen FAMILY OUT        generate a benchmark circuit / the corpus
 //   qsimec fuzz [options]        differential fuzzing against a dense oracle
 //   qsimec bench-diff BASE CUR   compare two qsimec-bench-v1 reports
-//   qsimec report RUN.jsonl      render a run journal as Markdown/HTML
-//   qsimec journal-stats J...    latency percentiles across journals
+//   qsimec report FILE...        render run journals or a postmortem dump
 //   qsimec metrics-export M.json metrics JSON -> OpenMetrics text
-//   qsimec postmortem D.jsonl    render a flight-recorder postmortem dump
 //
 // Circuit files are read by extension: .qasm (OpenQASM 2.0), .real
 // (RevLib), or .tfc (Maslov's reversible benchmark format). `check`
@@ -92,7 +90,9 @@ namespace {
 usage:
   qsimec check A.{qasm,real} B.{qasm,real} [options]
       --sims R              number of random stimuli (default 10; 0 = skip)
-      --stimuli KIND        basis | product | stabilizer (default basis)
+      --stimuli KIND        basis | product | stabilizer (default basis), or
+                            the canonical computational-basis |
+                            random-product | random-stabilizer
       --timeout SECONDS     budget of the complete check (default 60; 0 = none)
       --strategy NAME       naive | proportional | lookahead (default proportional)
       --threads N           worker threads for the stimuli runs (default 0 =
@@ -247,19 +247,25 @@ usage:
       --tolerance F         relative wall-time tolerance (default 0.25)
       --counter-tolerance F relative counter tolerance (default 0 = exact)
       --min-seconds S       times below this never regress (default 0.01)
-  qsimec report RUN.jsonl [options]
-      render a --journal run journal (check or batch) as a report: stage
-      waterfall, tier routing, verdict counts, the hottest gates by cost
-      attribution, batch cache/dedup stats, latency percentiles
-      --trace FILE          also aggregate a --trace Chrome trace file into
-                            a per-span-family table
+  qsimec report RUN.jsonl [MORE.jsonl ...] [options]
+  qsimec report DUMP.jsonl [options]
+      the offline reader; the first line of the first file picks the form.
+      Run journals (--journal of check, batch or serve), folded together:
+      stage waterfall, tier routing with flow latency percentiles, verdict
+      counts, the hottest gates by cost attribution, batch cache/dedup
+      stats, latency percentiles (count, mean, p50/p90/p99) per event
+      family (GC pauses included), event counts. A qsimec-postmortem-v1
+      flight-recorder dump (--postmortem, stall and signal dumps), read
+      alone: header, active pairs, stall attribution, hotspot at death,
+      per-thread state, merged event timeline; exit 2 if the dump is
+      unparseable (a truncated dump that still carries the header renders
+      with a truncation warning instead)
+      --trace FILE          journals only: also aggregate a --trace Chrome
+                            trace file into a per-span-family table
       --out FILE            write to FILE instead of stdout; a .html
                             extension selects the self-contained HTML page,
                             anything else (and stdout) is Markdown
       --top N               rows kept in the hotspot/span tables (default 10)
-  qsimec journal-stats RUN.jsonl [MORE.jsonl ...]
-      per-event-family and per-tier latency percentile tables (count, mean,
-      p50/p90/p99) folded across one or more run journals
   qsimec metrics-export METRICS.json [options]
       render a metrics JSON payload as OpenMetrics text (# TYPE/# HELP,
       counter _total, cumulative histogram buckets, terminating # EOF).
@@ -310,13 +316,6 @@ usage:
                             fatal-signal dump DIR/postmortem-signal.jsonl
       exit codes: 0 all verdicts agree / replay clean, 1 disagreements,
                   2 usage error
-  qsimec postmortem DUMP.jsonl [--json|--md]
-      render a qsimec-postmortem-v1 flight-recorder dump (--postmortem and
-      stall/signal dumps): header, active pairs, stall attribution, hotspot
-      at death, per-thread state, merged event timeline. Markdown by
-      default, --json for the machine form; exit 2 if the dump is
-      unparseable (truncated signal dumps that still carry the header
-      render with a truncation warning instead)
 
 exit codes: 0 equivalent / lint clean / bench-diff pass, 1 not equivalent /
             bench-diff regression, 2 usage or internal error, 3 inconclusive,
@@ -399,26 +398,18 @@ int parseFlowFlags(ArgCursor& args, ec::FlowConfiguration& config) {
   config.tryRewriting = rewriting;
   config.mode = race ? ec::FlowMode::Race : ec::FlowMode::Staged;
 
-  if (stimuliStr == "basis") {
-    config.simulation.stimuli = ec::StimuliKind::ComputationalBasis;
-  } else if (stimuliStr == "product") {
-    config.simulation.stimuli = ec::StimuliKind::RandomProduct;
-  } else if (stimuliStr == "stabilizer") {
-    config.simulation.stimuli = ec::StimuliKind::RandomStabilizer;
-  } else {
+  const auto stimuli = ec::parseStimuliKind(stimuliStr);
+  if (!stimuli) {
     std::cerr << "unknown stimuli kind: " << stimuliStr << "\n";
     return 2;
   }
-  if (strategyStr == "naive") {
-    config.complete.strategy = ec::Strategy::Naive;
-  } else if (strategyStr == "proportional") {
-    config.complete.strategy = ec::Strategy::Proportional;
-  } else if (strategyStr == "lookahead") {
-    config.complete.strategy = ec::Strategy::Lookahead;
-  } else {
+  config.simulation.stimuli = *stimuli;
+  const auto strategy = ec::parseStrategy(strategyStr);
+  if (!strategy) {
     std::cerr << "unknown strategy: " << strategyStr << "\n";
     return 2;
   }
+  config.complete.strategy = *strategy;
   return 0;
 }
 
@@ -667,7 +658,7 @@ int runCheck(ArgCursor& args) {
     }
     if (!dumpPath.empty()) {
       std::cout << "postmortem:  " << dumpPath
-                << " (qsimec postmortem renders it)\n";
+                << " (qsimec report renders it)\n";
     }
     if (printMetrics) {
       std::cout << "metrics:     " << obs::toJson(result.metrics) << "\n";
@@ -1081,53 +1072,58 @@ void writeTextFile(const std::string& path, const std::string& text) {
   os << text;
 }
 
-/// `qsimec report`: fold a run journal (and optionally a trace) into a
-/// Markdown or HTML report.
+/// `qsimec report`: render run journals (optionally with a trace) or one
+/// postmortem dump as Markdown or HTML.
 int runReport(ArgCursor& args) {
   const std::string tracePath = args.consumeOption("--trace", "");
   const std::string outPath = args.consumeOption("--out", "");
-  const std::size_t topRows = std::stoul(args.consumeOption("--top", "10"));
-  const std::string journalPath = args.next("run journal (JSONL)");
-
-  obs::RunReport report = obs::parseRunJournal(readLines(journalPath));
-  if (!tracePath.empty()) {
-    obs::attachTraceSummary(report, slurpFile(tracePath));
-  }
-
   obs::RunReportOptions options;
-  options.topRows = topRows;
+  options.topRows = std::stoul(args.consumeOption("--top", "10"));
   options.format = outPath.ends_with(".html")
                        ? obs::RunReportOptions::Format::Html
                        : obs::RunReportOptions::Format::Markdown;
-  const std::string text = obs::renderRunReport(report, options);
+  const std::string firstPath = args.next("run journal or postmortem dump");
+  std::vector<std::string> lines = readLines(firstPath);
+
+  std::string text;
+  std::string summary;
+  if (obs::isRunJournal(lines)) {
+    while (!args.empty()) {
+      std::vector<std::string> more = readLines(args.next(""));
+      lines.insert(lines.end(), std::make_move_iterator(more.begin()),
+                   std::make_move_iterator(more.end()));
+    }
+    obs::RunReport report = obs::parseRunJournal(lines);
+    if (!tracePath.empty()) {
+      obs::attachTraceSummary(report, slurpFile(tracePath));
+    }
+    text = obs::renderRunReport(report, options);
+    summary = std::to_string(report.events) + " journal event(s)";
+    if (report.malformedLines > 0) {
+      summary += ", " + std::to_string(report.malformedLines) +
+                 " malformed line(s)";
+    }
+  } else {
+    if (!args.empty() || !tracePath.empty()) {
+      std::cerr << "report: a postmortem dump is read alone (no --trace, "
+                   "no further files)\n";
+      return 2;
+    }
+    const obs::PostmortemReport dump = obs::parsePostmortem(lines);
+    if (!dump.valid) {
+      std::cerr << firstPath << ": " << dump.error << "\n";
+      return 2;
+    }
+    text = obs::renderRunReport(dump, options);
+    summary = std::to_string(dump.events.size()) + " dump event(s)";
+  }
+
   if (outPath.empty()) {
     std::cout << text;
   } else {
     writeTextFile(outPath, text);
-    std::cout << "wrote " << outPath << " (" << report.events
-              << " journal event(s)";
-    if (report.malformedLines > 0) {
-      std::cout << ", " << report.malformedLines << " malformed line(s)";
-    }
-    std::cout << ")\n";
+    std::cout << "wrote " << outPath << " (" << summary << ")\n";
   }
-  return 0;
-}
-
-/// `qsimec journal-stats`: latency percentile tables over journals.
-int runJournalStats(ArgCursor& args) {
-  std::vector<std::string> lines;
-  std::string path = args.next("journal file");
-  while (true) {
-    std::vector<std::string> fileLines = readLines(path);
-    lines.insert(lines.end(), std::make_move_iterator(fileLines.begin()),
-                 std::make_move_iterator(fileLines.end()));
-    if (args.empty()) {
-      break;
-    }
-    path = args.next("journal file");
-  }
-  std::cout << obs::renderJournalStats(obs::computeJournalStats(lines));
   return 0;
 }
 
@@ -1672,30 +1668,6 @@ int runFuzzCmd(ArgCursor& args) {
   return 0;
 }
 
-/// `qsimec postmortem`: render a flight-recorder dump (qsimec-postmortem-v1
-/// JSONL) as a human-readable report. Markdown by default, --json for the
-/// machine form. Exit 2 when the dump does not parse.
-int runPostmortem(ArgCursor& args) {
-  const bool jsonOutput = args.consumeFlag("--json");
-  (void)args.consumeFlag("--md"); // the default; accepted for symmetry
-  const std::string path = args.next("postmortem dump (JSONL)");
-  if (!args.empty()) {
-    std::cerr << "unexpected argument: " << args.next("") << "\n";
-    return 2;
-  }
-  const obs::PostmortemReport report = obs::parsePostmortemFile(path);
-  if (!report.valid) {
-    std::cerr << path << ": " << report.error << "\n";
-    return 2;
-  }
-  if (jsonOutput) {
-    std::cout << obs::renderPostmortemJson(report) << "\n";
-  } else {
-    std::cout << obs::renderPostmortemMarkdown(report);
-  }
-  return 0;
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -1752,12 +1724,6 @@ int main(int argc, char** argv) {
     }
     if (command == "report") {
       return runReport(args);
-    }
-    if (command == "postmortem") {
-      return runPostmortem(args);
-    }
-    if (command == "journal-stats") {
-      return runJournalStats(args);
     }
     if (command == "metrics-export") {
       return runMetricsExport(args);

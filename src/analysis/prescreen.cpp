@@ -12,15 +12,9 @@ namespace qsimec::analysis {
 
 namespace {
 
-/// Angle quantized to the epsilon grid (the same llround bucketing the
-/// structural fingerprints use; ties away from zero, +-0.0 share bucket 0).
-long long quantize(double value, double eps) noexcept {
-  return std::llround(value / eps);
-}
-
 /// True iff `angle` is an integer multiple of 2*pi on the grid.
-bool isFullTurn(double angle, double eps) noexcept {
-  return quantize(std::remainder(angle, 2 * std::numbers::pi), eps) == 0;
+bool isFullTurn(double angle) noexcept {
+  return quantizeParam(std::remainder(angle, 2 * std::numbers::pi)) == 0;
 }
 
 bool isMergeableRotation(const ir::StandardOperation& op) noexcept {
@@ -44,8 +38,7 @@ struct Canonical {
   std::size_t dropped{0};
 };
 
-Canonical canonicalize(const ir::QuantumComputation& qc,
-                       const PrescreenOptions& options) {
+Canonical canonicalize(const ir::QuantumComputation& qc) {
   const bool trivial = qc.initialLayout().isIdentity() &&
                        qc.outputPermutation().isIdentity();
   const ir::QuantumComputation flat =
@@ -66,12 +59,11 @@ Canonical canonicalize(const ir::QuantumComputation& qc,
       continue;
     }
     // zero-angle rotations are exactly the identity (RX/RY/RZ/Phase alike)
-    if (isMergeableRotation(op) &&
-        quantize(op.param(0), options.paramEpsilon) == 0) {
+    if (isMergeableRotation(op) && quantizeParam(op.param(0)) == 0) {
       ++c.dropped;
       continue;
     }
-    if (options.mergeRotations && isMergeableRotation(op) && !c.ops.empty()) {
+    if (isMergeableRotation(op) && !c.ops.empty()) {
       const ir::StandardOperation& prev = c.ops.back();
       if (prev.type() == op.type() && prev.targets() == op.targets() &&
           prev.controls() == op.controls()) {
@@ -79,7 +71,7 @@ Canonical canonicalize(const ir::QuantumComputation& qc,
         const double sum = prev.param(0) + op.param(0);
         ++c.merged;
         c.ops.pop_back();
-        if (quantize(sum, options.paramEpsilon) != 0) {
+        if (quantizeParam(sum) != 0) {
           c.ops.push_back(ir::StandardOperation::makeUnchecked(
               op.type(), op.targets(), op.controls(), {sum, 0, 0}));
         } else {
@@ -96,13 +88,13 @@ Canonical canonicalize(const ir::QuantumComputation& qc,
 /// Epsilon-tolerant structural equality: same type, targets, controls, and
 /// every parameter in the same quantization bucket.
 bool sameOperation(const ir::StandardOperation& a,
-                   const ir::StandardOperation& b, double eps) noexcept {
+                   const ir::StandardOperation& b) noexcept {
   if (a.type() != b.type() || a.targets() != b.targets() ||
       a.controls() != b.controls()) {
     return false;
   }
   for (std::size_t p = 0; p < ir::numParams(a.type()); ++p) {
-    if (quantize(a.params()[p], eps) != quantize(b.params()[p], eps)) {
+    if (quantizeParam(a.params()[p]) != quantizeParam(b.params()[p])) {
       return false;
     }
   }
@@ -111,11 +103,11 @@ bool sameOperation(const ir::StandardOperation& a,
 
 /// True iff the single operation is provably NOT proportional to the
 /// identity. Conservative: false means "unknown", never "is identity".
-bool provablyNotIdentity(const ir::StandardOperation& op, double eps) {
+bool provablyNotIdentity(const ir::StandardOperation& op) {
   const auto rotationNontrivial = [&](double angle) {
     // R(theta) ~ I iff theta = 0 mod 2*pi (theta = 2*pi gives -I, which IS
     // proportional to the identity), same for the Phase gate's diag form
-    return !isFullTurn(angle, eps);
+    return !isFullTurn(angle);
   };
   switch (op.type()) {
   case ir::OpType::I:
@@ -184,11 +176,10 @@ Diagnostic pairNote(const char* rule, Severity severity, std::string message) {
 } // namespace
 
 PrescreenResult prescreenPair(const ir::QuantumComputation& qc1,
-                              const ir::QuantumComputation& qc2,
-                              const PrescreenOptions& options) {
+                              const ir::QuantumComputation& qc2) {
   PrescreenResult result;
-  const Canonical a = canonicalize(qc1, options);
-  const Canonical b = canonicalize(qc2, options);
+  const Canonical a = canonicalize(qc1);
+  const Canonical b = canonicalize(qc2);
   result.mergedRotations = a.merged + b.merged;
   result.droppedIdentities = a.dropped + b.dropped;
   result.phaseG = a.phase;
@@ -207,16 +198,15 @@ PrescreenResult prescreenPair(const ir::QuantumComputation& qc1,
   }
 
   // strip the matching prefix, then the matching suffix of what remains
-  const double eps = options.paramEpsilon;
   std::size_t lo = 0;
   const std::size_t minSize = std::min(a.ops.size(), b.ops.size());
-  while (lo < minSize && sameOperation(a.ops[lo], b.ops[lo], eps)) {
+  while (lo < minSize && sameOperation(a.ops[lo], b.ops[lo])) {
     ++lo;
   }
   std::size_t hiA = a.ops.size();
   std::size_t hiB = b.ops.size();
   while (hiA > lo && hiB > lo &&
-         sameOperation(a.ops[hiA - 1], b.ops[hiB - 1], eps)) {
+         sameOperation(a.ops[hiA - 1], b.ops[hiB - 1])) {
     --hiA;
     --hiB;
   }
@@ -241,7 +231,7 @@ PrescreenResult prescreenPair(const ir::QuantumComputation& qc1,
   const std::size_t sizeA = hiA - lo;
   const std::size_t sizeB = hiB - lo;
   if (sizeA == 0 && sizeB == 0) {
-    if (isFullTurn(a.phase - b.phase, eps)) {
+    if (isFullTurn(a.phase - b.phase)) {
       result.verdict = StaticVerdict::Identical;
       result.diagnostics.push_back(pairNote(
           rules::StaticallyIdentical, Severity::Note,
@@ -271,7 +261,7 @@ PrescreenResult prescreenPair(const ir::QuantumComputation& qc1,
                                                   static_cast<std::ptrdiff_t>(rHi));
     if (disjointSupports(window)) {
       for (std::size_t i = 0; i < window.size(); ++i) {
-        if (provablyNotIdentity(window[i], eps)) {
+        if (provablyNotIdentity(window[i])) {
           result.verdict = StaticVerdict::Distinct;
           result.diagnostics.push_back(pairNote(
               rules::StaticallyDistinct, Severity::Warning,

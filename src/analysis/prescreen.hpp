@@ -35,6 +35,7 @@
 #include "analysis/profile.hpp"
 #include "ir/quantum_computation.hpp"
 
+#include <cmath>
 #include <cstddef>
 #include <string_view>
 #include <vector>
@@ -70,16 +71,17 @@ enum class StaticVerdict : std::uint8_t {
   return "?";
 }
 
-struct PrescreenOptions {
-  /// Merge adjacent same-type rotations (RX/RY/RZ/Phase on identical
-  /// targets and controls) by summing their angles; a merged angle that
-  /// quantizes to zero drops the gate.
-  bool mergeRotations{true};
-  /// Quantization grid for angle comparison and merging. Matches
-  /// svc::kParamEpsilon, so two circuits the prescreen identifies share a
-  /// structural fingerprint (and vice versa for single-step differences).
-  double paramEpsilon{1e-9};
-};
+/// Quantization grid for gate parameters, read by the prescreen's angle
+/// comparison and rotation merging and by svc's structural fingerprints, so
+/// two circuits the prescreen identifies share a fingerprint (and vice
+/// versa for single-step differences).
+inline constexpr double kParamEpsilon = 1e-9;
+
+/// A parameter snapped to the kParamEpsilon grid: llround bucketing, ties
+/// away from zero, +0.0 and -0.0 share bucket 0.
+[[nodiscard]] inline long long quantizeParam(double value) noexcept {
+  return std::llround(value / kParamEpsilon);
+}
 
 struct PrescreenResult {
   /// Canonicalized, stripped residuals with trivial layouts. Feeding these
@@ -112,8 +114,7 @@ struct PrescreenResult {
 /// does. Deterministic: depends only on the two operation streams.
 [[nodiscard]] PrescreenResult
 prescreenPair(const ir::QuantumComputation& qc1,
-              const ir::QuantumComputation& qc2,
-              const PrescreenOptions& options = {});
+              const ir::QuantumComputation& qc2);
 
 /// The checking tier a pair routes to (docs/static-analysis.md carries the
 /// decision table). Consumed by ec::flow and `qsimec profile`.

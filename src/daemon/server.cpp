@@ -25,6 +25,10 @@ using namespace std::chrono_literals;
 
 namespace {
 
+/// Bound on waiting for a connected client to finish sending its request;
+/// a wedged client must not wedge the acceptor.
+constexpr double kClientIoTimeoutSeconds = 10.0;
+
 std::string okLine() {
   util::JsonWriter json;
   json.beginObject()
@@ -222,7 +226,7 @@ void Daemon::acceptLoop() {
 void Daemon::handleConnection(Socket connection) {
   std::string request;
   try {
-    request = readAll(connection, options_.clientIoTimeoutSeconds);
+    request = readAll(connection, kClientIoTimeoutSeconds);
   } catch (const std::exception&) {
     return; // wedged or vanished client; admission was never reached
   }

@@ -94,9 +94,6 @@ struct DaemonOptions {
   /// in `qsimec batch`.
   ec::FlowConfiguration base;
   double spoolPollSeconds{0.25};
-  /// Bound on waiting for a connected client to finish sending its
-  /// request; a wedged client must not wedge the acceptor.
-  double clientIoTimeoutSeconds{10.0};
   /// External stop request (level-triggered), typically set by the CLI's
   /// SIGTERM handler — the only signal-safe channel into the daemon. The
   /// acceptor polls it and converts it into a graceful drain.

@@ -6,10 +6,9 @@
 // returned to callers are *weak* until the caller takes a reference with
 // `incRef`; garbage collection (triggered explicitly or between top-level
 // operations) reclaims everything unreferenced. A Package is single-threaded:
-// exactly one thread may construct or manipulate DDs on it. The only
-// cross-thread entry point is requestInterrupt(), an atomic flag another
-// thread may set to make the owning thread's current operation throw
-// util::CancelledError at its next poll.
+// exactly one thread may construct or manipulate DDs on it. Another thread
+// cancels its work through an atomic flag that the owner's interrupt hook
+// reads (ec::CancelFlag), never through the package itself.
 
 #pragma once
 
@@ -21,7 +20,6 @@
 #include "obs/context.hpp"
 #include "util/deadline.hpp"
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <random>
@@ -169,25 +167,9 @@ public:
   /// installs a hook that throws — a single exponential multiply is then
   /// interruptible, not just the gaps between gates. Must only be called by
   /// the thread that owns the package (the hook itself is not synchronized;
-  /// cross-thread cancellation goes through requestInterrupt instead).
+  /// cross-thread cancellation is a hook that reads an atomic flag).
   void setInterruptHook(std::function<void()> hook) {
     interruptHook_ = std::move(hook);
-  }
-
-  /// Ask the (single) thread operating on this package to abandon its
-  /// current DD operation: its next interrupt poll throws
-  /// util::CancelledError. Safe to call from any thread — this is the one
-  /// sanctioned cross-thread entry point (a relaxed atomic store; the plain
-  /// interrupt-hook member would be a data race if written concurrently).
-  void requestInterrupt() noexcept {
-    interruptRequested_.store(true, std::memory_order_relaxed);
-  }
-  /// Re-arm after a cancellation was delivered (owner thread only).
-  void clearInterruptRequest() noexcept {
-    interruptRequested_.store(false, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool interruptRequested() const noexcept {
-    return interruptRequested_.load(std::memory_order_relaxed);
   }
 
   /// Attach the observability sinks of `obs` (detach with `attach({})`);
@@ -304,20 +286,14 @@ private:
 
   std::function<void()> interruptHook_;
   std::size_t interruptCounter_{0};
-  std::atomic<bool> interruptRequested_{false};
 
   void pollInterrupt() {
     // Every 1024 steps: fine-grained enough that even small workloads (a
     // few dozen gates on a product state) hit the hook, while the hook
-    // body (typically one clock read) stays amortized to nothing. The
-    // cross-thread cancellation flag is checked with the same cadence — a
-    // relaxed load on the polling thread, so concurrent requestInterrupt
-    // calls are race-free without fencing the hot path.
+    // body (typically one clock read or one relaxed flag load) stays
+    // amortized to nothing.
     if ((++interruptCounter_ & 0x3FFU) != 0) {
       return;
-    }
-    if (interruptRequested_.load(std::memory_order_relaxed)) {
-      throw util::CancelledError();
     }
     if (obs_.flight != nullptr) {
       publishPoll(/*beat=*/true);

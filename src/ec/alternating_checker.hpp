@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <optional>
 #include <string_view>
 
 namespace qsimec::ec {
@@ -42,6 +43,18 @@ enum class Strategy {
     return "lookahead";
   }
   return "?";
+}
+
+/// Inverse of toString(Strategy); std::nullopt on unknown spellings.
+[[nodiscard]] constexpr std::optional<Strategy>
+parseStrategy(std::string_view s) noexcept {
+  for (const Strategy strategy :
+       {Strategy::Naive, Strategy::Proportional, Strategy::Lookahead}) {
+    if (s == toString(strategy)) {
+      return strategy;
+    }
+  }
+  return std::nullopt;
 }
 
 struct AlternatingConfiguration {

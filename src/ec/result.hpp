@@ -71,6 +71,22 @@ enum class StimuliKind {
   return "?";
 }
 
+/// Inverse of toString(StimuliKind), also accepting the CLI shorthands
+/// "basis", "product" and "stabilizer"; std::nullopt on anything else.
+[[nodiscard]] constexpr std::optional<StimuliKind>
+parseStimuliKind(std::string_view s) noexcept {
+  if (s == "basis" || s == toString(StimuliKind::ComputationalBasis)) {
+    return StimuliKind::ComputationalBasis;
+  }
+  if (s == "product" || s == toString(StimuliKind::RandomProduct)) {
+    return StimuliKind::RandomProduct;
+  }
+  if (s == "stabilizer" || s == toString(StimuliKind::RandomStabilizer)) {
+    return StimuliKind::RandomStabilizer;
+  }
+  return std::nullopt;
+}
+
 /// A stimulus proving non-equivalence, together with the fidelity
 /// |<u_i|u'_i>|^2 of the two output states it produced. For the
 /// computational-basis kind, `input` is the basis-state index; for the

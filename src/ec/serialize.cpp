@@ -122,17 +122,6 @@ std::optional<Equivalence> parseEquivalence(std::string_view s) {
   return std::nullopt;
 }
 
-std::optional<StimuliKind> parseStimuliKind(std::string_view s) {
-  for (const StimuliKind k :
-       {StimuliKind::ComputationalBasis, StimuliKind::RandomProduct,
-        StimuliKind::RandomStabilizer}) {
-    if (s == toString(k)) {
-      return k;
-    }
-  }
-  return std::nullopt;
-}
-
 std::string toJson(const CheckResult& result, const SerializeOptions& options) {
   util::JsonWriter json;
   json.beginObject().field("equivalence", toString(result.equivalence));

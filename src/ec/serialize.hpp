@@ -49,10 +49,9 @@ struct SerializeOptions {
 /// reuse the exact same shape.
 [[nodiscard]] std::string toJson(const std::optional<Counterexample>& cex);
 
-/// Inverses of toString(Equivalence) / toString(StimuliKind), for readers of
-/// persisted results (the batch service's verdict cache); std::nullopt on
-/// unknown spellings.
+/// Inverse of toString(Equivalence), for readers of persisted results (the
+/// batch service's verdict cache); std::nullopt on unknown spellings. The
+/// StimuliKind inverse is ec::parseStimuliKind (ec/result.hpp).
 [[nodiscard]] std::optional<Equivalence> parseEquivalence(std::string_view s);
-[[nodiscard]] std::optional<StimuliKind> parseStimuliKind(std::string_view s);
 
 } // namespace qsimec::ec

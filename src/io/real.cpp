@@ -3,6 +3,7 @@
 #include "io/scanner.hpp"
 
 #include <map>
+#include <optional>
 #include <sstream>
 
 namespace qsimec::io {
@@ -12,7 +13,7 @@ namespace {
 ir::QuantumComputation parseRealText(std::string_view text, std::string name,
                                      ParseOptions options) {
   detail::Scanner<RealParseError> in(text, 0); // counts the lines read
-  std::size_t numvars = 0;
+  std::optional<std::size_t> numvars;
   std::map<std::string_view, ir::Qubit> variableIndex;
   bool inBody = false;
   bool done = false;
@@ -48,20 +49,23 @@ ir::QuantumComputation parseRealText(std::string_view text, std::string name,
           in.fail(".numvars expects an unsigned integer, got " +
                   std::string(tokens[1]));
         }
+        if (*n == 0) {
+          in.fail(".numvars 0 declares no variables");
+        }
         in.checkWidth(0, *n);
         numvars = *n;
         continue;
       }
       if (head == ".variables") {
-        if (numvars == 0) {
+        if (!numvars) {
           in.fail(".numvars must precede .variables");
         }
-        if (tokens.size() != numvars + 1) {
+        if (tokens.size() != *numvars + 1) {
           in.fail(".variables count does not match .numvars");
         }
         // first listed variable = most-significant qubit
         for (std::size_t i = 1; i < tokens.size(); ++i) {
-          const auto qubit = static_cast<ir::Qubit>(numvars - i);
+          const auto qubit = static_cast<ir::Qubit>(*numvars - i);
           if (!variableIndex.emplace(tokens[i], qubit).second) {
             in.fail("duplicate variable " + std::string(tokens[i]));
           }
@@ -113,10 +117,10 @@ ir::QuantumComputation parseRealText(std::string_view text, std::string name,
   if (inBody && !done) {
     in.fail("missing .end");
   }
-  if (numvars == 0) {
+  if (!numvars) {
     in.fail("missing .numvars");
   }
-  return detail::finishCircuit(numvars, std::move(name), std::move(ops));
+  return detail::finishCircuit(*numvars, std::move(name), std::move(ops));
 }
 
 } // namespace

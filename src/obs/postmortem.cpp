@@ -1,7 +1,6 @@
 #include "obs/postmortem.hpp"
 
 #include "util/json.hpp"
-#include "util/json_parse.hpp"
 
 #include <algorithm>
 #include <atomic>
@@ -10,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -17,6 +17,9 @@
 namespace qsimec::obs {
 
 namespace {
+
+/// Merged events an orderly dump keeps (the most recent by sequence number).
+constexpr std::size_t kMaxDumpEvents = 256;
 
 struct MergedEvent {
   int slot{0};
@@ -112,9 +115,9 @@ std::string renderPostmortem(const FlightRecorder& recorder,
       return m.event.kind != static_cast<std::uint8_t>(FlightEventKind::Mark);
     });
   }
-  if (merged.size() > options.maxEvents) {
+  if (merged.size() > kMaxDumpEvents) {
     merged.erase(merged.begin(),
-                 merged.end() - static_cast<std::ptrdiff_t>(options.maxEvents));
+                 merged.end() - static_cast<std::ptrdiff_t>(kMaxDumpEvents));
   }
 
   if (!options.redact) {
@@ -331,7 +334,7 @@ void writeSignalSafeDump(int fd, const FlightRecorder& rec,
     w.u64(h > rec.eventCapacity() ? h - rec.eventCapacity() : 0);
     w.str("}\n");
 
-    // per-slot in ring order (a merge sort would allocate); the inspector
+    // per-slot in ring order (a merge sort would allocate); the reader
     // orders by seq
     const std::uint64_t n = std::min<std::uint64_t>(h, rec.eventCapacity());
     for (std::uint64_t k = h - n; k < h; ++k) {
@@ -431,280 +434,6 @@ void disarmSignalDump() {
 
 std::string signalDumpPath(const std::string& directory) {
   return directory + "/postmortem-signal.jsonl";
-}
-
-// --- inspector ---------------------------------------------------------------
-
-namespace {
-
-std::int64_t asInt64(const util::JsonValue& v) {
-  return static_cast<std::int64_t>(v.asNumber());
-}
-
-void parseLine(PostmortemReport& report, const util::JsonValue& doc,
-               bool firstLine) {
-  if (firstLine) {
-    const util::JsonValue* schema = doc.find("schema");
-    if (schema == nullptr || schema->asString() != kPostmortemSchema) {
-      throw util::JsonParseError("not a qsimec-postmortem-v1 dump");
-    }
-    report.reason = doc.at("reason").asString();
-    report.label = doc.at("label").asString();
-    report.redacted = doc.at("redacted").asBool();
-    if (const util::JsonValue* v = doc.find("signal")) {
-      report.signal = static_cast<int>(v->asNumber());
-    }
-    if (const util::JsonValue* v = doc.find("ts_micros")) {
-      report.tsMicros = v->asUint();
-    }
-    if (const util::JsonValue* v = doc.find("events_recorded")) {
-      report.eventsRecorded = v->asUint();
-    }
-    if (const util::JsonValue* v = doc.find("events_dropped")) {
-      report.eventsDropped = v->asUint();
-    }
-    return;
-  }
-  const std::string& type = doc.at("type").asString();
-  if (type == "pair") {
-    report.pairs.push_back(PostmortemPair{doc.at("label").asString(),
-                                          doc.at("fingerprint").asString()});
-  } else if (type == "thread") {
-    PostmortemThread t;
-    t.slot = static_cast<int>(doc.at("slot").asNumber());
-    if (const util::JsonValue* v = doc.find("label")) {
-      t.label = v->asString();
-    }
-    t.active = doc.at("active").asBool();
-    t.heartbeatAgeMicros = doc.at("heartbeat_age_micros").asUint();
-    t.nodesLive = asInt64(doc.at("nodes_live"));
-    t.uniqueFillPpm = asInt64(doc.at("unique_fill_ppm"));
-    t.gateLeft = asInt64(doc.at("gate_left"));
-    t.gateRight = asInt64(doc.at("gate_right"));
-    t.events = doc.at("events").asUint();
-    t.eventsDropped = doc.at("events_dropped").asUint();
-    report.threads.push_back(std::move(t));
-  } else if (type == "event") {
-    PostmortemEvent e;
-    if (const util::JsonValue* v = doc.find("seq")) {
-      e.seq = v->asUint();
-    }
-    if (const util::JsonValue* v = doc.find("ts_micros")) {
-      e.tsMicros = v->asUint();
-    }
-    if (const util::JsonValue* v = doc.find("slot")) {
-      e.slot = static_cast<int>(v->asNumber());
-    }
-    e.kind = doc.at("kind").asString();
-    e.name = doc.at("name").asString();
-    e.a = asInt64(doc.at("a"));
-    if (const util::JsonValue* v = doc.find("b")) {
-      e.b = asInt64(*v);
-    }
-    report.events.push_back(std::move(e));
-  } else if (type == "metrics") {
-    // normalize through the snapshot round-trip (the DOM has no serializer)
-    report.metricsJson = "{}";
-    if (const util::JsonValue* data = doc.find("data")) {
-      const MetricsSnapshot snapshot = parseMetricsSnapshot(*data);
-      report.metricsJson = toJson(snapshot);
-    }
-  } else if (type == "end") {
-    report.complete = true;
-  } else {
-    throw util::JsonParseError("unknown line type: " + type);
-  }
-}
-
-} // namespace
-
-PostmortemReport parsePostmortem(std::istream& is) {
-  PostmortemReport report;
-  std::string line;
-  std::size_t lineNumber = 0;
-  bool sawHeader = false;
-  try {
-    while (std::getline(is, line)) {
-      ++lineNumber;
-      if (line.find_first_not_of(" \t\r") == std::string::npos) {
-        continue;
-      }
-      const util::JsonValue doc = util::parseJson(line);
-      if (!doc.isObject()) {
-        throw util::JsonParseError("expected a JSON object");
-      }
-      parseLine(report, doc, !sawHeader);
-      sawHeader = true;
-    }
-  } catch (const std::exception& e) {
-    report.valid = false;
-    report.error =
-        "line " + std::to_string(lineNumber) + ": " + e.what();
-    return report;
-  }
-  if (!sawHeader) {
-    report.valid = false;
-    report.error = "empty dump";
-    return report;
-  }
-  std::stable_sort(report.events.begin(), report.events.end(),
-                   [](const PostmortemEvent& a, const PostmortemEvent& b) {
-                     return a.seq < b.seq;
-                   });
-  report.valid = true;
-  return report;
-}
-
-PostmortemReport parsePostmortemFile(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) {
-    PostmortemReport report;
-    report.error = "cannot open: " + path;
-    return report;
-  }
-  return parsePostmortem(is);
-}
-
-std::string renderPostmortemMarkdown(const PostmortemReport& r) {
-  std::ostringstream out;
-  out << "# qsimec postmortem\n\n";
-  if (!r.valid) {
-    out << "INVALID DUMP: " << r.error << "\n";
-    return out.str();
-  }
-  out << "- reason: " << r.reason << "\n";
-  if (!r.label.empty()) {
-    out << "- label: " << r.label << "\n";
-  }
-  if (r.signal != 0) {
-    out << "- signal: " << r.signal << "\n";
-  }
-  out << "- redacted: " << (r.redacted ? "true" : "false") << "\n";
-  if (!r.redacted) {
-    out << "- events recorded: " << r.eventsRecorded
-        << " (dropped: " << r.eventsDropped << ")\n";
-  }
-  if (!r.complete) {
-    out << "- WARNING: dump is truncated (no end marker)\n";
-  }
-  if (!r.pairs.empty()) {
-    out << "\n## Active pairs\n\n";
-    for (const PostmortemPair& p : r.pairs) {
-      out << "- " << p.label << " (fingerprint " << p.fingerprint << ")\n";
-    }
-  }
-
-  if (!r.threads.empty()) {
-    // stall attribution: the quietest heartbeat is the prime suspect
-    const PostmortemThread* oldest = &r.threads.front();
-    const PostmortemThread* hotspot = &r.threads.front();
-    for (const PostmortemThread& t : r.threads) {
-      if (t.heartbeatAgeMicros > oldest->heartbeatAgeMicros) {
-        oldest = &t;
-      }
-      if (t.nodesLive > hotspot->nodesLive) {
-        hotspot = &t;
-      }
-    }
-    out << "\n## Stall attribution\n\n";
-    out << "Oldest heartbeat: slot " << oldest->slot;
-    if (!oldest->label.empty()) {
-      out << " (" << oldest->label << ")";
-    }
-    out << ", quiet for " << oldest->heartbeatAgeMicros << " us\n";
-    out << "\n## Hotspot at death\n\n";
-    out << "Slot " << hotspot->slot;
-    if (!hotspot->label.empty()) {
-      out << " (" << hotspot->label << ")";
-    }
-    out << ": " << hotspot->nodesLive
-        << " live nodes, in-flight gate left=" << hotspot->gateLeft
-        << " right=" << hotspot->gateRight << "\n";
-    out << "\n## Threads\n\n";
-    out << "| slot | label | active | heartbeat age (us) | nodes live | "
-           "fill (ppm) | gate L | gate R | events | dropped |\n";
-    out << "|---|---|---|---|---|---|---|---|---|---|\n";
-    for (const PostmortemThread& t : r.threads) {
-      out << "| " << t.slot << " | " << t.label << " | "
-          << (t.active ? "yes" : "no") << " | " << t.heartbeatAgeMicros
-          << " | " << t.nodesLive << " | " << t.uniqueFillPpm << " | "
-          << t.gateLeft << " | " << t.gateRight << " | " << t.events << " | "
-          << t.eventsDropped << " |\n";
-    }
-  }
-
-  if (!r.events.empty()) {
-    out << "\n## Timeline (" << r.events.size() << " events)\n\n";
-    out << "| seq | t (us) | slot | kind | name | a | b |\n";
-    out << "|---|---|---|---|---|---|---|\n";
-    for (const PostmortemEvent& e : r.events) {
-      out << "| " << e.seq << " | " << e.tsMicros << " | " << e.slot << " | "
-          << e.kind << " | " << e.name << " | " << e.a << " | " << e.b
-          << " |\n";
-    }
-  }
-  return out.str();
-}
-
-std::string renderPostmortemJson(const PostmortemReport& r) {
-  util::JsonWriter json;
-  json.beginObject()
-      .field("schema", kPostmortemSchema)
-      .field("valid", r.valid);
-  if (!r.valid) {
-    json.field("error", r.error).endObject();
-    return json.str();
-  }
-  json.field("reason", r.reason)
-      .field("label", r.label)
-      .field("redacted", r.redacted)
-      .field("signal", r.signal)
-      .field("ts_micros", r.tsMicros)
-      .field("events_recorded", r.eventsRecorded)
-      .field("events_dropped", r.eventsDropped)
-      .field("complete", r.complete);
-  json.beginArray("pairs");
-  for (const PostmortemPair& p : r.pairs) {
-    json.beginObject()
-        .field("label", p.label)
-        .field("fingerprint", p.fingerprint)
-        .endObject();
-  }
-  json.endArray();
-  json.beginArray("threads");
-  for (const PostmortemThread& t : r.threads) {
-    json.beginObject()
-        .field("slot", static_cast<std::int64_t>(t.slot))
-        .field("label", t.label)
-        .field("active", t.active)
-        .field("heartbeat_age_micros", t.heartbeatAgeMicros)
-        .field("nodes_live", t.nodesLive)
-        .field("unique_fill_ppm", t.uniqueFillPpm)
-        .field("gate_left", t.gateLeft)
-        .field("gate_right", t.gateRight)
-        .field("events", t.events)
-        .field("events_dropped", t.eventsDropped)
-        .endObject();
-  }
-  json.endArray();
-  json.beginArray("events");
-  for (const PostmortemEvent& e : r.events) {
-    json.beginObject()
-        .field("seq", e.seq)
-        .field("ts_micros", e.tsMicros)
-        .field("slot", static_cast<std::int64_t>(e.slot))
-        .field("kind", e.kind)
-        .field("name", e.name)
-        .field("a", e.a)
-        .field("b", e.b)
-        .endObject();
-  }
-  json.endArray();
-  if (!r.metricsJson.empty()) {
-    json.rawField("metrics", r.metricsJson);
-  }
-  json.endObject();
-  return json.str();
 }
 
 } // namespace qsimec::obs

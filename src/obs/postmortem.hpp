@@ -1,6 +1,6 @@
 // Postmortem dumps over the flight recorder: the `qsimec-postmortem-v1`
-// JSONL schema, an async-signal-safe fatal-signal dump path, and the
-// inspector that renders a dump back for humans and pipelines.
+// JSONL schema and its two writers. The reader that renders a dump back
+// (`qsimec report DUMP.jsonl`) is obs/run_report.hpp.
 //
 // A dump is JSONL with deterministic key order (fields are written in a
 // fixed sequence, maps are ordered): a header line, zero or more
@@ -11,12 +11,13 @@
 //
 // Two writers share the schema:
 //   * renderPostmortem — the orderly path (timeout, stall, cancellation,
-//     explicit request). Full-fidelity: sorted merged events, metrics.
+//     explicit request). Full-fidelity: the last 256 merged events sorted
+//     by sequence number, metrics.
 //   * the armed signal handler — SIGSEGV/SIGABRT. Async-signal-safe by
 //     construction: it formats integers into stack buffers and write(2)s
 //     them to a freshly opened fd; no allocation, no stdio, no locks. Ring
 //     events are emitted per-slot unsorted (sorting needs allocation); the
-//     inspector orders by sequence number, so both writers parse the same.
+//     reader orders by sequence number, so both writers parse the same.
 //
 // Redacted dumps exist for the determinism contract (byte-identical across
 // thread counts, like ec::SerializeOptions::redactProfile): they keep only
@@ -30,11 +31,8 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 
-#include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace qsimec::obs {
 
@@ -50,8 +48,6 @@ struct PostmortemOptions {
   bool redact{false};
   /// Final metrics snapshot to embed (orderly path only; optional).
   const MetricsSnapshot* metrics{nullptr};
-  /// Merged events kept (most recent by sequence number).
-  std::size_t maxEvents{256};
 };
 
 /// Render a dump to a string (the orderly path).
@@ -74,64 +70,5 @@ void armSignalDump(const FlightRecorder* recorder,
 void disarmSignalDump();
 /// Where an armed handler writes: DIR/postmortem-signal.jsonl.
 [[nodiscard]] std::string signalDumpPath(const std::string& directory);
-
-// --- inspector ---------------------------------------------------------------
-
-struct PostmortemEvent {
-  std::uint64_t seq{0};
-  std::uint64_t tsMicros{0};
-  int slot{-1};
-  std::string kind;
-  std::string name;
-  std::int64_t a{0};
-  std::int64_t b{0};
-};
-
-struct PostmortemThread {
-  int slot{0};
-  std::string label;
-  bool active{false};
-  std::uint64_t heartbeatAgeMicros{0};
-  std::int64_t nodesLive{-1};
-  std::int64_t uniqueFillPpm{-1};
-  std::int64_t gateLeft{-1};
-  std::int64_t gateRight{-1};
-  std::uint64_t events{0};
-  std::uint64_t eventsDropped{0};
-};
-
-struct PostmortemPair {
-  std::string label;
-  std::string fingerprint;
-};
-
-struct PostmortemReport {
-  bool valid{false};
-  std::string error; // parse failure description when !valid
-  std::string reason;
-  std::string label;
-  bool redacted{false};
-  int signal{0};
-  std::uint64_t tsMicros{0};
-  std::uint64_t eventsRecorded{0};
-  std::uint64_t eventsDropped{0};
-  bool complete{false}; // saw the {"type":"end"} trailer
-  std::vector<PostmortemPair> pairs;
-  std::vector<PostmortemThread> threads;
-  std::vector<PostmortemEvent> events; // sorted by seq
-  std::string metricsJson;             // raw metrics object, "" if absent
-};
-
-/// Parse a dump (both writers' output). Never throws: malformed input
-/// yields valid == false with `error` set.
-[[nodiscard]] PostmortemReport parsePostmortem(std::istream& is);
-[[nodiscard]] PostmortemReport parsePostmortemFile(const std::string& path);
-
-/// Human rendering (markdown): header, stall attribution (oldest
-/// heartbeat), hotspot-at-death (largest live-node population and its
-/// in-flight gate), per-thread table, event timeline.
-[[nodiscard]] std::string renderPostmortemMarkdown(const PostmortemReport& r);
-/// One normalized JSON object (machine consumption).
-[[nodiscard]] std::string renderPostmortemJson(const PostmortemReport& r);
 
 } // namespace qsimec::obs

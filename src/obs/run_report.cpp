@@ -1,9 +1,11 @@
 #include "obs/run_report.hpp"
 
+#include "obs/postmortem.hpp"
 #include "util/json_parse.hpp"
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <tuple>
 
@@ -39,28 +41,38 @@ const std::string* findString(const util::JsonValue& obj,
              : nullptr;
 }
 
-/// Either-format table/section writer: the report model renders through one
-/// code path into Markdown or a minimal self-contained HTML page.
+/// The duration a journal event carries, in seconds (see
+/// RunReport::familySeconds for the fields read, first match wins).
+std::optional<double> durationSeconds(const util::JsonValue& event) {
+  for (const std::string_view key :
+       {"seconds", "total_seconds", "pause_seconds"}) {
+    if (const util::JsonValue* v = findNumber(event, key)) {
+      return v->asNumber();
+    }
+  }
+  if (const util::JsonValue* v = findNumber(event, "wall_nanos")) {
+    return v->asNumber() / 1e9;
+  }
+  return std::nullopt;
+}
+
+/// Either-format table/section writer: both report models render through
+/// one code path into Markdown or a minimal self-contained HTML page.
 class ReportBuilder {
 public:
-  explicit ReportBuilder(bool html) : html_(html) {
+  ReportBuilder(bool html, std::string_view title) : html_(html) {
     if (html_) {
       out_ << "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">"
-           << "<title>qsimec run report</title><style>"
+           << "<title>" << escape(title) << "</title><style>"
            << "body{font-family:sans-serif;margin:2em;}"
            << "table{border-collapse:collapse;margin:1em 0;}"
            << "td,th{border:1px solid #999;padding:0.3em 0.6em;"
            << "text-align:right;}th{background:#eee;}"
            << "td:first-child,th:first-child{text-align:left;}"
-           << "</style></head><body>\n";
-    }
-  }
-
-  void title(std::string_view text) {
-    if (html_) {
-      out_ << "<h1>" << escape(text) << "</h1>\n";
+           << "</style></head><body>\n"
+           << "<h1>" << escape(title) << "</h1>\n";
     } else {
-      out_ << "# " << text << "\n\n";
+      out_ << "# " << title << "\n\n";
     }
   }
 
@@ -78,6 +90,21 @@ public:
     } else {
       out_ << text << "\n\n";
     }
+  }
+
+  void bullets(const std::vector<std::string>& items) {
+    if (html_) {
+      out_ << "<ul>";
+      for (const std::string& item : items) {
+        out_ << "<li>" << escape(item) << "</li>";
+      }
+      out_ << "</ul>\n";
+      return;
+    }
+    for (const std::string& item : items) {
+      out_ << "- " << item << '\n';
+    }
+    out_ << '\n';
   }
 
   void table(const std::vector<std::string>& header,
@@ -148,17 +175,46 @@ private:
 };
 
 std::vector<std::string> histRow(std::string key,
-                                 const HistogramSnapshot& hist,
-                                 double scale = 1.0) {
+                                 const HistogramSnapshot& hist) {
   return {std::move(key),
           std::to_string(hist.count),
-          fmtCompact(hist.mean() * scale),
-          fmtCompact(hist.percentile(0.50) * scale),
-          fmtCompact(hist.percentile(0.90) * scale),
-          fmtCompact(hist.percentile(0.99) * scale)};
+          fmtCompact(hist.mean()),
+          fmtCompact(hist.percentile(0.50)),
+          fmtCompact(hist.percentile(0.90)),
+          fmtCompact(hist.percentile(0.99))};
+}
+
+/// One histogram row per key; `what` names the key column.
+void histTable(ReportBuilder& out, std::string_view what,
+               const std::map<std::string, HistogramSnapshot>& hists) {
+  std::vector<std::vector<std::string>> rows;
+  for (const auto& [key, hist] : hists) {
+    rows.push_back(histRow(key, hist));
+  }
+  out.table({std::string(what), "count", "mean", "p50", "p90", "p99"}, rows);
+}
+
+bool isHtml(const RunReportOptions& options) {
+  return options.format == RunReportOptions::Format::Html;
 }
 
 } // namespace
+
+bool isRunJournal(const std::vector<std::string>& lines) {
+  const auto first =
+      std::find_if(lines.begin(), lines.end(), [](const std::string& line) {
+        return line.find_first_not_of(" \t\r") != std::string::npos;
+      });
+  if (first == lines.end()) {
+    return true;
+  }
+  try {
+    const util::JsonValue doc = util::parseJson(*first);
+    return doc.isObject() && findString(doc, "event") != nullptr;
+  } catch (const util::JsonParseError&) {
+    return false;
+  }
+}
 
 RunReport parseRunJournal(const std::vector<std::string>& lines) {
   RunReport report;
@@ -194,6 +250,10 @@ RunReport parseRunJournal(const std::vector<std::string>& lines) {
     ++report.eventCounts[*name];
     const util::JsonValue* ts = findNumber(event, "ts_micros");
     const double micros = ts != nullptr ? ts->asNumber() : 0.0;
+    const std::optional<double> seconds = durationSeconds(event);
+    if (seconds) {
+      report.familySeconds[*name].observe(*seconds);
+    }
 
     if (*name == "flow.start") {
       ++flowStarts;
@@ -219,15 +279,13 @@ RunReport parseRunJournal(const std::vector<std::string>& lines) {
       if (const std::string* outcome = findString(event, "outcome")) {
         ++flowVerdicts[*outcome];
       }
-      if (const std::string* tier = findString(event, "tier")) {
-        ++report.tierCounts[*tier];
+      if (const std::string* tier = findString(event, "tier");
+          tier != nullptr && seconds) {
+        report.tierSeconds[*tier].observe(*seconds);
       }
     } else if (*name == "svc.pair.verdict") {
       if (const std::string* outcome = findString(event, "outcome")) {
         ++pairVerdicts[*outcome];
-      }
-      if (const util::JsonValue* seconds = findNumber(event, "seconds")) {
-        report.pairSeconds.observe(seconds->asNumber());
       }
     } else if (*name == "sim.stimulus") {
       if (const util::JsonValue* dev = findNumber(event, "deviation")) {
@@ -274,9 +332,7 @@ RunReport parseRunJournal(const std::vector<std::string>& lines) {
       if (const util::JsonValue* v = findNumber(event, "deduped")) {
         report.deduped = v->asUint();
       }
-      if (const util::JsonValue* v = findNumber(event, "seconds")) {
-        report.batchSeconds = v->asNumber();
-      }
+      report.batchSeconds = seconds.value_or(0.0);
     }
   }
 
@@ -337,10 +393,119 @@ void attachTraceSummary(RunReport& report, std::string_view traceJson) {
             });
 }
 
+namespace {
+
+std::int64_t asInt64(const util::JsonValue& v) {
+  return static_cast<std::int64_t>(v.asNumber());
+}
+
+void parseDumpLine(PostmortemReport& report, const util::JsonValue& doc,
+                   bool firstLine) {
+  if (firstLine) {
+    const util::JsonValue* schema = doc.find("schema");
+    if (schema == nullptr || schema->asString() != kPostmortemSchema) {
+      throw util::JsonParseError("not a qsimec-postmortem-v1 dump");
+    }
+    report.reason = doc.at("reason").asString();
+    report.label = doc.at("label").asString();
+    report.redacted = doc.at("redacted").asBool();
+    if (const util::JsonValue* v = doc.find("signal")) {
+      report.signal = static_cast<int>(v->asNumber());
+    }
+    if (const util::JsonValue* v = doc.find("events_recorded")) {
+      report.eventsRecorded = v->asUint();
+    }
+    if (const util::JsonValue* v = doc.find("events_dropped")) {
+      report.eventsDropped = v->asUint();
+    }
+    return;
+  }
+  const std::string& type = doc.at("type").asString();
+  if (type == "pair") {
+    report.pairs.push_back(PostmortemReport::Pair{
+        doc.at("label").asString(), doc.at("fingerprint").asString()});
+  } else if (type == "thread") {
+    PostmortemReport::Thread t;
+    t.slot = static_cast<int>(doc.at("slot").asNumber());
+    if (const util::JsonValue* v = doc.find("label")) {
+      t.label = v->asString();
+    }
+    t.active = doc.at("active").asBool();
+    t.heartbeatAgeMicros = doc.at("heartbeat_age_micros").asUint();
+    t.nodesLive = asInt64(doc.at("nodes_live"));
+    t.uniqueFillPpm = asInt64(doc.at("unique_fill_ppm"));
+    t.gateLeft = asInt64(doc.at("gate_left"));
+    t.gateRight = asInt64(doc.at("gate_right"));
+    t.events = doc.at("events").asUint();
+    t.eventsDropped = doc.at("events_dropped").asUint();
+    report.threads.push_back(std::move(t));
+  } else if (type == "event") {
+    PostmortemReport::Event e;
+    if (const util::JsonValue* v = doc.find("seq")) {
+      e.seq = v->asUint();
+    }
+    if (const util::JsonValue* v = doc.find("ts_micros")) {
+      e.tsMicros = v->asUint();
+    }
+    if (const util::JsonValue* v = doc.find("slot")) {
+      e.slot = static_cast<int>(v->asNumber());
+    }
+    e.kind = doc.at("kind").asString();
+    e.name = doc.at("name").asString();
+    e.a = asInt64(doc.at("a"));
+    if (const util::JsonValue* v = doc.find("b")) {
+      e.b = asInt64(*v);
+    }
+    report.events.push_back(std::move(e));
+  } else if (type == "metrics") {
+    // the embedded snapshot must parse, but the report does not render it
+    if (const util::JsonValue* data = doc.find("data")) {
+      (void)parseMetricsSnapshot(*data);
+    }
+  } else if (type == "end") {
+    report.complete = true;
+  } else {
+    throw util::JsonParseError("unknown line type: " + type);
+  }
+}
+
+} // namespace
+
+PostmortemReport parsePostmortem(const std::vector<std::string>& lines) {
+  PostmortemReport report;
+  bool sawHeader = false;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].find_first_not_of(" \t\r") == std::string::npos) {
+      continue;
+    }
+    try {
+      const util::JsonValue doc = util::parseJson(lines[i]);
+      if (!doc.isObject()) {
+        throw util::JsonParseError("expected a JSON object");
+      }
+      parseDumpLine(report, doc, !sawHeader);
+    } catch (const std::exception& e) {
+      report.error = "line " + std::to_string(i + 1) + ": " + e.what();
+      return report;
+    }
+    sawHeader = true;
+  }
+  if (!sawHeader) {
+    report.error = "empty dump";
+    return report;
+  }
+  std::stable_sort(report.events.begin(), report.events.end(),
+                   [](const PostmortemReport::Event& a,
+                      const PostmortemReport::Event& b) {
+                     return a.seq < b.seq;
+                   });
+  report.valid = true;
+  return report;
+}
+
 std::string renderRunReport(const RunReport& report,
                             const RunReportOptions& options) {
-  ReportBuilder out(options.format == RunReportOptions::Format::Html);
-  out.title("qsimec run report");
+  ReportBuilder out(isHtml(options), "qsimec run report");
   out.para("journal events: " + std::to_string(report.events) +
            (report.malformedLines > 0
                 ? " (malformed lines skipped: " +
@@ -349,18 +514,9 @@ std::string renderRunReport(const RunReport& report,
 
   out.heading("Stage waterfall");
   if (report.interleaved) {
-    out.para("Multiple flows interleave in this journal; per-stage event "
-             "counts are reported instead of a waterfall.");
-    std::vector<std::vector<std::string>> rows;
-    if (const auto it = report.eventCounts.find("flow.stage");
-        it != report.eventCounts.end()) {
-      rows.push_back({"flow.stage", std::to_string(it->second)});
-    }
-    if (const auto it = report.eventCounts.find("flow.start");
-        it != report.eventCounts.end()) {
-      rows.push_back({"flow.start", std::to_string(it->second)});
-    }
-    out.table({"event", "count"}, rows);
+    out.para("Multiple flows interleave in this journal; see the flow.start "
+             "and flow.stage rows under Event counts instead of a "
+             "waterfall.");
   } else if (report.stages.empty()) {
     out.para("No stage events in this journal.");
   } else {
@@ -372,15 +528,11 @@ std::string renderRunReport(const RunReport& report,
     out.table({"stage", "start (ms)", "duration (ms)"}, rows);
   }
 
-  out.heading("Tier routing");
-  if (report.tierCounts.empty()) {
+  out.heading("Tier routing (flow seconds)");
+  if (report.tierSeconds.empty()) {
     out.para("No tier events in this journal.");
   } else {
-    std::vector<std::vector<std::string>> rows;
-    for (const auto& [tier, count] : report.tierCounts) {
-      rows.push_back({tier, std::to_string(count)});
-    }
-    out.table({"tier", "flows"}, rows);
+    histTable(out, "tier", report.tierSeconds);
   }
 
   out.heading("Verdicts");
@@ -428,17 +580,27 @@ std::string renderRunReport(const RunReport& report,
               {{std::to_string(report.pairs), std::to_string(report.cacheHits),
                 std::to_string(report.cacheStores),
                 std::to_string(report.deduped), fmt(report.batchSeconds)}});
-    if (report.pairSeconds.count > 0) {
-      out.heading("Per-pair latency (seconds)");
-      out.table({"metric", "count", "mean", "p50", "p90", "p99"},
-                {histRow("pair.seconds", report.pairSeconds)});
-    }
+  }
+
+  out.heading("Latency by event family (seconds)");
+  if (report.familySeconds.empty()) {
+    out.para("No duration-carrying events in this journal.");
+  } else {
+    histTable(out, "event", report.familySeconds);
   }
 
   if (report.stimulusDeviation.count > 0) {
     out.heading("Stimulus fidelity deviations");
-    out.table({"metric", "count", "mean", "p50", "p90", "p99"},
-              {histRow("deviation", report.stimulusDeviation)});
+    histTable(out, "metric", {{"deviation", report.stimulusDeviation}});
+  }
+
+  out.heading("Event counts");
+  {
+    std::vector<std::vector<std::string>> rows;
+    for (const auto& [name, count] : report.eventCounts) {
+      rows.push_back({name, std::to_string(count)});
+    }
+    out.table({"event", "count"}, rows);
   }
 
   if (!report.traceSpans.empty()) {
@@ -456,105 +618,87 @@ std::string renderRunReport(const RunReport& report,
   return out.finish();
 }
 
-JournalStats computeJournalStats(const std::vector<std::string>& lines) {
-  JournalStats stats;
-  std::map<std::string, HistogramSnapshot> families;
-  std::map<std::string, HistogramSnapshot> tiers;
+std::string renderRunReport(const PostmortemReport& r,
+                            const RunReportOptions& options) {
+  ReportBuilder out(isHtml(options), "qsimec postmortem");
+  std::vector<std::string> facts{"reason: " + r.reason};
+  if (!r.label.empty()) {
+    facts.push_back("label: " + r.label);
+  }
+  if (r.signal != 0) {
+    facts.push_back("signal: " + std::to_string(r.signal));
+  }
+  facts.push_back(std::string("redacted: ") + (r.redacted ? "true" : "false"));
+  if (!r.redacted) {
+    facts.push_back("events recorded: " + std::to_string(r.eventsRecorded) +
+                    " (dropped: " + std::to_string(r.eventsDropped) + ")");
+  }
+  if (!r.complete) {
+    facts.push_back("WARNING: dump is truncated (no end marker)");
+  }
+  out.bullets(facts);
 
-  for (const std::string& line : lines) {
-    if (line.empty()) {
-      continue;
+  if (!r.pairs.empty()) {
+    out.heading("Active pairs");
+    std::vector<std::vector<std::string>> rows;
+    for (const PostmortemReport::Pair& p : r.pairs) {
+      rows.push_back({p.label, p.fingerprint});
     }
-    util::JsonValue event;
-    try {
-      event = util::parseJson(line);
-    } catch (const util::JsonParseError&) {
-      ++stats.malformedLines;
-      continue;
-    }
-    if (!event.isObject()) {
-      ++stats.malformedLines;
-      continue;
-    }
-    const std::string* name = findString(event, "event");
-    if (name == nullptr) {
-      ++stats.malformedLines;
-      continue;
-    }
-    ++stats.events;
-    ++stats.eventCounts[*name];
+    out.table({"pair", "fingerprint"}, rows);
+  }
 
-    double seconds = 0.0;
-    bool hasSeconds = false;
-    if (const util::JsonValue* v = findNumber(event, "seconds")) {
-      seconds = v->asNumber();
-      hasSeconds = true;
-    } else if (const util::JsonValue* v = findNumber(event, "total_seconds")) {
-      seconds = v->asNumber();
-      hasSeconds = true;
-    } else if (const util::JsonValue* v = findNumber(event, "wall_nanos")) {
-      seconds = v->asNumber() / 1e9;
-      hasSeconds = true;
-    }
-    if (hasSeconds) {
-      families[*name].observe(seconds);
-    }
-    if (*name == "flow.verdict" && hasSeconds) {
-      if (const std::string* tier = findString(event, "tier")) {
-        tiers[*tier].observe(seconds);
+  if (!r.threads.empty()) {
+    // stall attribution: the quietest heartbeat is the prime suspect
+    const PostmortemReport::Thread* oldest = &r.threads.front();
+    const PostmortemReport::Thread* hotspot = &r.threads.front();
+    for (const PostmortemReport::Thread& t : r.threads) {
+      if (t.heartbeatAgeMicros > oldest->heartbeatAgeMicros) {
+        oldest = &t;
+      }
+      if (t.nodesLive > hotspot->nodesLive) {
+        hotspot = &t;
       }
     }
-  }
-
-  for (auto& [key, hist] : families) {
-    stats.families.push_back(JournalStats::Row{key, hist});
-  }
-  for (auto& [key, hist] : tiers) {
-    stats.tiers.push_back(JournalStats::Row{key, hist});
-  }
-  return stats;
-}
-
-std::string renderJournalStats(const JournalStats& stats) {
-  ReportBuilder out(false);
-  out.title("qsimec journal statistics");
-  out.para("journal events: " + std::to_string(stats.events) +
-           (stats.malformedLines > 0
-                ? " (malformed lines skipped: " +
-                      std::to_string(stats.malformedLines) + ")"
-                : ""));
-
-  out.heading("Event counts");
-  {
+    const auto slotName = [](const PostmortemReport::Thread& t) {
+      return std::to_string(t.slot) +
+             (t.label.empty() ? "" : " (" + t.label + ")");
+    };
+    out.heading("Stall attribution");
+    out.para("Oldest heartbeat: slot " + slotName(*oldest) + ", quiet for " +
+             std::to_string(oldest->heartbeatAgeMicros) + " us");
+    out.heading("Hotspot at death");
+    out.para("Slot " + slotName(*hotspot) + ": " +
+             std::to_string(hotspot->nodesLive) +
+             " live nodes, in-flight gate left=" +
+             std::to_string(hotspot->gateLeft) +
+             " right=" + std::to_string(hotspot->gateRight));
+    out.heading("Threads");
     std::vector<std::vector<std::string>> rows;
-    for (const auto& [name, count] : stats.eventCounts) {
-      rows.push_back({name, std::to_string(count)});
+    for (const PostmortemReport::Thread& t : r.threads) {
+      rows.push_back({std::to_string(t.slot), t.label,
+                      t.active ? "yes" : "no",
+                      std::to_string(t.heartbeatAgeMicros),
+                      std::to_string(t.nodesLive),
+                      std::to_string(t.uniqueFillPpm),
+                      std::to_string(t.gateLeft), std::to_string(t.gateRight),
+                      std::to_string(t.events),
+                      std::to_string(t.eventsDropped)});
     }
-    out.table({"event", "count"}, rows);
+    out.table({"slot", "label", "active", "heartbeat age (us)", "nodes live",
+               "fill (ppm)", "gate L", "gate R", "events", "dropped"},
+              rows);
   }
 
-  out.heading("Latency by event family (seconds)");
-  if (stats.families.empty()) {
-    out.para("No duration-carrying events in this journal.");
-  } else {
+  if (!r.events.empty()) {
+    out.heading("Timeline (" + std::to_string(r.events.size()) + " events)");
     std::vector<std::vector<std::string>> rows;
-    for (const JournalStats::Row& row : stats.families) {
-      rows.push_back(histRow(row.key, row.hist));
+    for (const PostmortemReport::Event& e : r.events) {
+      rows.push_back({std::to_string(e.seq), std::to_string(e.tsMicros),
+                      std::to_string(e.slot), e.kind, e.name,
+                      std::to_string(e.a), std::to_string(e.b)});
     }
-    out.table({"event", "count", "mean", "p50", "p90", "p99"}, rows);
+    out.table({"seq", "t (us)", "slot", "kind", "name", "a", "b"}, rows);
   }
-
-  out.heading("Latency by tier (seconds)");
-  if (stats.tiers.empty()) {
-    out.para("No flow verdicts in this journal.");
-  } else {
-    std::vector<std::vector<std::string>> rows;
-    for (const JournalStats::Row& row : stats.tiers) {
-      rows.push_back(histRow(row.key, row.hist));
-    }
-    out.table({"tier", "count", "mean", "p50", "p90", "p99"}, rows);
-  }
-
   return out.finish();
 }
 

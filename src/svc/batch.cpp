@@ -23,31 +23,6 @@ namespace qsimec::svc {
 
 namespace {
 
-/// The CLI's stimuli shorthands plus the canonical toString spellings.
-std::optional<ec::StimuliKind> stimuliFromString(std::string_view s) {
-  if (s == "basis") {
-    return ec::StimuliKind::ComputationalBasis;
-  }
-  if (s == "product") {
-    return ec::StimuliKind::RandomProduct;
-  }
-  if (s == "stabilizer") {
-    return ec::StimuliKind::RandomStabilizer;
-  }
-  return ec::parseStimuliKind(s);
-}
-
-std::optional<ec::Strategy> strategyFromString(std::string_view s) {
-  for (const ec::Strategy strategy :
-       {ec::Strategy::Naive, ec::Strategy::Proportional,
-        ec::Strategy::Lookahead}) {
-    if (s == ec::toString(strategy)) {
-      return strategy;
-    }
-  }
-  return std::nullopt;
-}
-
 [[noreturn]] void failLine(std::size_t lineNumber, const std::string& what) {
   throw std::runtime_error("manifest line " + std::to_string(lineNumber) +
                            ": " + what);
@@ -62,13 +37,13 @@ void applyOverride(ec::FlowConfiguration& config, const std::string& key,
   } else if (key == "timeout") {
     config.complete.timeoutSeconds = value.asNumber();
   } else if (key == "stimuli") {
-    const auto kind = stimuliFromString(value.asString());
+    const auto kind = ec::parseStimuliKind(value.asString());
     if (!kind) {
       failLine(lineNumber, "unknown stimuli kind: " + value.asString());
     }
     config.simulation.stimuli = *kind;
   } else if (key == "strategy") {
-    const auto strategy = strategyFromString(value.asString());
+    const auto strategy = ec::parseStrategy(value.asString());
     if (!strategy) {
       failLine(lineNumber, "unknown strategy: " + value.asString());
     }
@@ -572,27 +547,25 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
   // rank the DD-heaviest pairs (wall time never participates, so the list
   // is deterministic for a fixed manifest and machine-independent modulo
   // timeouts)
-  if (options_.topExpensive > 0) {
-    for (const PairOutcome& outcome : result.outcomes) {
-      if (outcome.attrGatesApplied > 0) {
-        summary.topExpensive.push_back(ExpensivePairRef{
-            outcome.index, outcome.attrPeakNodesLive,
-            outcome.attrGatesApplied});
-      }
+  for (const PairOutcome& outcome : result.outcomes) {
+    if (outcome.attrGatesApplied > 0) {
+      summary.topExpensive.push_back(ExpensivePairRef{
+          outcome.index, outcome.attrPeakNodesLive,
+          outcome.attrGatesApplied});
     }
-    std::sort(summary.topExpensive.begin(), summary.topExpensive.end(),
-              [](const ExpensivePairRef& a, const ExpensivePairRef& b) {
-                if (a.peakNodesLive != b.peakNodesLive) {
-                  return a.peakNodesLive > b.peakNodesLive;
-                }
-                if (a.gatesApplied != b.gatesApplied) {
-                  return a.gatesApplied > b.gatesApplied;
-                }
-                return a.index < b.index;
-              });
-    if (summary.topExpensive.size() > options_.topExpensive) {
-      summary.topExpensive.resize(options_.topExpensive);
-    }
+  }
+  std::sort(summary.topExpensive.begin(), summary.topExpensive.end(),
+            [](const ExpensivePairRef& a, const ExpensivePairRef& b) {
+              if (a.peakNodesLive != b.peakNodesLive) {
+                return a.peakNodesLive > b.peakNodesLive;
+              }
+              if (a.gatesApplied != b.gatesApplied) {
+                return a.gatesApplied > b.gatesApplied;
+              }
+              return a.index < b.index;
+            });
+  if (summary.topExpensive.size() > kTopExpensivePairs) {
+    summary.topExpensive.resize(kTopExpensivePairs);
   }
 
   batchSpan.arg("cache_hits", static_cast<std::uint64_t>(summary.cacheHits));

@@ -117,6 +117,9 @@ struct PairOutcome {
   std::uint64_t attrWallNanos{0};
 };
 
+/// Rows kept in BatchSummary::topExpensive.
+inline constexpr std::size_t kTopExpensivePairs = 5;
+
 /// One row of BatchSummary::topExpensive: a pair ranked by how hard it
 /// worked the DD machinery (peak live nodes, then gates applied, then
 /// manifest index — never wall time, so the ranking is deterministic).
@@ -146,8 +149,8 @@ struct BatchSummary {
   std::size_t dispatched{0};
   unsigned threads{1};
   double seconds{0.0};
-  /// The most DD-expensive pairs of the batch (BatchOptions::topExpensive
-  /// rows), by attribution rollup. Empty when attribution was disabled.
+  /// The kTopExpensivePairs most DD-expensive pairs of the batch, by
+  /// attribution rollup. Empty when attribution was disabled.
   std::vector<ExpensivePairRef> topExpensive;
 };
 
@@ -170,8 +173,6 @@ struct BatchOptions {
   ec::WorkerPool* pool{nullptr};
   /// Optional shared verdict cache (not owned). Null: every pair is checked.
   VerdictCache* cache{nullptr};
-  /// Rows kept in BatchSummary::topExpensive (0 disables the ranking).
-  std::size_t topExpensive{5};
   /// Invoked after every resolved pair as onPairDone(done, total) — calls
   /// are serialized but may come from any worker thread; keep it cheap.
   std::function<void(std::size_t, std::size_t)> onPairDone;

@@ -1,5 +1,7 @@
 #include "svc/fingerprint.hpp"
 
+#include "analysis/prescreen.hpp"
+
 #include <cmath>
 #include <cstdio>
 
@@ -44,9 +46,7 @@ public:
     lo_.absorb(word);
   }
   void absorb(double value) noexcept {
-    // Quantize to the documented epsilon grid. llround ties away from zero;
-    // +0.0 and -0.0 share bucket 0.
-    absorb(static_cast<std::uint64_t>(std::llround(value / kParamEpsilon)));
+    absorb(static_cast<std::uint64_t>(analysis::quantizeParam(value)));
   }
 
   [[nodiscard]] Fingerprint digest() const noexcept {

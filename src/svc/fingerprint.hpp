@@ -10,10 +10,11 @@
 // file fingerprints identically as long as the parsers produce the same
 // operation stream.
 //
-// Parameters are quantized to integer multiples of kParamEpsilon before
-// hashing: two circuits whose angles differ by less than half a grid step
-// (and land in the same bucket) share a fingerprint, while a difference of
-// one full step or more is guaranteed to change the hashed word. The grid
+// Parameters are quantized to integer multiples of analysis::kParamEpsilon
+// (the prescreen's grid) before hashing: two circuits whose angles differ
+// by less than half a grid step (and land in the same bucket) share a
+// fingerprint, while a difference of one full step or more is guaranteed
+// to change the hashed word. The grid
 // is far below the 1e-8 fidelity tolerance the simulation checker proves
 // verdicts against, so two circuits the checker could distinguish never
 // share a bucket by construction.
@@ -35,10 +36,6 @@
 #include <string_view>
 
 namespace qsimec::svc {
-
-/// Quantization grid for gate parameters: angles are snapped to integer
-/// multiples of this before hashing (see file comment).
-inline constexpr double kParamEpsilon = 1e-9;
 
 /// 128-bit structural hash, rendered as 32 lowercase hex digits for JSONL
 /// persistence.

@@ -290,9 +290,29 @@ TEST(RunReport, FoldsRealJournalIntoHotspotsAndStages) {
               report.hotspots[i + 1].nodesDelta);
   }
 
+  // GC pauses are a duration family of their own
+  const auto gc = report.familySeconds.find("dd.gc");
+  ASSERT_NE(gc, report.familySeconds.end());
+  EXPECT_EQ(gc->second.count, report.eventCounts.at("dd.gc"));
+
   const std::string markdown = obs::renderRunReport(report);
-  EXPECT_NE(markdown.find("## Stage waterfall"), std::string::npos);
-  EXPECT_NE(markdown.find("## Hotspot gates"), std::string::npos);
+  const auto occurrences = [&markdown](const std::string& needle) {
+    std::size_t n = 0;
+    for (std::size_t at = markdown.find(needle); at != std::string::npos;
+         at = markdown.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  for (const char* heading :
+       {"## Stage waterfall\n", "## Tier routing (flow seconds)\n",
+        "## Verdicts\n", "## Hotspot gates\n",
+        "## Latency by event family (seconds)\n",
+        "## Stimulus fidelity deviations\n", "## Event counts\n"}) {
+    EXPECT_EQ(occurrences(heading), 1U) << heading;
+  }
+  EXPECT_EQ(occurrences("\n## "), 7U) << markdown;
+  EXPECT_EQ(occurrences("\n| dd.gc | "), 2U) << markdown; // latency + count
   obs::RunReportOptions html;
   html.format = obs::RunReportOptions::Format::Html;
   EXPECT_NE(obs::renderRunReport(report, html).find("<!DOCTYPE html>"),
@@ -309,25 +329,24 @@ TEST(RunReport, JournalStatsGroupLatenciesByFamilyAndTier) {
       "not json at all",
       "",
   };
-  const obs::JournalStats stats = obs::computeJournalStats(lines);
-  EXPECT_EQ(stats.events, 3U);
-  EXPECT_EQ(stats.malformedLines, 1U);
+  EXPECT_TRUE(obs::isRunJournal(lines));
+  const obs::RunReport report = obs::parseRunJournal(lines);
+  EXPECT_EQ(report.events, 3U);
+  EXPECT_EQ(report.malformedLines, 1U);
 
-  const auto family = std::find_if(
-      stats.families.begin(), stats.families.end(),
-      [](const obs::JournalStats::Row& r) {
-        return r.key == "svc.pair.verdict";
-      });
-  ASSERT_NE(family, stats.families.end());
-  EXPECT_EQ(family->hist.count, 1U);
-  EXPECT_DOUBLE_EQ(family->hist.sum, 0.125);
+  const auto family = report.familySeconds.find("svc.pair.verdict");
+  ASSERT_NE(family, report.familySeconds.end());
+  EXPECT_EQ(family->second.count, 1U);
+  EXPECT_DOUBLE_EQ(family->second.sum, 0.125);
 
-  ASSERT_EQ(stats.tiers.size(), 1U);
-  EXPECT_EQ(stats.tiers[0].key, "general");
-  EXPECT_DOUBLE_EQ(stats.tiers[0].hist.sum, 0.25);
+  ASSERT_EQ(report.tierSeconds.size(), 1U);
+  EXPECT_EQ(report.tierSeconds.begin()->first, "general");
+  EXPECT_DOUBLE_EQ(report.tierSeconds.begin()->second.sum, 0.25);
 
-  const std::string rendered = obs::renderJournalStats(stats);
-  EXPECT_NE(rendered.find("Latency by tier"), std::string::npos);
+  const std::string rendered = obs::renderRunReport(report);
+  EXPECT_NE(rendered.find("| tier | count | mean | p50 | p90 | p99 |"),
+            std::string::npos);
+  EXPECT_NE(rendered.find("| general | 1 | 0.25 |"), std::string::npos);
 }
 
 } // namespace

@@ -71,6 +71,14 @@ TEST_F(CliTest, HelpExitsCleanly) {
 
 TEST_F(CliTest, UnknownCommandFails) {
   EXPECT_EQ(runCli("frobnicate").exitCode, 2);
+  // `report` reads journals and postmortem dumps; these readers are gone
+  for (const char* retired : {"journal-stats", "postmortem"}) {
+    const auto result = runCli(std::string(retired) + " x.jsonl");
+    EXPECT_EQ(result.exitCode, 2) << retired;
+    EXPECT_NE(result.output.find("unknown command: " + std::string(retired)),
+              std::string::npos)
+        << result.output;
+  }
 }
 
 TEST_F(CliTest, GenerateInfoConvertCheckPipeline) {
@@ -106,6 +114,22 @@ TEST_F(CliTest, NonEquivalentPairExitsWithOne) {
   EXPECT_EQ(check.exitCode, 1);
   EXPECT_NE(check.output.find("not equivalent"), std::string::npos);
   EXPECT_NE(check.output.find("counterexample"), std::string::npos);
+
+  // --stimuli and --strategy take the shorthands and the canonical names
+  EXPECT_EQ(runCli("check " + a + " " + b +
+                   " --sim-only --stimuli random-product --strategy naive")
+                .exitCode,
+            1);
+  const auto badStimuli =
+      runCli("check " + a + " " + b + " --stimuli bogus");
+  EXPECT_EQ(badStimuli.exitCode, 2);
+  EXPECT_NE(badStimuli.output.find("unknown stimuli kind: bogus"),
+            std::string::npos);
+  const auto badStrategy =
+      runCli("check " + a + " " + b + " --strategy bogus");
+  EXPECT_EQ(badStrategy.exitCode, 2);
+  EXPECT_NE(badStrategy.output.find("unknown strategy: bogus"),
+            std::string::npos);
 }
 
 TEST_F(CliTest, JsonOutputIsParseableShape) {

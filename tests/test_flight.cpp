@@ -1,5 +1,6 @@
 // Tests of the flight recorder, stall watchdog and postmortem diagnostics
-// (src/obs/flight_recorder, src/obs/postmortem): ring semantics (drop
+// (src/obs/flight_recorder, src/obs/postmortem, and the dump reader in
+// src/obs/run_report): ring semantics (drop
 // oldest, global sequence numbers, per-thread slots), watchdog quiet/
 // deadline triggers, dump render/parse roundtrips, redaction determinism,
 // the batch scheduler's watchdog-backed stall containment, and the
@@ -17,10 +18,10 @@
 #include "obs/metrics.hpp"
 #include "obs/openmetrics.hpp"
 #include "obs/postmortem.hpp"
+#include "obs/run_report.hpp"
 #include "svc/batch.hpp"
 #include "svc/verdict_cache.hpp"
 #include "transform/mapper.hpp"
-#include "util/json_parse.hpp"
 
 #include <gtest/gtest.h>
 
@@ -45,6 +46,23 @@ namespace {
 using namespace qsimec;
 using namespace std::chrono_literals;
 namespace fs = std::filesystem;
+
+/// A dump's text split into the lines obs::parsePostmortem reads.
+std::vector<std::string> linesOf(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    lines.push_back(line);
+  }
+  return lines;
+}
+
+obs::PostmortemReport parseDumpFile(const std::string& path) {
+  std::ifstream is(path);
+  std::ostringstream text;
+  text << is.rdbuf();
+  return obs::parsePostmortem(linesOf(text.str()));
+}
 
 fs::path freshDir(const std::string& tag) {
   const fs::path dir =
@@ -160,8 +178,8 @@ TEST(FlightRing, FreshRecorderDumpsExactlyTheWrittenEvents) {
   recorder.record(obs::FlightEventKind::Journal, "second", 3, 4);
   recorder.record(obs::FlightEventKind::Gate, "third", 5, 6);
 
-  std::istringstream in(obs::renderPostmortem(recorder));
-  const obs::PostmortemReport report = obs::parsePostmortem(in);
+  const obs::PostmortemReport report =
+      obs::parsePostmortem(linesOf(obs::renderPostmortem(recorder)));
   ASSERT_TRUE(report.valid) << report.error;
   EXPECT_EQ(report.eventsRecorded, 3U);
   ASSERT_EQ(report.threads.size(), 1U);
@@ -170,7 +188,7 @@ TEST(FlightRing, FreshRecorderDumpsExactlyTheWrittenEvents) {
   const std::array<std::string, 3> kinds{"mark", "journal", "gate"};
   const std::array<std::string, 3> names{"first", "second", "third"};
   for (std::size_t i = 0; i < report.events.size(); ++i) {
-    const obs::PostmortemEvent& e = report.events[i];
+    const obs::PostmortemReport::Event& e = report.events[i];
     EXPECT_EQ(e.seq, i);
     EXPECT_EQ(e.slot, report.threads[0].slot);
     EXPECT_EQ(e.kind, kinds[i]);
@@ -264,9 +282,9 @@ TEST(Postmortem, RenderParseRoundtrip) {
   options.label = "roundtrip";
   options.metrics = &metrics;
   const std::string text = obs::renderPostmortem(recorder, options);
+  EXPECT_NE(text.find("{\"type\":\"metrics\",\"data\":"), std::string::npos);
 
-  std::istringstream in(text);
-  const obs::PostmortemReport report = obs::parsePostmortem(in);
+  const obs::PostmortemReport report = obs::parsePostmortem(linesOf(text));
   ASSERT_TRUE(report.valid) << report.error;
   EXPECT_TRUE(report.complete);
   EXPECT_EQ(report.reason, "timeout");
@@ -285,16 +303,21 @@ TEST(Postmortem, RenderParseRoundtrip) {
   }
   EXPECT_EQ(report.events[2].kind, "gc");
   EXPECT_EQ(report.events[2].a, 128);
-  EXPECT_FALSE(report.metricsJson.empty());
 
-  // both inspector renderings accept the parsed report
-  const std::string md = obs::renderPostmortemMarkdown(report);
-  EXPECT_NE(md.find("## Timeline"), std::string::npos);
+  // both report formats render the parsed dump
+  const std::string md = obs::renderRunReport(report);
+  EXPECT_NE(md.find("# qsimec postmortem"), std::string::npos);
+  EXPECT_NE(md.find("- reason: timeout"), std::string::npos);
+  EXPECT_NE(md.find("## Timeline (5 events)"), std::string::npos);
   EXPECT_NE(md.find("## Threads"), std::string::npos);
+  EXPECT_NE(md.find("| pair 0 | 00ff00ff00ff00ff00ff00ff00ff00ff |"),
+            std::string::npos);
   EXPECT_NE(md.find("flow.verdict"), std::string::npos);
-  const util::JsonValue json = util::parseJson(obs::renderPostmortemJson(report));
-  EXPECT_EQ(json.at("reason").asString(), "timeout");
-  EXPECT_EQ(json.at("events").elements().size(), 5U);
+  obs::RunReportOptions html;
+  html.format = obs::RunReportOptions::Format::Html;
+  const std::string page = obs::renderRunReport(report, html);
+  EXPECT_NE(page.find("<title>qsimec postmortem</title>"), std::string::npos);
+  EXPECT_NE(page.find("<li>reason: timeout</li>"), std::string::npos);
 }
 
 TEST(Postmortem, RedactedDumpKeepsOnlyTheDeterministicSubset) {
@@ -313,8 +336,7 @@ TEST(Postmortem, RedactedDumpKeepsOnlyTheDeterministicSubset) {
   EXPECT_EQ(text.find("ts_micros"), std::string::npos);
   EXPECT_EQ(text.find("\"type\":\"thread\""), std::string::npos);
 
-  std::istringstream in(text);
-  const obs::PostmortemReport report = obs::parsePostmortem(in);
+  const obs::PostmortemReport report = obs::parsePostmortem(linesOf(text));
   ASSERT_TRUE(report.valid) << report.error;
   EXPECT_TRUE(report.redacted);
   ASSERT_EQ(report.events.size(), 2U);
@@ -324,22 +346,23 @@ TEST(Postmortem, RedactedDumpKeepsOnlyTheDeterministicSubset) {
 }
 
 TEST(Postmortem, ParserRejectsGarbageAndFlagsTruncation) {
-  std::istringstream garbage("this is not json\n");
-  EXPECT_FALSE(obs::parsePostmortem(garbage).valid);
+  const obs::PostmortemReport garbage =
+      obs::parsePostmortem({"", "this is not json"});
+  EXPECT_FALSE(garbage.valid);
+  EXPECT_EQ(garbage.error.rfind("line 2: ", 0), 0U) << garbage.error;
+  EXPECT_FALSE(obs::parsePostmortem({}).valid);
 
-  std::istringstream wrongSchema(R"({"schema":"other-v1","x":1})"
-                                 "\n");
-  EXPECT_FALSE(obs::parsePostmortem(wrongSchema).valid);
+  EXPECT_FALSE(
+      obs::parsePostmortem({R"({"schema":"other-v1","x":1})"}).valid);
 
   // a valid header without the end trailer parses but reports truncation —
   // the shape of a dump cut off mid-write by a dying process
-  std::istringstream truncated(
-      R"({"schema":"qsimec-postmortem-v1","version":1,"reason":"signal","label":"","redacted":false})"
-      "\n");
-  const obs::PostmortemReport report = obs::parsePostmortem(truncated);
+  const obs::PostmortemReport report = obs::parsePostmortem(
+      {R"({"schema":"qsimec-postmortem-v1","version":1,"reason":"signal","label":"","redacted":false})"});
   EXPECT_TRUE(report.valid);
   EXPECT_FALSE(report.complete);
-  EXPECT_NE(obs::renderPostmortemMarkdown(report).find("WARNING"),
+  EXPECT_NE(obs::renderRunReport(report).find(
+                "- WARNING: dump is truncated (no end marker)"),
             std::string::npos);
 }
 
@@ -408,7 +431,7 @@ TEST(BatchStall, WatchdogResolvesTheWedgedPairAndTheBatchSurvives) {
   EXPECT_TRUE(stalled.stalled);
   EXPECT_EQ(stalled.equivalence, ec::Equivalence::NoInformation);
   ASSERT_FALSE(stalled.dumpRef.empty());
-  const obs::PostmortemReport dump = obs::parsePostmortemFile(stalled.dumpRef);
+  const obs::PostmortemReport dump = parseDumpFile(stalled.dumpRef);
   ASSERT_TRUE(dump.valid) << dump.error;
   EXPECT_EQ(dump.reason, "stall");
 
@@ -578,7 +601,7 @@ TEST(SignalDumpDeathTest, AbortMidRunLeavesAParseableDump) {
       },
       ::testing::KilledBySignal(SIGABRT), "");
 
-  const obs::PostmortemReport report = obs::parsePostmortemFile(dumpPath);
+  const obs::PostmortemReport report = parseDumpFile(dumpPath);
   ASSERT_TRUE(report.valid) << report.error;
   EXPECT_EQ(report.reason, "signal");
   EXPECT_EQ(report.signal, SIGABRT);
@@ -589,7 +612,7 @@ TEST(SignalDumpDeathTest, AbortMidRunLeavesAParseableDump) {
   EXPECT_EQ(report.threads[0].gateLeft, 12);
   EXPECT_EQ(report.threads[0].gateRight, 34);
   bool sawPreCrash = false;
-  for (const obs::PostmortemEvent& e : report.events) {
+  for (const obs::PostmortemReport::Event& e : report.events) {
     sawPreCrash = sawPreCrash || e.name == "pre.crash";
   }
   EXPECT_TRUE(sawPreCrash);
@@ -658,15 +681,15 @@ TEST(FlightCli, RedactedDumpIsByteIdenticalAcrossThreadCounts) {
   const std::string dump4 = checkWith("t4", 4);
   ASSERT_FALSE(dump1.empty());
   EXPECT_EQ(dump1, dump4);
-  // the redacted dump still renders through the inspector
+  // the redacted dump still renders through the reader
   const CommandResult render =
-      runCli("postmortem " + (dir / "t1" / "postmortem-check.jsonl").string());
+      runCli("report " + (dir / "t1" / "postmortem-check.jsonl").string());
   EXPECT_EQ(render.exitCode, 0) << render.output;
   EXPECT_NE(render.output.find("redacted: true"), std::string::npos);
   fs::remove_all(dir);
 }
 
-TEST(FlightCli, InspectorRendersJsonAndRejectsGarbage) {
+TEST(FlightCli, ReportRendersCheckDumpAndRejectsGarbage) {
   const fs::path dir = freshDir("inspect");
   const std::string circuit = (dir / "c.qasm").string();
   ASSERT_EQ(runCli("gen qft 3 " + circuit).exitCode, 0);
@@ -675,15 +698,26 @@ TEST(FlightCli, InspectorRendersJsonAndRejectsGarbage) {
                    " --postmortem " + pmDir)
                 .exitCode,
             0);
-  const CommandResult json =
-      runCli("postmortem " + pmDir + "/postmortem-check.jsonl --json");
-  EXPECT_EQ(json.exitCode, 0) << json.output;
-  const util::JsonValue doc = util::parseJson(json.output);
-  EXPECT_EQ(doc.at("reason").asString(), "complete");
+  const std::string dump = pmDir + "/postmortem-check.jsonl";
+  const CommandResult markdown = runCli("report " + dump);
+  EXPECT_EQ(markdown.exitCode, 0) << markdown.output;
+  EXPECT_EQ(markdown.output.rfind("# qsimec postmortem\n", 0), 0U)
+      << markdown.output;
+  for (const char* section :
+       {"- reason: complete", "- label: ", "## Stall attribution",
+        "## Hotspot at death", "## Threads", "## Timeline ("}) {
+    EXPECT_NE(markdown.output.find(section), std::string::npos) << section;
+  }
+  // a dump is read alone
+  EXPECT_EQ(runCli("report " + dump + " --trace " + dump).exitCode, 2);
+  EXPECT_EQ(runCli("report " + dump + " " + dump).exitCode, 2);
 
   const std::string garbage = (dir / "garbage.jsonl").string();
   std::ofstream(garbage) << "not a dump\n";
-  EXPECT_EQ(runCli("postmortem " + garbage).exitCode, 2);
+  const CommandResult rejected = runCli("report " + garbage);
+  EXPECT_EQ(rejected.exitCode, 2);
+  EXPECT_NE(rejected.output.find(garbage + ": line 1: "), std::string::npos)
+      << rejected.output;
   fs::remove_all(dir);
 }
 

@@ -183,8 +183,14 @@ TEST(MalformedFiles, TfcOverlapRejectedByDefaultParse) {
 // the test names those of the plain input strings.
 
 struct FuzzCase {
+  constexpr FuzzCase(const char* text, std::size_t line,
+                     const char* what = nullptr)
+      : text(text), line(line), what(what) {}
+
   const char* text;
   std::size_t line;
+  /// A fragment the error message must contain (none when null).
+  const char* what;
 };
 
 void PrintTo(const FuzzCase& fuzzCase, std::ostream* os) {
@@ -198,6 +204,10 @@ void expectParseErrorAt(Parse parse, const FuzzCase& fuzzCase) {
     FAIL() << "expected a parse error";
   } catch (const Error& e) {
     EXPECT_EQ(e.line(), fuzzCase.line) << e.what();
+    if (fuzzCase.what != nullptr) {
+      EXPECT_NE(std::string(e.what()).find(fuzzCase.what), std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -274,7 +284,9 @@ const FuzzCase kRealFuzzCases[] = {
     FuzzCase{".numvars 2\n.variables a b\n.begin\n"
              "t99999999999999999999999 a\n.end\n",
              4},
-    FuzzCase{".version 2.0\n.numvars 0\n", 2}}; // zero width
+    // a declared zero width fails at its own line
+    FuzzCase{".version 2.0\n.numvars 0\n", 2, ".numvars 0"},
+    FuzzCase{".version 2.0\n.numvars 0\n.variables\n", 2, ".numvars 0"}};
 
 class RealFuzzTest : public ::testing::TestWithParam<FuzzCase> {};
 

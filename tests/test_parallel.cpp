@@ -119,20 +119,7 @@ TEST(Parallel, PerRunSeedsAreStableAndDistinct) {
   EXPECT_NE(ec::perRunStimulusSeed(43, 0), a);
 }
 
-// --- package-level cancellation ------------------------------------------
-
-TEST(Package, RequestInterruptCancelsLongOperation) {
-  dd::Package pkg(6);
-  pkg.requestInterrupt();
-  const auto qc = gen::randomCircuit(6, 400, 11);
-  EXPECT_THROW(
-      { (void)sim::simulate(qc, pkg.makeBasisState(0), pkg); },
-      util::CancelledError);
-  pkg.clearInterruptRequest();
-  EXPECT_FALSE(pkg.interruptRequested());
-  // after clearing, the same computation completes
-  EXPECT_NO_THROW({ (void)sim::simulate(qc, pkg.makeBasisState(0), pkg); });
-}
+// --- cancellation ----------------------------------------------------------
 
 TEST(SimulationChecker, ExternalCancelFlagYieldsCancelledResult) {
   std::atomic<bool> cancel{true}; // already set: cancel before the first run

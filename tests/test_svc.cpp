@@ -434,6 +434,19 @@ TEST_F(BatchTest, ManifestErrorsNameTheLine) {
     std::istringstream is("{\"g\": \"a\"}\n");
     EXPECT_THROW((void)svc::parseManifest(is, base), std::runtime_error);
   }
+  for (const auto& [key, message] :
+       {std::pair{"stimuli", "unknown stimuli kind: bogus"},
+        std::pair{"strategy", "unknown strategy: bogus"}}) {
+    std::istringstream is(std::string("{\"g\": \"a\", \"gp\": \"b\", \"") +
+                          key + "\": \"bogus\"}\n");
+    try {
+      (void)svc::parseManifest(is, base);
+      ADD_FAILURE() << key << ": expected a manifest error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST_F(BatchTest, VerdictsMatchIndividualChecksInManifestOrder) {
