@@ -43,8 +43,9 @@ void BM_ActiveScopedSpan(benchmark::State& state) {
 BENCHMARK(BM_ActiveScopedSpan);
 
 void BM_NullJournalEvent(benchmark::State& state) {
+  const obs::Context context;
   for (auto _ : state) {
-    obs::JournalEvent event(nullptr, obs::JournalLevel::Info, "noop");
+    obs::JournalEvent event(context, obs::JournalLevel::Info, "noop");
     event.num("k", std::uint64_t{1}).flag("ok", true);
     benchmark::DoNotOptimize(&event);
   }
@@ -53,8 +54,9 @@ BENCHMARK(BM_NullJournalEvent);
 
 void BM_ActiveJournalEvent(benchmark::State& state) {
   obs::Journal journal;
+  const obs::Context context{.journal = &journal};
   for (auto _ : state) {
-    obs::JournalEvent event(&journal, obs::JournalLevel::Info, "noop");
+    obs::JournalEvent event(context, obs::JournalLevel::Info, "noop");
     event.num("k", std::uint64_t{1}).flag("ok", true);
     benchmark::DoNotOptimize(&event);
   }

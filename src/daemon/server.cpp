@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include <poll.h>
@@ -50,6 +51,14 @@ void tryWriteLine(const Socket& socket, const std::string& line) {
   }
 }
 
+/// The registry's value of counter `name` (0 before its first add).
+std::uint64_t counterOf(const obs::MetricsRegistry& metrics,
+                        std::string_view name) {
+  const auto& counters = metrics.snapshot().counters;
+  const auto it = counters.find(name);
+  return it == counters.end() ? 0 : it->second;
+}
+
 } // namespace
 
 Daemon::Daemon(DaemonOptions options)
@@ -73,6 +82,7 @@ Daemon::Daemon(DaemonOptions options)
                                options_.journalPath);
     }
     journal_.streamTo(&journalStream_);
+    obs_.journal = &journal_;
   }
 }
 
@@ -107,7 +117,7 @@ void Daemon::start() {
     fs::create_directories(options_.postmortemDir);
   }
   startedAt_ = std::chrono::steady_clock::now();
-  journal_.event(obs::JournalLevel::Info, "daemon.start")
+  obs_.log(obs::JournalLevel::Info, "daemon.start")
       .str("socket", options_.socketPath)
       .str("spool", options_.spoolDir)
       .num("threads", static_cast<std::uint64_t>(threads))
@@ -136,7 +146,7 @@ void Daemon::run() {
   if (cacheStream_.is_open()) {
     cacheStream_.flush();
   }
-  journal_.event(obs::JournalLevel::Info, "daemon.stop")
+  obs_.log(obs::JournalLevel::Info, "daemon.stop")
       .num("completed", completedRequests())
       .num("rejected", rejectedRequests())
       .num("cache_entries", static_cast<std::uint64_t>(cache_.size()));
@@ -152,7 +162,7 @@ void Daemon::requestShutdown() {
     enginePaused_ = false; // a drain overrides a pause
   }
   cv_.notify_all();
-  journal_.event(obs::JournalLevel::Info, "daemon.drain")
+  obs_.log(obs::JournalLevel::Info, "daemon.drain")
       .str("socket", options_.socketPath);
 }
 
@@ -171,12 +181,12 @@ void Daemon::resumeEngine() {
 
 std::uint64_t Daemon::completedRequests() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return completedCount_;
+  return counterOf(metrics_, "daemon.requests.completed");
 }
 
 std::uint64_t Daemon::rejectedRequests() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return rejectedCount_;
+  return counterOf(metrics_, "daemon.requests.rejected");
 }
 
 std::string Daemon::statusJson() const {
@@ -298,9 +308,9 @@ bool Daemon::tryEnqueue(PendingRequest&& request, std::string* error) {
     if (rejection.empty()) {
       request.id = nextRequestId_++;
       request.enqueuedAt = std::chrono::steady_clock::now();
-      ++acceptedCount_;
       metrics_.add("daemon.requests.accepted");
-      const std::uint64_t id = request.id;
+      obs::Context requestObs = obs_;
+      requestObs.requestId = request.id;
       const std::string client = request.header.client;
       const int priority = request.header.priority;
       // The admission line goes out *before* the request becomes visible to
@@ -311,19 +321,17 @@ bool Daemon::tryEnqueue(PendingRequest&& request, std::string* error) {
       tryWriteLine(request.connection, acceptedLine());
       queue_.push_back(std::move(request));
       cv_.notify_all();
-      journal_.event(obs::JournalLevel::Info, "daemon.request.accepted")
-          .num("id", id)
+      requestObs.log(obs::JournalLevel::Info, "daemon.request.accepted")
           .str("client", client)
           .num("priority", static_cast<std::uint64_t>(priority))
           .str("source", fromSpool ? "spool" : "socket")
           .num("queued", static_cast<std::uint64_t>(queue_.size()));
       return true;
     }
-    ++rejectedCount_;
     ++clients_[request.header.client].rejected;
     metrics_.add("daemon.requests.rejected");
   }
-  journal_.event(obs::JournalLevel::Warn, "daemon.request.rejected")
+  obs_.log(obs::JournalLevel::Warn, "daemon.request.rejected")
       .str("client", request.header.client)
       .str("line", rejection);
   if (request.connection.valid()) {
@@ -392,8 +400,9 @@ void Daemon::engineLoop() {
 
 void Daemon::processRequest(PendingRequest& request) {
   const util::Stopwatch watch;
-  journal_.event(obs::JournalLevel::Info, "daemon.request.start")
-      .num("id", request.id)
+  obs::Context requestObs = obs_;
+  requestObs.requestId = request.id;
+  requestObs.log(obs::JournalLevel::Info, "daemon.request.start")
       .str("client", request.header.client);
   svc::BatchManifest manifest;
   try {
@@ -402,8 +411,7 @@ void Daemon::processRequest(PendingRequest& request) {
   } catch (const std::exception& e) {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      ++completedCount_;
-      ++failedCount_;
+      metrics_.add("daemon.requests.completed");
       metrics_.add("daemon.requests.failed");
     }
     if (request.connection.valid()) {
@@ -425,9 +433,8 @@ void Daemon::processRequest(PendingRequest& request) {
   // a private registry and fold that into the server-lifetime one under the
   // daemon lock (MetricsRegistry itself is not thread-safe).
   obs::MetricsRegistry requestMetrics;
-  obs::Context obs;
+  obs::Context obs = requestObs;
   obs.metrics = &requestMetrics;
-  obs.journal = &journal_;
   obs.flight = &flight_;
   svc::BatchScheduler scheduler(batchOptions);
   svc::BatchResult result = scheduler.run(manifest, obs);
@@ -447,13 +454,8 @@ void Daemon::processRequest(PendingRequest& request) {
   const double seconds = watch.seconds();
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    ++completedCount_;
     metrics_.merge(requestMetrics.snapshot());
     metrics_.add("daemon.requests.completed");
-    pairsTotal_ += result.summary.pairs;
-    cacheHitsTotal_ += result.summary.cacheHits;
-    dispatchedTotal_ += result.summary.dispatched;
-    stalledTotal_ += result.summary.stalled;
     ClientStats& stats = clients_[request.header.client];
     ++stats.requests;
     stats.pairs += result.summary.pairs;
@@ -491,8 +493,7 @@ void Daemon::processRequest(PendingRequest& request) {
     respondSpool(request, lines, /*failed=*/false, "");
   }
 
-  journal_.event(obs::JournalLevel::Info, "daemon.request.done")
-      .num("id", request.id)
+  requestObs.log(obs::JournalLevel::Info, "daemon.request.done")
       .str("client", request.header.client)
       .num("pairs", static_cast<std::uint64_t>(result.summary.pairs))
       .num("cache_hits",
@@ -619,24 +620,24 @@ std::string Daemon::statusJsonLocked() const {
   util::JsonWriter admission;
   admission.beginObject()
       .field("max_depth", static_cast<std::uint64_t>(options_.maxQueueDepth))
-      .field("rejected", rejectedCount_)
+      .field("rejected", counterOf(metrics_, "daemon.requests.rejected"))
       .endObject();
   json.rawField("admission", admission.str());
 
   util::JsonWriter requests;
   requests.beginObject()
-      .field("accepted", acceptedCount_)
-      .field("completed", completedCount_)
-      .field("failed", failedCount_)
+      .field("accepted", counterOf(metrics_, "daemon.requests.accepted"))
+      .field("completed", counterOf(metrics_, "daemon.requests.completed"))
+      .field("failed", counterOf(metrics_, "daemon.requests.failed"))
       .endObject();
   json.rawField("requests", requests.str());
 
   util::JsonWriter pairs;
   pairs.beginObject()
-      .field("total", pairsTotal_)
-      .field("cache_hits", cacheHitsTotal_)
-      .field("dispatched", dispatchedTotal_)
-      .field("stalled", stalledTotal_)
+      .field("total", counterOf(metrics_, "svc.pairs"))
+      .field("cache_hits", counterOf(metrics_, "svc.cache.hit"))
+      .field("dispatched", counterOf(metrics_, "svc.pairs.dispatched"))
+      .field("stalled", counterOf(metrics_, "svc.pairs.stalled"))
       .endObject();
   json.rawField("pairs", pairs.str());
 

@@ -41,6 +41,7 @@
 #include "daemon/protocol.hpp"
 #include "ec/flow.hpp"
 #include "ec/parallel.hpp"
+#include "obs/context.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
@@ -186,10 +187,11 @@ private:
   obs::FlightRecorder flight_;
   svc::VerdictCache cache_;
   std::ofstream cacheStream_;
-  /// Streams to the journal file, if any, and keeps no lines: a
-  /// server-lifetime journal in memory grows with every request.
-  obs::Journal journal_{/*keepLines=*/false};
+  obs::Journal journal_;
   std::ofstream journalStream_;
+  /// The daemon's sinks: the journal only when journalPath is set. A
+  /// request's copy adds its id, which its batch's lines carry too.
+  obs::Context obs_;
   std::optional<ec::WorkerPool> pool_;
   Socket listenSocket_;
 
@@ -203,17 +205,11 @@ private:
   bool activeRequest_{false};
   std::string activeClient_;
   std::uint64_t nextRequestId_{1};
-  std::uint64_t acceptedCount_{0};
-  std::uint64_t completedCount_{0};
-  std::uint64_t rejectedCount_{0};
-  std::uint64_t failedCount_{0};
-  std::uint64_t pairsTotal_{0};
-  std::uint64_t cacheHitsTotal_{0};
-  std::uint64_t dispatchedTotal_{0};
-  std::uint64_t stalledTotal_{0};
   std::map<std::string, ClientStats> clients_;
   std::deque<RequestRecord> recent_; // newest first, capped
-  obs::MetricsRegistry metrics_;     // guarded by mutex_ (not thread-safe)
+  /// Guarded by mutex_ (not thread-safe). Also the source of every status
+  /// counter: `daemon.requests.*` and the batches' `svc.*` counters.
+  obs::MetricsRegistry metrics_;
   std::chrono::steady_clock::time_point startedAt_;
 
   std::thread acceptThread_;

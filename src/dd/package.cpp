@@ -761,14 +761,13 @@ void Package::garbageCollect(bool force) {
   span.arg("v_collected", static_cast<std::uint64_t>(vCollected));
   span.arg("m_collected", static_cast<std::uint64_t>(mCollected));
   span.arg("reals_collected", static_cast<std::uint64_t>(realsCollected));
-  // straight to the journal, not through obs_.log: the Gc event below is
-  // the flight ring's record of this collection
-  obs::JournalEvent(obs_.journal, obs::JournalLevel::Debug, "dd.gc")
+  // a JournalEvent rather than obs_.log, which would also mirror the line
+  // into the flight ring: the Gc event below is the ring's record of it
+  obs::JournalEvent(obs_, obs::JournalLevel::Debug, "dd.gc")
       .num("pause_seconds", pause)
       .num("v_collected", static_cast<std::uint64_t>(vCollected))
       .num("m_collected", static_cast<std::uint64_t>(mCollected))
-      .num("reals_collected", static_cast<std::uint64_t>(realsCollected))
-      .num("lane", static_cast<std::uint64_t>(lane_));
+      .num("reals_collected", static_cast<std::uint64_t>(realsCollected));
   if (obs_.flight != nullptr) {
     publishPoll(/*beat=*/false); // node drops are most visible after a GC
     obs_.flight->record(obs::FlightEventKind::Gc, "dd.gc",

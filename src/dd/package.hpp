@@ -176,17 +176,16 @@ public:
   /// owner thread only, and the package never owns a sink. While attached,
   /// every garbage collection becomes a "dd.gc" span (tracer and flight
   /// ring) with per-table reclaim counts, a "dd.gc" journal line carrying
-  /// the pause and `lane` (the index of the worker that owns the package, so
-  /// a reader can tell concurrent workers' pauses apart), a Gc flight event
-  /// and a refresh of this thread's flight DD state cells; and every
-  /// interrupt poll (every 1024 steps) heartbeats the flight recorder with
-  /// the live-node count and unique-table fill. The metrics registry is
-  /// never kept: it is single-threaded and packages run on workers. With
-  /// nothing attached each hook costs a pointer test per sink.
-  void attach(const obs::Context& obs, unsigned lane = 0) noexcept {
+  /// the pause and the Context's ids (its `lane` names the worker that owns
+  /// the package, so a reader can tell concurrent workers' pauses apart), a
+  /// Gc flight event and a refresh of this thread's flight DD state cells;
+  /// and every interrupt poll (every 1024 steps) heartbeats the flight
+  /// recorder with the live-node count and unique-table fill. The metrics
+  /// registry is never kept: it is single-threaded and packages run on
+  /// workers. With nothing attached each hook costs a pointer test per sink.
+  void attach(const obs::Context& obs) noexcept {
     obs_ = obs;
     obs_.metrics = nullptr;
-    lane_ = lane;
   }
 
   /// Profile snapshot: node-pool occupancy and peaks, per-operation apply
@@ -277,7 +276,6 @@ private:
   double gcSeconds_{0.0};
   double gcMaxPauseSeconds_{0.0};
   obs::Context obs_;
-  unsigned lane_{0};
 
   /// Publish the node population and unique-table fill into this thread's
   /// flight DD state cells; `beat` (the interrupt poll) also heartbeats, a

@@ -2,6 +2,7 @@
 
 #include "analysis/analyzer.hpp"
 #include "dd/stats.hpp"
+#include "ec/parallel.hpp"
 #include "ec/stabilizer_checker.hpp"
 #include "util/deadline.hpp"
 
@@ -322,11 +323,11 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
           decided.store(true, std::memory_order_relaxed);
         }
       };
-      const auto runComplete = [&] {
+      const auto runComplete = [&](const obs::Context& completeObs) {
         AlternatingConfiguration completeConfig = config_.complete;
         completeConfig.cancelFlag.local = &decided;
         complete = AlternatingChecker(completeConfig)
-                       .run(*completeG, *completeGPrime, obs);
+                       .run(*completeG, *completeGPrime, completeObs);
         if (!complete->timedOut && !complete->cancelled) {
           decided.store(true, std::memory_order_relaxed);
         }
@@ -334,6 +335,10 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
 
       if (race) {
         enterStage("race");
+        // a lane no portfolio worker uses names the complete checker
+        obs::Context completeObs = obs;
+        completeObs.lane =
+            resolveThreadCount(config_.simulation.numThreads, simsTotal);
         std::exception_ptr completeError;
         {
           // the complete check runs on its own thread, the simulation
@@ -343,7 +348,7 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
               if (obs.flight != nullptr) {
                 obs.flight->labelThread("race.complete");
               }
-              runComplete();
+              runComplete(completeObs);
             } catch (...) {
               completeError = std::current_exception();
               decided.store(true, std::memory_order_relaxed);
@@ -374,7 +379,7 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
         }
         if (!config_.skipComplete && !decided.load()) {
           enterStage("complete");
-          runComplete();
+          runComplete(obs);
         }
       }
       foldGeneralTier(result, sim, complete);

@@ -159,6 +159,8 @@ CheckResult runStimuliPortfolio(const SimulationConfiguration& config,
   const CancelFlag externalCancel = config.cancelFlag;
 
   const auto workerBody = [&](unsigned workerIndex) {
+    obs::Context laneObs = obs; // this worker's lines name its lane
+    laneObs.lane = workerIndex;
     std::optional<dd::Package> pkg; // created on the first claimed run
     std::optional<dd::AttributionCollector> attr;
     std::size_t currentRun = 0;
@@ -181,7 +183,7 @@ CheckResult runStimuliPortfolio(const SimulationConfiguration& config,
       }
       if (!pkg) {
         pkg.emplace(n);
-        pkg->attach(obs, workerIndex);
+        pkg->attach(laneObs);
         pkg->setInterruptHook(
             [&deadline, externalCancel, &firstMismatch, &currentRun] {
               deadline.check();
@@ -254,14 +256,14 @@ CheckResult runStimuliPortfolio(const SimulationConfiguration& config,
         }
         runSpan.arg("fidelity", fidelity);
         const bool mismatch = deviation > config.fidelityTolerance;
-        obs.log(mismatch ? obs::JournalLevel::Warn : obs::JournalLevel::Info,
-                "sim.stimulus")
+        laneObs
+            .log(mismatch ? obs::JournalLevel::Warn : obs::JournalLevel::Info,
+                 "sim.stimulus")
             .num("index", static_cast<std::uint64_t>(i))
             .num("seed", stimulusSeed)
             .num("fidelity", fidelity)
             .num("deviation", deviation)
-            .flag("mismatch", mismatch)
-            .num("lane", static_cast<std::uint64_t>(workerIndex));
+            .flag("mismatch", mismatch);
         const std::size_t done =
             completedRuns.fetch_add(1, std::memory_order_relaxed) + 1;
         if (config.onRunCompleted) {
@@ -286,10 +288,9 @@ CheckResult runStimuliPortfolio(const SimulationConfiguration& config,
         // outdated by a smaller mismatch index or an external stop; the
         // loop header decides which
         runSpan.arg("cancelled", std::uint64_t{1});
-        obs.log(obs::JournalLevel::Debug, "sim.stimulus.cancelled")
+        laneObs.log(obs::JournalLevel::Debug, "sim.stimulus.cancelled")
             .num("index", static_cast<std::uint64_t>(i))
-            .num("seed", stimulusSeed)
-            .num("lane", static_cast<std::uint64_t>(workerIndex));
+            .num("seed", stimulusSeed);
         continue;
       }
     }

@@ -196,8 +196,10 @@ ir::QuantumComputation parseTfcFile(const std::string& path,
 void writeTfc(const ir::QuantumComputation& qc, std::ostream& os) {
   detail::requireTrivialLayouts(qc, ".tfc");
   const std::size_t n = qc.qubits();
-  const auto wire = [n](ir::Qubit q) {
-    return "x" + std::to_string(q);
+  const auto wire = [](ir::Qubit q) {
+    std::string name = "x";
+    name += std::to_string(q);
+    return name;
   };
   os << ".v ";
   for (std::size_t i = 0; i < n; ++i) {

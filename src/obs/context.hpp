@@ -6,7 +6,8 @@
 // Sampler's probes also read). It is the one handle through which src/dd,
 // src/ec and src/svc reach a sink: a dd::Package is attached to one, every
 // span is opened against one, and the Context decides which sinks an event
-// reaches.
+// reaches. It also carries the ids that stamp every journal line built
+// from it; a scope narrows them on its own copy.
 // All sinks default to null; instrumented code calls the helpers
 // unconditionally and pays one pointer test per sink when none is attached
 // (the null fast path the bench guard in bench/micro_obs.cpp pins down).
@@ -19,6 +20,8 @@
 #include "obs/tracer.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
 
 namespace qsimec::obs {
 
@@ -32,6 +35,11 @@ struct Context {
   /// package keeps its thread's live-state cells current for the watchdog,
   /// the postmortems and the Sampler.
   FlightRecorder* flight{nullptr};
+  /// Correlation ids, written after a journal line's header when set: the
+  /// daemon request, the batch pair's manifest index, the worker lane.
+  std::optional<std::uint64_t> requestId{};
+  std::optional<std::uint64_t> pairId{};
+  std::optional<std::uint64_t> lane{};
 
   void count(std::string_view name, std::uint64_t delta = 1) const {
     if (metrics != nullptr) {
@@ -48,17 +56,17 @@ struct Context {
       metrics->observe(name, value);
     }
   }
-  /// Journal-line builder; no-op (no clock read, no allocation) when no
-  /// journal is attached. The event name is mirrored into the flight
-  /// recorder so postmortems see journal activity even when the journal
-  /// itself sinks to a file that died with the process.
+  /// Journal-line builder with this Context's ids; no-op (no clock read, no
+  /// allocation) when no journal is attached. The event name is mirrored
+  /// into the flight recorder so postmortems see journal activity even
+  /// when the journal itself sinks to a file that died with the process.
   [[nodiscard]] JournalEvent log(JournalLevel level,
                                  std::string_view event) const {
     if (flight != nullptr) {
       flight->record(FlightEventKind::Journal, event,
                      static_cast<std::int64_t>(level));
     }
-    return JournalEvent(journal, level, event);
+    return JournalEvent(*this, level, event);
   }
   /// Deterministic flow milestone (stage entry, verdict): recorded only by
   /// the flow's calling thread, so the Mark stream is identical across

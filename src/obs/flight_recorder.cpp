@@ -282,8 +282,8 @@ FlightRecorder::heartbeatAges() const {
 
 // --- Watchdog ---------------------------------------------------------------
 
-Watchdog::Watchdog(const FlightRecorder& clock, Options options)
-    : clock_(&clock), options_(options),
+Watchdog::Watchdog(const FlightRecorder& clock)
+    : clock_(&clock),
       thread_([this](const std::stop_token& st) { loop(st); }) {}
 
 Watchdog::~Watchdog() {
@@ -321,7 +321,7 @@ void Watchdog::unwatch(std::uint64_t id) {
 void Watchdog::loop(const std::stop_token& st) {
   std::unique_lock<std::mutex> lock(mutex_);
   while (!st.stop_requested()) {
-    cv_.wait_for(lock, st, options_.period, [] { return false; });
+    cv_.wait_for(lock, st, kScanPeriod, [] { return false; });
     if (st.stop_requested()) {
       return;
     }

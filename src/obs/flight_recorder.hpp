@@ -250,11 +250,9 @@ private:
 /// watch/unwatch itself.
 class Watchdog {
 public:
-  struct Options {
-    /// Scan period. Stall detection latency is one period past the quiet
-    /// window; 50 ms keeps test quiet-windows of a few hundred ms honest.
-    std::chrono::milliseconds period{50};
-  };
+  /// Scan period. Stall detection latency is one period past the quiet
+  /// window; 50 ms keeps test quiet-windows of a few hundred ms honest.
+  static constexpr std::chrono::milliseconds kScanPeriod{50};
 
   struct StallInfo {
     std::uint64_t id{0};
@@ -267,9 +265,7 @@ public:
   using StallFn = std::function<void(const StallInfo&)>;
 
   /// The recorder supplies the clock heartbeats are stamped against.
-  explicit Watchdog(const FlightRecorder& clock)
-      : Watchdog(clock, Options{}) {}
-  Watchdog(const FlightRecorder& clock, Options options);
+  explicit Watchdog(const FlightRecorder& clock);
   ~Watchdog();
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
@@ -303,7 +299,6 @@ private:
   void loop(const std::stop_token& st);
 
   const FlightRecorder* clock_;
-  Options options_;
   mutable std::mutex mutex_;
   std::condition_variable_any cv_;
   std::vector<Entry> entries_;

@@ -1,5 +1,6 @@
 #include "obs/journal.hpp"
 
+#include "obs/context.hpp"
 #include "util/json.hpp"
 
 #include <cmath>
@@ -27,9 +28,9 @@ void appendKey(std::string& out, std::string_view key) {
 
 } // namespace
 
-JournalEvent::JournalEvent(Journal* journal, JournalLevel level,
+JournalEvent::JournalEvent(const Context& obs, JournalLevel level,
                            std::string_view name)
-    : journal_(journal) {
+    : journal_(obs.journal) {
   if (journal_ == nullptr) {
     return; // null fast path: no clock read, no allocation
   }
@@ -40,12 +41,21 @@ JournalEvent::JournalEvent(Journal* journal, JournalLevel level,
   line_ += "\",\"event\":\"";
   util::appendJsonEscaped(line_, name);
   line_ += '"';
+  if (obs.requestId) {
+    num("request_id", *obs.requestId);
+  }
+  if (obs.pairId) {
+    num("pair_id", *obs.pairId);
+  }
+  if (obs.lane) {
+    num("lane", *obs.lane);
+  }
 }
 
 JournalEvent::~JournalEvent() {
   if (journal_ != nullptr) {
     line_ += '}';
-    journal_->commit(std::move(line_));
+    journal_->commit(line_);
   }
 }
 
@@ -83,25 +93,13 @@ JournalEvent& JournalEvent::flag(std::string_view key, bool value) {
   return *this;
 }
 
-void Journal::commit(std::string line) {
+void Journal::commit(const std::string& line) {
   const std::lock_guard<std::mutex> lock(mutex_);
+  ++lineCount_;
   if (stream_ != nullptr) {
     *stream_ << line << '\n';
     stream_->flush();
   }
-  if (keepLines_) {
-    lines_.push_back(std::move(line));
-  }
-}
-
-std::string Journal::dump() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::string out;
-  for (const std::string& line : lines_) {
-    out += line;
-    out += '\n';
-  }
-  return out;
 }
 
 } // namespace qsimec::obs

@@ -9,11 +9,14 @@
 // sequences serialize with identical key order, and `grep '"event":"sim.stimulus"'
 // over a journal file is a stable interface.
 //
+// The ids the obs::Context carries follow the header as `request_id`,
+// `pair_id` and `lane`. A journal only streams: it keeps no line in memory.
+//
 // Thread safety: committing a line takes a mutex (workers of the parallel
 // portfolio and the race-mode complete checker share one journal); building
 // a line is lock-free on the emitting thread. The null fast path mirrors
-// ScopedSpan: every instrumentation site holds a `Journal*` that may be
-// null, and a JournalEvent built against null skips the clock read and all
+// ScopedSpan: a Context's journal may be null, and a JournalEvent built
+// against a Context without one skips the clock read, the ids and all
 // string work — one pointer test, guarded by bench/micro_obs.cpp.
 
 #pragma once
@@ -24,7 +27,6 @@
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace qsimec::obs {
 
@@ -45,13 +47,14 @@ enum class JournalLevel { Debug, Info, Warn, Error };
 }
 
 class Journal;
+struct Context;
 
-/// Builder for one journal line. Obtained from Journal::event (or
-/// constructed against nullptr for the no-op fast path); fields append in
+/// Builder for one journal line against the journal and ids of `obs`
+/// (usually via Context::log; a no-op without a journal). Fields append in
 /// call order; the destructor commits the finished line.
 class JournalEvent {
 public:
-  JournalEvent(Journal* journal, JournalLevel level, std::string_view name);
+  JournalEvent(const Context& obs, JournalLevel level, std::string_view name);
   ~JournalEvent();
   JournalEvent(const JournalEvent&) = delete;
   JournalEvent& operator=(const JournalEvent&) = delete;
@@ -70,40 +73,22 @@ class Journal {
 public:
   using Clock = std::chrono::steady_clock;
 
-  /// With `keepLines` false the journal keeps no line in memory: lines
-  /// only reach the stream, so a long-lived process (the daemon) does not
-  /// grow with every event it logs.
-  explicit Journal(bool keepLines = true)
-      : epoch_(Clock::now()), keepLines_(keepLines) {}
+  Journal() : epoch_(Clock::now()) {}
 
-  /// Start a line: `{"ts_micros":...,"level":...,"event":...` plus whatever
-  /// fields the returned builder appends. Committed when the builder dies.
-  [[nodiscard]] JournalEvent event(JournalLevel level,
-                                   std::string_view name) {
-    return JournalEvent(this, level, name);
-  }
-
-  /// Mirror every committed line into `os` (newline-terminated, flushed per
-  /// line so a crash loses at most the line being written). The journal
-  /// never owns the stream; it must outlive the journal or be detached with
-  /// nullptr first.
+  /// Write every committed line to `os` (newline-terminated, flushed per
+  /// line so a crash loses at most the line being written); without a
+  /// stream a line is only counted. The journal never owns the stream; it
+  /// must outlive the journal or be detached with nullptr first.
   void streamTo(std::ostream* os) {
     const std::lock_guard<std::mutex> lock(mutex_);
     stream_ = os;
   }
 
-  /// Lines kept in memory (all committed lines unless `keepLines` was off).
+  /// Lines committed so far.
   [[nodiscard]] std::size_t lineCount() const {
     const std::lock_guard<std::mutex> lock(mutex_);
-    return lines_.size();
+    return lineCount_;
   }
-  /// Copy of the committed lines (without trailing newlines).
-  [[nodiscard]] std::vector<std::string> lines() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return lines_;
-  }
-  /// All lines joined with '\n' (trailing newline included when non-empty).
-  [[nodiscard]] std::string dump() const;
 
 private:
   friend class JournalEvent;
@@ -112,12 +97,11 @@ private:
     return std::chrono::duration<double, std::micro>(Clock::now() - epoch_)
         .count();
   }
-  void commit(std::string line);
+  void commit(const std::string& line);
 
   Clock::time_point epoch_;
-  bool keepLines_;
   mutable std::mutex mutex_;
-  std::vector<std::string> lines_;
+  std::size_t lineCount_{0};
   std::ostream* stream_{nullptr};
 };
 

@@ -84,15 +84,13 @@ public:
   explicit FamilyNamer(std::string prefix) : prefix_(std::move(prefix)) {}
 
   std::string resolve(std::string_view rawName) {
-    std::string name = prefix_.empty()
-                           ? sanitizeMetricName(rawName)
-                           : prefix_ + "_" + sanitizeMetricName(rawName);
-    if (!used_.insert(name).second) {
-      std::size_t n = 2;
-      while (!used_.insert(name + "_" + std::to_string(n)).second) {
-        ++n;
-      }
-      name += "_" + std::to_string(n);
+    std::string base = prefix_.empty() ? std::string() : prefix_ + '_';
+    base += sanitizeMetricName(rawName);
+    std::string name = base;
+    for (std::size_t n = 2; !used_.insert(name).second; ++n) {
+      name = base;
+      name += '_';
+      name += std::to_string(n);
     }
     return name;
   }
@@ -121,7 +119,7 @@ std::string sanitizeMetricName(std::string_view name) {
     out.push_back(isNameChar(c) ? c : '_');
   }
   if (out.empty()) {
-    out = "_";
+    out.push_back('_');
   }
   return out;
 }

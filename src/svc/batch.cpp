@@ -79,6 +79,14 @@ struct Job {
   std::vector<std::size_t> duplicates;
 };
 
+/// The batch's Context narrowed to one manifest entry: every line logged
+/// through it carries the entry's `pair_id`.
+obs::Context forPair(const obs::Context& obs, std::size_t index) {
+  obs::Context pairObs = obs;
+  pairObs.pairId = index;
+  return pairObs;
+}
+
 } // namespace
 
 BatchManifest parseManifest(std::istream& is,
@@ -214,8 +222,8 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
     outcome.index = i;
     outcome.gPath = spec.gPath;
     outcome.gPrimePath = spec.gPrimePath;
-    obs.log(obs::JournalLevel::Info, "svc.pair.start")
-        .num("index", static_cast<std::uint64_t>(i))
+    const obs::Context pairObs = forPair(obs, i);
+    pairObs.log(obs::JournalLevel::Info, "svc.pair.start")
         .str("g", spec.gPath)
         .str("gp", spec.gPrimePath);
     if (cancelFlags[i].load(std::memory_order_relaxed)) {
@@ -240,15 +248,14 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
                   configDigest(spec.config)};
       if (options_.cache != nullptr) {
         if (const auto hit = options_.cache->lookup(key)) {
-          obs::ScopedSpan pairSpan(obs, "svc.pair", "svc");
+          obs::ScopedSpan pairSpan(pairObs, "svc.pair", "svc");
           pairSpan.arg("index", static_cast<std::uint64_t>(i));
           pairSpan.arg("cache_hit", std::uint64_t{1});
           outcome.cacheHit = true;
           outcome.equivalence = hit->equivalence;
           outcome.counterexample = hit->counterexample;
           ++cacheHits;
-          obs.log(obs::JournalLevel::Info, "svc.pair.cache_hit")
-              .num("index", static_cast<std::uint64_t>(i))
+          pairObs.log(obs::JournalLevel::Info, "svc.pair.cache_hit")
               .str("verdict", ec::toString(outcome.equivalence));
           reportDone();
           continue;
@@ -259,8 +266,7 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
         jobs[rep->second].duplicates.push_back(i);
         outcome.deduped = true;
         ++dedupedPairs;
-        obs.log(obs::JournalLevel::Info, "svc.pair.dedup")
-            .num("index", static_cast<std::uint64_t>(i))
+        pairObs.log(obs::JournalLevel::Info, "svc.pair.dedup")
             .num("representative",
                  static_cast<std::uint64_t>(jobs[rep->second].index));
         // resolved (and reported done) when the representative's verdict
@@ -273,8 +279,7 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
     } catch (const std::exception& e) {
       outcome.equivalence = ec::Equivalence::InvalidInput;
       outcome.error = e.what();
-      obs.log(obs::JournalLevel::Error, "svc.pair.verdict")
-          .num("index", static_cast<std::uint64_t>(i))
+      pairObs.log(obs::JournalLevel::Error, "svc.pair.verdict")
           .str("outcome", ec::toString(outcome.equivalence))
           .str("error", outcome.error);
       reportDone();
@@ -303,7 +308,7 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
                                std::to_string(index) + ".jsonl";
       obs::PostmortemOptions dumpOptions;
       dumpOptions.reason = "stall";
-      dumpOptions.label = "pair " + std::to_string(index);
+      dumpOptions.label = info.label;
       try {
         obs::writePostmortemFile(path, *obs.flight, dumpOptions);
         outcome.dumpRef = path;
@@ -311,8 +316,8 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
         // a failed dump must not take the batch down with the pair
       }
     }
-    obs.log(obs::JournalLevel::Error, "svc.pair.stalled")
-        .num("index", static_cast<std::uint64_t>(index))
+    forPair(obs, index)
+        .log(obs::JournalLevel::Error, "svc.pair.stalled")
         .str("reason", info.reason)
         .num("heartbeat_age_micros", info.heartbeatAgeMicros)
         .num("run_micros", info.runMicros)
@@ -345,13 +350,22 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
     std::size_t noteId = obs::FlightRecorder::kMaxPairNotes;
     std::uint64_t watchId = 0;
     if (obs.flight != nullptr) {
-      noteId = obs.flight->notePair("pair " + std::to_string(index),
-                                    job.key.g.hex());
+      // "pair N", or "request R pair N" under the daemon: the label of the
+      // pair's note, its watch and so its stall dump
+      std::string label;
+      if (obs.requestId) {
+        label = "request ";
+        label += std::to_string(*obs.requestId);
+        label += ' ';
+      }
+      label += "pair ";
+      label += std::to_string(index);
+      noteId = obs.flight->notePair(label, job.key.g.hex());
       if (watchdog) {
         if (const std::atomic<std::uint64_t>* beat =
                 obs.flight->heartbeatSlot()) {
           watchId = watchdog->watch(
-              "pair " + std::to_string(index), beat,
+              label, beat,
               options_.stallQuietSeconds, options_.pairDeadlineSeconds,
               [&onStall, index](const obs::Watchdog::StallInfo& info) {
                 onStall(index, info);
@@ -383,16 +397,16 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
         return; // the watchdog resolved the pair; nothing to commit
       }
     }
-    obs::ScopedSpan pairSpan(obs, "svc.pair", "svc");
+    // Workers share the thread-safe sinks (tracer, journal, flight) but
+    // never the metrics registry, which is single-threaded.
+    obs::Context workerObs = forPair(obs, index);
+    workerObs.metrics = nullptr;
+    obs::ScopedSpan pairSpan(workerObs, "svc.pair", "svc");
     pairSpan.arg("index", static_cast<std::uint64_t>(index));
     pairSpan.arg("cache_hit", std::uint64_t{0});
     ec::FlowConfiguration config = *job.config;
     config.simulation.cancelFlag = &cancelFlags[index];
     config.complete.cancelFlag = &cancelFlags[index];
-    // Workers share the thread-safe sinks (tracer, journal, flight) but
-    // never the metrics registry, which is single-threaded.
-    obs::Context workerObs = obs;
-    workerObs.metrics = nullptr;
     try {
       const ec::FlowResult flow =
           ec::EquivalenceCheckingFlow(config).run(job.g, job.gPrime,
@@ -440,11 +454,11 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
     const double seconds = local.seconds;
     const bool wasCancelled = local.cancelled;
     if (commit(std::move(local))) {
-      obs.log(verdict == ec::Equivalence::NotEquivalent
-                  ? obs::JournalLevel::Warn
-                  : obs::JournalLevel::Info,
-              "svc.pair.verdict")
-          .num("index", static_cast<std::uint64_t>(index))
+      workerObs
+          .log(verdict == ec::Equivalence::NotEquivalent
+                   ? obs::JournalLevel::Warn
+                   : obs::JournalLevel::Info,
+               "svc.pair.verdict")
           .str("outcome", ec::toString(verdict))
           .num("simulations", static_cast<std::uint64_t>(simulations))
           .num("seconds", seconds)
@@ -490,23 +504,18 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
   for (const Job& job : jobs) {
     const PairOutcome& rep = result.outcomes[job.index];
     for (const std::size_t dup : job.duplicates) {
+      // everything the representative found, under this entry's own
+      // index and paths, and with no time of its own
       PairOutcome& outcome = result.outcomes[dup];
-      outcome.equivalence = rep.equivalence;
-      outcome.counterexample = rep.counterexample;
-      outcome.completeTimedOut = rep.completeTimedOut;
-      outcome.simulations = rep.simulations;
-      outcome.cancelled = rep.cancelled;
-      outcome.stalled = rep.stalled;
-      outcome.dumpRef = rep.dumpRef;
-      outcome.tier = rep.tier;
-      outcome.gateSet = rep.gateSet;
-      outcome.error = rep.error;
-      outcome.attrGatesApplied = rep.attrGatesApplied;
-      outcome.attrPeakNodesLive = rep.attrPeakNodesLive;
-      outcome.attrNodesDelta = rep.attrNodesDelta;
-      outcome.attrWallNanos = rep.attrWallNanos;
-      obs.log(obs::JournalLevel::Info, "svc.pair.verdict")
-          .num("index", static_cast<std::uint64_t>(dup))
+      PairOutcome copy = rep;
+      copy.index = dup;
+      copy.gPath = std::move(outcome.gPath);
+      copy.gPrimePath = std::move(outcome.gPrimePath);
+      copy.deduped = true;
+      copy.seconds = 0.0;
+      outcome = std::move(copy);
+      forPair(obs, dup)
+          .log(obs::JournalLevel::Info, "svc.pair.verdict")
           .str("outcome", ec::toString(outcome.equivalence))
           .flag("deduped", true);
       reportDone();

@@ -10,6 +10,8 @@
 // report built from attr.* journal events round-trip through their own
 // validators/parsers.
 
+#include "journal_capture.hpp"
+
 #include "dd/attribution.hpp"
 #include "dd/package.hpp"
 #include "ec/alternating_checker.hpp"
@@ -266,9 +268,8 @@ TEST(OpenMetrics, SanitizesDottedAndLeadingDigitNames) {
 TEST(RunReport, FoldsRealJournalIntoHotspotsAndStages) {
   const auto g = gen::qft(5);
   const auto gPrime = gen::qftAlternative(5);
-  obs::Journal journal;
-  obs::Context obsContext;
-  obsContext.journal = &journal;
+  testutil::CapturedJournal captured;
+  const obs::Context obsContext = captured.context();
 
   ec::FlowConfiguration config;
   config.simulation.maxSimulations = 3;
@@ -277,7 +278,7 @@ TEST(RunReport, FoldsRealJournalIntoHotspotsAndStages) {
       ec::EquivalenceCheckingFlow(config).run(g, gPrime, obsContext);
   ASSERT_TRUE(result.completeAttribution.has_value());
 
-  const obs::RunReport report = obs::parseRunJournal(journal.lines());
+  const obs::RunReport report = obs::parseRunJournal(captured.lines());
   EXPECT_EQ(report.malformedLines, 0U);
   EXPECT_GT(report.events, 0U);
   EXPECT_FALSE(report.interleaved);

@@ -3,8 +3,9 @@
 // byte-identical redacted responses), priority ordering with a paused
 // engine, admission control under overload, graceful drain (stop flag and
 // shutdown op), cache warmth across a daemon restart, spool-directory
-// intake, and the status / OpenMetrics endpoints. The daemon runs
-// in-process; one test spawns the real binary and SIGTERMs it.
+// intake, the status / OpenMetrics endpoints, and one request followed by
+// its id through the journal. The daemon runs in-process; one test spawns
+// the real binary and SIGTERMs it.
 
 #include "daemon/client.hpp"
 #include "daemon/protocol.hpp"
@@ -14,17 +15,21 @@
 #include "io/qasm.hpp"
 #include "io/real.hpp"
 #include "obs/openmetrics.hpp"
+#include "obs/run_report.hpp"
 #include "svc/batch.hpp"
 #include "util/json_parse.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -445,6 +450,152 @@ TEST_F(DaemonTest, StatusAndMetricsEndpointsAreWellFormed) {
 
   d.requestShutdown();
   d.run();
+}
+
+// Every status counter is read from the metrics registry, so after
+// accepted, rejected and failed requests it equals its scrape counter.
+TEST_F(DaemonTest, StatusCountersEqualTheScrapeCounters) {
+  daemon::DaemonOptions options = baseOptions();
+  options.maxQueueDepth = 1;
+  daemon::Daemon d(options);
+  d.start();
+  d.pauseEngine();
+  daemon::SubmitOptions fireAndForget;
+  fireAndForget.wait = false;
+  ASSERT_TRUE(daemon::submitManifestText(path("d.sock"), manifestText(),
+                                         fireAndForget)
+                  .accepted);
+  EXPECT_EQ(daemon::submitManifestText(path("d.sock"), manifestText(),
+                                       fireAndForget)
+                .error,
+            "overload");
+  d.resumeEngine();
+  awaitCompleted(d, 1);
+  EXPECT_EQ(
+      daemon::submitManifestText(path("d.sock"), "definitely not json\n")
+          .error,
+      "manifest");
+  ASSERT_TRUE(
+      daemon::submitManifestText(path("d.sock"), manifestText()).accepted);
+
+  std::map<std::string, std::uint64_t> scraped;
+  std::istringstream scrape(daemon::fetchMetrics(path("d.sock")));
+  for (std::string line; std::getline(scrape, line);) {
+    const std::size_t space = line.find(' ');
+    if (line.starts_with('#') || space == std::string::npos) {
+      continue;
+    }
+    scraped[line.substr(0, space)] = std::stoull(line.substr(space + 1));
+  }
+  const util::JsonValue doc = status(d);
+  const auto expectCounter = [&](const util::JsonValue& field,
+                                 const std::string& family,
+                                 std::uint64_t value) {
+    const std::string sample = "qsimec_" + family + "_total";
+    SCOPED_TRACE(sample);
+    ASSERT_EQ(scraped.count(sample), 1U);
+    EXPECT_EQ(field.asUint(), scraped.at(sample));
+    EXPECT_EQ(field.asUint(), value);
+  };
+  const util::JsonValue& requests = doc.at("requests");
+  expectCounter(requests.at("accepted"), "daemon_requests_accepted", 3);
+  expectCounter(requests.at("completed"), "daemon_requests_completed", 3);
+  expectCounter(requests.at("failed"), "daemon_requests_failed", 1);
+  expectCounter(doc.at("admission").at("rejected"),
+                "daemon_requests_rejected", 1);
+  const util::JsonValue& pairs = doc.at("pairs");
+  expectCounter(pairs.at("total"), "svc_pairs", 4);
+  expectCounter(pairs.at("cache_hits"), "svc_cache_hit", 2);
+  expectCounter(pairs.at("dispatched"), "svc_pairs_dispatched", 2);
+  expectCounter(pairs.at("stalled"), "svc_pairs_stalled", 0);
+  EXPECT_EQ(d.completedRequests(), 3U);
+  EXPECT_EQ(d.rejectedRequests(), 1U);
+
+  d.requestShutdown();
+  d.run();
+}
+
+// One request followed by its id: from admission to its done line every
+// journal line carries `request_id`, the pair, flow and GC lines also
+// `pair_id`, and the stalled pair's postmortem is labelled with both.
+TEST_F(DaemonTest, JournalFollowsOneRequestById) {
+  daemon::DaemonOptions options = baseOptions();
+  options.journalPath = path("daemon.jsonl");
+  options.postmortemDir = path("pm");
+  options.stallQuietSeconds = 0.25;
+  // pair 0 wedges its worker until the watchdog resolves it; pair 1 runs
+  // the flow's DD stages
+  const std::string manifest =
+      "{\"g\": \"" + path("inc.real") + "\", \"gp\": \"" + path("inc.real") +
+      "\"}\n{\"g\": \"" + path("qft_a.qasm") + "\", \"gp\": \"" +
+      path("qft_b.qasm") + "\"}\n";
+  ASSERT_EQ(::setenv("QSIMEC_SELFTEST_STALL_WORKER", "0", 1), 0);
+  {
+    daemon::Daemon d(options);
+    d.start();
+    const daemon::SubmitResult r =
+        daemon::submitManifestText(path("d.sock"), manifest);
+    EXPECT_TRUE(r.accepted) << r.error << ": " << r.message;
+    d.requestShutdown();
+    d.run();
+  }
+  ::unsetenv("QSIMEC_SELFTEST_STALL_WORKER");
+
+  std::vector<util::JsonValue> lines;
+  std::ifstream journal(path("daemon.jsonl"));
+  for (std::string line; std::getline(journal, line);) {
+    lines.push_back(util::parseJson(line));
+  }
+  const auto indexOf = [&lines](const std::string& event) {
+    return static_cast<std::size_t>(
+        std::find_if(lines.begin(), lines.end(),
+                     [&event](const util::JsonValue& v) {
+                       return v.at("event").asString() == event;
+                     }) -
+        lines.begin());
+  };
+  const std::size_t accepted = indexOf("daemon.request.accepted");
+  const std::size_t done = indexOf("daemon.request.done");
+  ASSERT_LT(accepted, done);
+  const std::uint64_t requestId = lines[accepted].at("request_id").asUint();
+
+  std::set<std::uint64_t> flowPairs;
+  std::set<std::uint64_t> gcPairs;
+  std::set<std::uint64_t> stalledPairs;
+  for (std::size_t i = accepted; i <= done; ++i) {
+    const util::JsonValue& v = lines[i];
+    const std::string& event = v.at("event").asString();
+    SCOPED_TRACE(event);
+    ASSERT_NE(v.find("request_id"), nullptr);
+    EXPECT_EQ(v.at("request_id").asUint(), requestId);
+    const bool perPair = event.starts_with("svc.pair.") ||
+                         event.starts_with("flow.") || event == "dd.gc";
+    if (!perPair) {
+      continue;
+    }
+    ASSERT_NE(v.find("pair_id"), nullptr);
+    const std::uint64_t pair = v.at("pair_id").asUint();
+    if (event.starts_with("flow.")) {
+      flowPairs.insert(pair);
+    } else if (event == "dd.gc") {
+      gcPairs.insert(pair);
+    } else if (event == "svc.pair.stalled") {
+      stalledPairs.insert(pair);
+    }
+  }
+  EXPECT_EQ(flowPairs, std::set<std::uint64_t>{1});
+  EXPECT_EQ(gcPairs, std::set<std::uint64_t>{1});
+  EXPECT_EQ(stalledPairs, std::set<std::uint64_t>{0});
+
+  std::ifstream dump(path("pm/postmortem-pair-0.jsonl"));
+  std::vector<std::string> dumpLines;
+  for (std::string line; std::getline(dump, line);) {
+    dumpLines.push_back(line);
+  }
+  const obs::PostmortemReport report = obs::parsePostmortem(dumpLines);
+  ASSERT_TRUE(report.valid) << report.error;
+  EXPECT_EQ(report.reason, "stall");
+  EXPECT_EQ(report.label, "request " + std::to_string(requestId) + " pair 0");
 }
 
 TEST_F(DaemonTest, ShutdownOpDrainsTheDaemon) {

@@ -394,7 +394,11 @@ TEST(ParseValidation, ValidatedParseIsAnalyzerClean) {
 std::string wires(const char* prefix, std::size_t count) {
   std::string out;
   for (std::size_t i = 0; i < count; ++i) {
-    out += (i == 0 ? "" : prefix) + ("w" + std::to_string(i));
+    if (i != 0) {
+      out += prefix;
+    }
+    out += 'w';
+    out += std::to_string(i);
   }
   return out;
 }

@@ -1,7 +1,10 @@
 // Journal and Sampler tests: every committed line is valid JSON with the
-// deterministic header/key order, the null path records nothing, the flow
-// and the DD package emit the documented events, and the sampler's
-// time-series/CSV/counter-mirror exports hold together.
+// deterministic header/key order, the Context's correlation ids follow the
+// header, the null path records nothing, the flow and the DD package emit
+// the documented events, and the sampler's time-series/CSV/counter-mirror
+// exports hold together.
+
+#include "journal_capture.hpp"
 
 #include "dd/package.hpp"
 #include "ec/flow.hpp"
@@ -22,6 +25,7 @@
 #include <vector>
 
 using namespace qsimec;
+using qsimec::testutil::CapturedJournal;
 
 namespace {
 
@@ -47,15 +51,16 @@ ir::QuantumComputation paperCircuitBroken() {
 } // namespace
 
 TEST(Journal, LinesAreValidJsonWithDeterministicKeyOrder) {
-  obs::Journal journal;
-  journal.event(obs::JournalLevel::Info, "unit.test")
+  CapturedJournal captured;
+  const obs::Context context = captured.context();
+  context.log(obs::JournalLevel::Info, "unit.test")
       .str("name", "qft")
       .num("qubits", std::uint64_t{8})
       .num("fidelity", 0.5)
       .flag("ok", true);
-  journal.event(obs::JournalLevel::Warn, "esc\"api\ng").str("k", "a\\b\tc");
+  context.log(obs::JournalLevel::Warn, "esc\"api\ng").str("k", "a\\b\tc");
 
-  const std::vector<std::string> lines = journal.lines();
+  const std::vector<std::string> lines = captured.lines();
   ASSERT_EQ(lines.size(), 2U);
   for (const std::string& line : lines) {
     EXPECT_TRUE(util::isValidJson(line)) << line;
@@ -84,13 +89,49 @@ TEST(Journal, LinesAreValidJsonWithDeterministicKeyOrder) {
   EXPECT_EQ(second.at("k").asString(), "a\\b\tc");
 }
 
+// The Context's ids are written right after the header, in the order
+// request_id, pair_id, lane, and only those that are set.
+TEST(Journal, ContextIdsFollowTheHeader) {
+  CapturedJournal captured;
+  obs::Context context = captured.context();
+  context.requestId = 12;
+  context.pairId = 7;
+  context.lane = 0;
+  context.log(obs::JournalLevel::Info, "all").num("k", std::uint64_t{1});
+  context.requestId.reset();
+  context.lane.reset();
+  (void)context.log(obs::JournalLevel::Info, "pair.only");
+  const obs::Context plain = captured.context();
+  (void)plain.log(obs::JournalLevel::Info, "none");
+
+  const std::vector<std::string> lines = captured.lines();
+  ASSERT_EQ(lines.size(), 3U);
+  const util::JsonValue all = util::parseJson(lines[0]);
+  const auto& members = all.members();
+  ASSERT_EQ(members.size(), 7U);
+  EXPECT_EQ(members[2].first, "event");
+  EXPECT_EQ(members[3].first, "request_id");
+  EXPECT_EQ(members[4].first, "pair_id");
+  EXPECT_EQ(members[5].first, "lane");
+  EXPECT_EQ(members[6].first, "k");
+  EXPECT_EQ(all.at("request_id").asUint(), 12U);
+  EXPECT_EQ(all.at("pair_id").asUint(), 7U);
+  EXPECT_EQ(all.at("lane").asUint(), 0U);
+
+  const util::JsonValue pairOnly = util::parseJson(lines[1]);
+  ASSERT_EQ(pairOnly.members().size(), 4U);
+  EXPECT_EQ(pairOnly.members()[3].first, "pair_id");
+  EXPECT_EQ(util::parseJson(lines[2]).members().size(), 3U);
+}
+
 TEST(Journal, TimestampsAreMonotonic) {
-  obs::Journal journal;
+  CapturedJournal captured;
+  const obs::Context context = captured.context();
   for (int i = 0; i < 5; ++i) {
-    journal.event(obs::JournalLevel::Debug, "tick")
+    context.log(obs::JournalLevel::Debug, "tick")
         .num("i", static_cast<std::uint64_t>(i));
   }
-  const std::vector<std::string> lines = journal.lines();
+  const std::vector<std::string> lines = captured.lines();
   double previous = -1.0;
   for (const std::string& line : lines) {
     const double ts = util::parseJson(line).at("ts_micros").asNumber();
@@ -100,22 +141,25 @@ TEST(Journal, TimestampsAreMonotonic) {
 }
 
 TEST(Journal, NullJournalRecordsNothingAndIsSafe) {
-  obs::JournalEvent event(nullptr, obs::JournalLevel::Error, "noop");
+  // ids set but no journal: still the null path
+  const obs::Context context{.requestId = 1, .pairId = 2, .lane = 3};
+  obs::JournalEvent event(context, obs::JournalLevel::Error, "noop");
   event.str("s", "v").num("d", 1.5).num("u", std::uint64_t{2}).flag("b", true);
-
-  const obs::Context context;
   context.log(obs::JournalLevel::Info, "also.noop").num("k", 1.0);
 }
 
+// The journal keeps no line: what it commits goes to the stream, and only
+// the count stays behind.
 TEST(Journal, StreamMirrorsCommittedLines) {
   std::ostringstream sink;
   obs::Journal journal;
+  const obs::Context context{.journal = &journal};
   journal.streamTo(&sink);
-  (void)journal.event(obs::JournalLevel::Info, "one");
-  (void)journal.event(obs::JournalLevel::Info, "two");
+  (void)context.log(obs::JournalLevel::Info, "one");
+  (void)context.log(obs::JournalLevel::Info, "two");
   journal.streamTo(nullptr);
-  // after the detach: recorded but not mirrored
-  (void)journal.event(obs::JournalLevel::Info, "three");
+  // after the detach: counted but written nowhere
+  (void)context.log(obs::JournalLevel::Info, "three");
 
   EXPECT_EQ(journal.lineCount(), 3U);
   std::istringstream lines(sink.str());
@@ -126,43 +170,27 @@ TEST(Journal, StreamMirrorsCommittedLines) {
     ++streamed;
   }
   EXPECT_EQ(streamed, 2U);
-  EXPECT_EQ(journal.dump(),
-            journal.lines()[0] + "\n" + journal.lines()[1] + "\n" +
-                journal.lines()[2] + "\n");
-}
-
-TEST(Journal, StreamOnlyJournalKeepsNoLines) {
-  std::ostringstream sink;
-  obs::Journal journal(/*keepLines=*/false);
-  journal.streamTo(&sink);
-  (void)journal.event(obs::JournalLevel::Info, "one");
-  (void)journal.event(obs::JournalLevel::Info, "two");
-  journal.streamTo(nullptr);
-
-  EXPECT_EQ(journal.lineCount(), 0U);
-  EXPECT_TRUE(journal.dump().empty());
-  const std::string streamed = sink.str();
-  EXPECT_EQ(std::count(streamed.begin(), streamed.end(), '\n'), 2);
 }
 
 TEST(Journal, ConcurrentCommitsStayLineAtomic) {
-  obs::Journal journal;
+  CapturedJournal captured;
+  const obs::Context context = captured.context();
   constexpr int kThreads = 4;
   constexpr int kPerThread = 50;
   {
     std::vector<std::jthread> threads;
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&journal, t] {
+      threads.emplace_back([&context, t] {
         for (int i = 0; i < kPerThread; ++i) {
-          journal.event(obs::JournalLevel::Info, "worker")
+          context.log(obs::JournalLevel::Info, "worker")
               .num("thread", static_cast<std::uint64_t>(t))
               .num("i", static_cast<std::uint64_t>(i));
         }
       });
     }
   }
-  const std::vector<std::string> lines = journal.lines();
+  const std::vector<std::string> lines = captured.lines();
   ASSERT_EQ(lines.size(), static_cast<std::size_t>(kThreads * kPerThread));
   for (const std::string& line : lines) {
     EXPECT_TRUE(util::isValidJson(line)) << line;
@@ -170,9 +198,8 @@ TEST(Journal, ConcurrentCommitsStayLineAtomic) {
 }
 
 TEST(Journal, FlowEmitsStageAndVerdictEvents) {
-  obs::Journal journal;
-  obs::Context context;
-  context.journal = &journal;
+  CapturedJournal captured;
+  const obs::Context context = captured.context();
 
   // pin the general flow's journal stream — Clifford-only pairs would
   // otherwise be routed to the stabilizer tier and emit no sim.stimulus
@@ -188,7 +215,7 @@ TEST(Journal, FlowEmitsStageAndVerdictEvents) {
   bool sawVerdict = false;
   std::size_t stimulusLines = 0;
   bool sawMismatch = false;
-  for (const std::string& line : journal.lines()) {
+  for (const std::string& line : captured.lines()) {
     ASSERT_TRUE(util::isValidJson(line)) << line;
     const util::JsonValue v = util::parseJson(line);
     const std::string& event = v.at("event").asString();
@@ -214,9 +241,8 @@ TEST(Journal, FlowEmitsStageAndVerdictEvents) {
 }
 
 TEST(Journal, FlowEmitsTierEvent) {
-  obs::Journal journal;
-  obs::Context context;
-  context.journal = &journal;
+  CapturedJournal captured;
+  const obs::Context context = captured.context();
 
   const ec::EquivalenceCheckingFlow flow;
   const ec::FlowResult result =
@@ -225,7 +251,7 @@ TEST(Journal, FlowEmitsTierEvent) {
   ASSERT_EQ(result.tier, analysis::TierHint::Static);
 
   bool sawTier = false;
-  for (const std::string& line : journal.lines()) {
+  for (const std::string& line : captured.lines()) {
     ASSERT_TRUE(util::isValidJson(line)) << line;
     const util::JsonValue v = util::parseJson(line);
     if (v.at("event").asString() != "flow.tier") {
@@ -240,16 +266,16 @@ TEST(Journal, FlowEmitsTierEvent) {
 }
 
 TEST(Journal, PackageGcEmitsEvent) {
-  obs::Journal journal;
+  CapturedJournal captured;
   dd::Package pkg(3);
-  pkg.attach({.journal = &journal});
+  pkg.attach(captured.context());
   const ir::QuantumComputation qc = paperCircuitG();
   const auto out = sim::simulate(qc, pkg.makeBasisState(0), pkg);
   ASSERT_NE(out.p, nullptr);
   pkg.garbageCollect(/*force=*/true);
 
   bool sawGc = false;
-  for (const std::string& line : journal.lines()) {
+  for (const std::string& line : captured.lines()) {
     ASSERT_TRUE(util::isValidJson(line)) << line;
     const util::JsonValue v = util::parseJson(line);
     if (v.at("event").asString() == "dd.gc") {
@@ -326,15 +352,15 @@ TEST(Sampler, MirrorsSamplesAsTracerCounterEvents) {
 // registry.
 TEST(Sampler, FlightCellsAreFedByThePackage) {
   obs::Tracer tracer;
-  obs::Journal journal;
+  CapturedJournal captured;
   obs::FlightRecorder recorder;
   obs::MetricsRegistry metrics;
   dd::Package pkg(8);
   pkg.attach({.tracer = &tracer,
               .metrics = &metrics,
-              .journal = &journal,
-              .flight = &recorder},
-             /*lane=*/3);
+              .journal = &captured.journal,
+              .flight = &recorder,
+              .lane = 3});
   const ir::QuantumComputation qc = gen::qft(8);
   const auto out = sim::simulate(qc, pkg.makeBasisState(1), pkg);
   ASSERT_NE(out.p, nullptr);
@@ -344,8 +370,8 @@ TEST(Sampler, FlightCellsAreFedByThePackage) {
 
   ASSERT_EQ(tracer.events().size(), 1U);
   EXPECT_EQ(tracer.events()[0].name, "dd.gc");
-  ASSERT_EQ(journal.lineCount(), 1U);
-  const util::JsonValue gc = util::parseJson(journal.lines()[0]);
+  ASSERT_EQ(captured.journal.lineCount(), 1U);
+  const util::JsonValue gc = util::parseJson(captured.lines()[0]);
   EXPECT_EQ(gc.at("event").asString(), "dd.gc");
   EXPECT_EQ(gc.at("lane").asNumber(), 3.0);
   EXPECT_TRUE(metrics.snapshot().counters.empty());

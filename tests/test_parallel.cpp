@@ -7,6 +7,8 @@
 // tests sweep numThreads over {1, 2, 8} across all stimuli kinds and dozens
 // of random circuit pairs.
 
+#include "journal_capture.hpp"
+
 #include "dd/package.hpp"
 #include "ec/flow.hpp"
 #include "ec/parallel.hpp"
@@ -20,12 +22,14 @@
 #include "transform/decomposition.hpp"
 #include "transform/error_injector.hpp"
 #include "util/deadline.hpp"
+#include "util/json_parse.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -285,6 +289,49 @@ TEST(Flow, RaceOnEquivalentPairIsWonByCompleteCheck) {
   EXPECT_EQ(result.mode, ec::FlowMode::Race);
   EXPECT_EQ(result.winner, ec::RaceWinner::Complete);
   EXPECT_FALSE(result.completeCancelled);
+}
+
+// The complete checker's lines take a lane of their own: no portfolio
+// worker's, so a reader of the journal never charges its GC pauses to a
+// stimulus worker.
+TEST(Flow, RaceCompleteCheckerJournalsOnItsOwnLane) {
+  // G' = G·R·R⁻¹: equivalent, so the simulation cannot decide, and the
+  // random R in the middle grows the complete checker's DD past the unique
+  // table's GC threshold
+  const auto g = gen::randomCircuit(9, 40, 3);
+  auto gPrime = g;
+  const auto r = gen::randomCircuit(9, 40, 4);
+  gPrime.append(r);
+  gPrime.append(r.inverse());
+  ec::FlowConfiguration config;
+  config.mode = ec::FlowMode::Race;
+  config.simulation.numThreads = 2;
+  config.simulation.maxSimulations = 4;
+  config.complete.timeoutSeconds = 60.0;
+  config.prescreen.enabled = false;
+  testutil::CapturedJournal captured;
+  const auto result =
+      ec::EquivalenceCheckingFlow(config).run(g, gPrime, captured.context());
+  ASSERT_EQ(result.mode, ec::FlowMode::Race);
+  ASSERT_EQ(result.winner, ec::RaceWinner::Complete);
+
+  std::set<std::uint64_t> stimulusLanes;
+  std::set<std::uint64_t> gcLanes;
+  for (const std::string& line : captured.lines()) {
+    const util::JsonValue v = util::parseJson(line);
+    const std::string& event = v.at("event").asString();
+    if (event == "sim.stimulus" || event == "dd.gc") {
+      ASSERT_NE(v.find("lane"), nullptr) << line;
+      (event == "dd.gc" ? gcLanes : stimulusLanes)
+          .insert(v.at("lane").asUint());
+    }
+  }
+  // lanes 0 and 1 are the two portfolio workers; 2 is the complete checker
+  EXPECT_EQ(gcLanes.count(2), 1U) << "the complete checker collected no GC";
+  EXPECT_EQ(stimulusLanes.count(2), 0U);
+  for (const std::uint64_t lane : stimulusLanes) {
+    EXPECT_LE(lane, 1U);
+  }
 }
 
 TEST(Flow, RaceDegeneratesToStagedWhenOneSideIsSkipped) {

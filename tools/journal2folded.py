@@ -28,7 +28,8 @@ their grand totals do not add up — read them as two views, not as siblings.
 
 Child time is worked out per worker lane: dd.gc, sim.stimulus and
 sim.stimulus.cancelled events carry the lane (portfolio worker index) that
-emitted them, and a journal without lane fields reads as one lane. Each
+emitted them, race mode's complete checker has a lane of its own, and a
+line without a lane field reads as lane 0. Each
 lane's GC pauses and stimulus deltas are subtracted from that lane's copy of
 the stage's wall interval, and the stage's frames are the mean over the
 lanes seen in the stage. So parallel workers whose pauses together exceed
@@ -38,8 +39,7 @@ sum to its wall time at any thread count.
 Stage attribution is approximate by design: the journal records completion
 events, not begin/end pairs, so a stimulus delta includes whatever else the
 worker did in that window. For single-threaded runs (--threads 1) the
-approximation is exact up to journal-write overhead. In race mode the
-complete checker's GC pauses share lane 0 with the first stimulus worker.
+approximation is exact up to journal-write overhead.
 
 Usage:
     tools/journal2folded.py run.jsonl > run.folded
