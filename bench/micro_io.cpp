@@ -6,10 +6,15 @@
 // sizes. BM_ParseReal and BM_ParseTfc parse 10,000 gates of the reversible
 // formats. Every parse validates (the default ParseOptions), as `qsimec
 // check` does.
+//
+// BM_DigestQasm/10000 digests the text of BM_ParseQasm/10000 with
+// svc::contentDigest, the key of the verdict cache's byte front: the
+// per-byte price a warm batch or daemon pair pays in place of its parse.
 
 #include "io/qasm.hpp"
 #include "io/real.hpp"
 #include "io/tfc.hpp"
+#include "svc/fingerprint.hpp"
 
 #include <benchmark/benchmark.h>
 
@@ -128,11 +133,11 @@ std::string tfcText(std::size_t gates) {
   return text + "\nBEGIN\n" + reversibleGates(gates, ",", false) + "END\n";
 }
 
-template <class Parse>
-void runParse(benchmark::State& state, const std::string& text, Parse parse) {
+template <class Work>
+void runOnText(benchmark::State& state, const std::string& text, Work work) {
   for (auto _ : state) {
-    auto qc = parse(text);
-    benchmark::DoNotOptimize(qc);
+    auto result = work(text);
+    benchmark::DoNotOptimize(result);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(text.size()));
@@ -140,7 +145,7 @@ void runParse(benchmark::State& state, const std::string& text, Parse parse) {
 }
 
 void BM_ParseQasm(benchmark::State& state) {
-  runParse(state, qasmText(static_cast<std::size_t>(state.range(0))),
+  runOnText(state, qasmText(static_cast<std::size_t>(state.range(0))),
            [](const std::string& text) { return io::parseQasmString(text); });
 }
 BENCHMARK(BM_ParseQasm)
@@ -149,14 +154,22 @@ BENCHMARK(BM_ParseQasm)
     ->Arg(100000)
     ->Unit(benchmark::kMicrosecond);
 
+void BM_DigestQasm(benchmark::State& state) {
+  runOnText(state, qasmText(static_cast<std::size_t>(state.range(0))),
+           [](const std::string& text) {
+             return svc::contentDigest(io::CircuitFormat::Qasm, text);
+           });
+}
+BENCHMARK(BM_DigestQasm)->Arg(10000)->Unit(benchmark::kMicrosecond);
+
 void BM_ParseReal(benchmark::State& state) {
-  runParse(state, realText(static_cast<std::size_t>(state.range(0))),
+  runOnText(state, realText(static_cast<std::size_t>(state.range(0))),
            [](const std::string& text) { return io::parseRealString(text); });
 }
 BENCHMARK(BM_ParseReal)->Arg(10000)->Unit(benchmark::kMicrosecond);
 
 void BM_ParseTfc(benchmark::State& state) {
-  runParse(state, tfcText(static_cast<std::size_t>(state.range(0))),
+  runOnText(state, tfcText(static_cast<std::size_t>(state.range(0))),
            [](const std::string& text) { return io::parseTfcString(text); });
 }
 BENCHMARK(BM_ParseTfc)->Arg(10000)->Unit(benchmark::kMicrosecond);

@@ -650,6 +650,7 @@ std::string Daemon::statusJsonLocked() const {
       .field("stores", cache_.stores())
       .field("evictions", cache_.evictions())
       .field("evicted_seconds", cache_.evictedSeconds())
+      .field("digest_hits", cache_.digestHits())
       .endObject();
   json.rawField("cache", cacheJson.str());
 

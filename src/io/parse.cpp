@@ -5,13 +5,13 @@
 #include "io/scanner.hpp"
 #include "io/tfc.hpp"
 
+#include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <utility>
 
 namespace qsimec::io {
-
-namespace detail {
 
 std::string readFile(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
@@ -21,15 +21,27 @@ std::string readFile(const std::string& path) {
   std::error_code ec;
   const std::uintmax_t size = std::filesystem::file_size(path, ec);
   std::string text(ec ? 0 : static_cast<std::size_t>(size), '\0');
+  errno = 0;
   is.read(text.data(), static_cast<std::streamsize>(text.size()));
   text.resize(static_cast<std::size_t>(is.gcount()));
   // a pipe has no size, and a file may grow after file_size: read to the end
   char chunk[4096];
-  while (is.read(chunk, sizeof chunk) || is.gcount() > 0) {
+  while (!is.bad() && (is.read(chunk, sizeof chunk) || is.gcount() > 0)) {
     text.append(chunk, static_cast<std::size_t>(is.gcount()));
+  }
+  // a failed read is not the end of the file: what it returned so far is
+  // no circuit
+  if (is.bad()) {
+    std::string message = "cannot read ";
+    message += path;
+    message += ": ";
+    message += std::strerror(errno);
+    throw std::runtime_error(message);
   }
   return text;
 }
+
+namespace detail {
 
 void requireTrivialLayouts(const ir::QuantumComputation& qc,
                            const std::string& format) {
@@ -66,19 +78,38 @@ ir::QuantumComputation finishCircuit(std::size_t qubits, std::string name,
 
 } // namespace detail
 
-ir::QuantumComputation parseCircuitFile(const std::string& path,
-                                        ParseOptions options) {
+CircuitFormat circuitFormat(const std::string& path) {
   if (path.ends_with(".real")) {
-    return parseRealFile(path, options);
+    return CircuitFormat::Real;
   }
   if (path.ends_with(".qasm")) {
-    return parseQasmFile(path, options);
+    return CircuitFormat::Qasm;
   }
   if (path.ends_with(".tfc")) {
-    return parseTfcFile(path, options);
+    return CircuitFormat::Tfc;
   }
   throw std::runtime_error(
       "unrecognized circuit format (want .qasm/.real/.tfc): " + path);
+}
+
+ir::QuantumComputation parseCircuitText(const std::string& path,
+                                        const std::string& text,
+                                        ParseOptions options) {
+  switch (circuitFormat(path)) {
+  case CircuitFormat::Qasm:
+    return parseQasmString(text, path, options);
+  case CircuitFormat::Real:
+    return parseRealString(text, path, options);
+  case CircuitFormat::Tfc:
+    break;
+  }
+  return parseTfcString(text, path, options);
+}
+
+ir::QuantumComputation parseCircuitFile(const std::string& path,
+                                        ParseOptions options) {
+  (void)circuitFormat(path); // an unknown extension fails before any read
+  return parseCircuitText(path, readFile(path), options);
 }
 
 } // namespace qsimec::io

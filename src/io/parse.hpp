@@ -1,6 +1,6 @@
 // What the three circuit file parsers (OpenQASM, RevLib .real, .tfc) share
-// on their public side: the options, the base of their error types, and the
-// reader that picks a parser by file extension.
+// on their public side: the options, the base of their error types, the
+// file reader, and the one switch that picks a parser by file extension.
 
 #pragma once
 
@@ -40,8 +40,29 @@ private:
   std::size_t line_;
 };
 
-/// Parse a `.qasm`, `.real` or `.tfc` file, chosen by its extension; throws
-/// std::runtime_error for any other extension.
+/// The circuit file formats, each named by its extension.
+enum class CircuitFormat { Qasm, Real, Tfc };
+
+/// The format `path`'s extension names (`.qasm`, `.real` or `.tfc`); throws
+/// std::runtime_error "unrecognized circuit format ..." for any other.
+[[nodiscard]] CircuitFormat circuitFormat(const std::string& path);
+
+/// The whole file, read with one read of its exact size (a pipe, which has
+/// none, is read to its end). Throws std::runtime_error "cannot open PATH",
+/// or "cannot read PATH: REASON" when a read fails (a directory, an I/O
+/// error), so a failed read is never parsed as a truncated circuit.
+[[nodiscard]] std::string readFile(const std::string& path);
+
+/// Parse `text` as the contents of the file at `path`: in the format of its
+/// extension (circuitFormat), with `path` as the circuit name. The result
+/// and every error are those of parseCircuitFile on a file holding `text`.
+[[nodiscard]] ir::QuantumComputation
+parseCircuitText(const std::string& path, const std::string& text,
+                 ParseOptions options = {});
+
+/// Parse a `.qasm`, `.real` or `.tfc` file, chosen by its extension: the
+/// extension is checked before the file is read, then parseCircuitText on
+/// readFile(path).
 [[nodiscard]] ir::QuantumComputation
 parseCircuitFile(const std::string& path, ParseOptions options = {});
 

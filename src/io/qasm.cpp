@@ -509,8 +509,7 @@ ir::QuantumComputation parseQasmString(const std::string& text,
 
 ir::QuantumComputation parseQasmFile(const std::string& path,
                                      ParseOptions options) {
-  const std::string text = detail::readFile(path);
-  return Parser(text, options).parse(path);
+  return parseQasmString(readFile(path), path, options);
 }
 
 void writeQasm(const ir::QuantumComputation& qc, std::ostream& os) {

@@ -133,7 +133,7 @@ ir::QuantumComputation parseRealString(const std::string& text,
 
 ir::QuantumComputation parseRealFile(const std::string& path,
                                      ParseOptions options) {
-  return parseRealText(detail::readFile(path), path, options);
+  return parseRealText(readFile(path), path, options);
 }
 
 void writeReal(const ir::QuantumComputation& qc, std::ostream& os) {

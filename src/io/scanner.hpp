@@ -1,7 +1,7 @@
-// What the three circuit parsers share, internal to src/io: one read of the
-// file, a zero-copy scanner over its text (whitespace, comments, line
-// counting, numbers), and the gate tail and epilogue each format would
-// otherwise repeat.
+// What the three circuit parsers share, internal to src/io: a zero-copy
+// scanner over the file's text (whitespace, comments, line counting,
+// numbers), and the gate tail and epilogue each format would otherwise
+// repeat.
 //
 // Tokens are std::string_views into the text, which must outlive the parse.
 // Real numbers are read by std::strtod in place, so the text must be followed
@@ -33,10 +33,6 @@ constexpr bool isAlpha(char c) {
 constexpr bool isIdentChar(char c) {
   return isAlpha(c) || (c >= '0' && c <= '9') || c == '_';
 }
-
-/// The whole file, read with one read of its exact size (a pipe, which has
-/// none, is read to its end); std::runtime_error "cannot open PATH".
-std::string readFile(const std::string& path);
 
 /// `text` as an unsigned decimal integer: [0-9]+ that fits std::size_t.
 inline std::optional<std::size_t> parseUnsigned(std::string_view text) {

@@ -190,7 +190,7 @@ ir::QuantumComputation parseTfcString(const std::string& text,
 
 ir::QuantumComputation parseTfcFile(const std::string& path,
                                     ParseOptions options) {
-  return parseTfcText(detail::readFile(path), path, options);
+  return parseTfcText(readFile(path), path, options);
 }
 
 void writeTfc(const ir::QuantumComputation& qc, std::ostream& os) {

@@ -79,6 +79,43 @@ struct Job {
   std::vector<std::size_t> duplicates;
 };
 
+/// The lenient parse of the pre-pass: the flow's preflight turns a
+/// malformed circuit into its pair's InvalidInput with diagnostics, not a
+/// throw that aborts the whole batch.
+constexpr io::ParseOptions kLenient{.validate = false};
+
+/// One circuit file as the pre-pass reads it: its format and its bytes.
+struct CircuitBytes {
+  io::CircuitFormat format{io::CircuitFormat::Qasm};
+  std::string text;
+};
+
+/// The file at `path`, read once; its extension is checked before the
+/// read, as io::parseCircuitFile does.
+CircuitBytes readCircuitBytes(const std::string& path) {
+  const io::CircuitFormat format = io::circuitFormat(path);
+  return CircuitBytes{format, io::readFile(path)};
+}
+
+/// Both circuits of a pair, parsed from their bytes with their paths as
+/// names, and padded to the wider one's width.
+struct ParsedPair {
+  ir::QuantumComputation g;
+  ir::QuantumComputation gPrime;
+};
+
+ParsedPair parsePair(const BatchPairSpec& spec, const CircuitBytes& g,
+                     const CircuitBytes& gPrime) {
+  ParsedPair pair{io::parseCircuitText(spec.gPath, g.text, kLenient),
+                  io::parseCircuitText(spec.gPrimePath, gPrime.text, kLenient)};
+  // ancilla-adding flows produce different widths; pad the narrower one
+  // (the same normalization `qsimec check` applies, so verdicts match)
+  const std::size_t width = std::max(pair.g.qubits(), pair.gPrime.qubits());
+  pair.g = tf::padQubits(pair.g, width);
+  pair.gPrime = tf::padQubits(pair.gPrime, width);
+  return pair;
+}
+
 /// The batch's Context narrowed to one manifest entry: every line logged
 /// through it carries the entry's `pair_id`.
 obs::Context forPair(const obs::Context& obs, std::size_t index) {
@@ -208,13 +245,17 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
     }
   };
 
-  // Scheduler-thread pre-pass in manifest order: parse, fingerprint, and
+  // Scheduler-thread pre-pass in manifest order: read both files, key the
+  // pair (from the cache's byte front, or by a parse and fingerprint), and
   // consult the cache; only misses become pool jobs, and misses repeating
   // an earlier miss's (fp(g), fp(gp), configDigest) triple are coalesced
   // onto the first occurrence's job instead of being dispatched again.
+  // Only dispatched pairs need their circuits, so only they are parsed
+  // after a byte-front hit.
   std::vector<Job> jobs;
   std::unordered_map<PairKey, std::size_t, PairKeyHash> representatives;
   std::size_t cacheHits = 0;
+  std::size_t digestHits = 0;
   std::size_t dedupedPairs = 0;
   for (std::size_t i = 0; i < total; ++i) {
     const BatchPairSpec& spec = manifest.pairs[i];
@@ -232,20 +273,38 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
       continue;
     }
     try {
-      // lint-mode parse: the flow's preflight turns a malformed circuit into
-      // this pair's InvalidInput with diagnostics, not a throw that aborts
-      // the whole batch
-      constexpr io::ParseOptions lenient{.validate = false};
-      ir::QuantumComputation g = io::parseCircuitFile(spec.gPath, lenient);
-      ir::QuantumComputation gPrime =
-          io::parseCircuitFile(spec.gPrimePath, lenient);
-      // ancilla-adding flows produce different widths; pad the narrower one
-      // (the same normalization `qsimec check` applies, so verdicts match)
-      const std::size_t width = std::max(g.qubits(), gPrime.qubits());
-      g = tf::padQubits(g, width);
-      gPrime = tf::padQubits(gPrime, width);
-      PairKey key{fingerprint(g), fingerprint(gPrime),
-                  configDigest(spec.config)};
+      // each file is read once; a read error of gp comes second to a parse
+      // error of g, as when the files are parsed one after the other
+      const CircuitBytes gBytes = readCircuitBytes(spec.gPath);
+      CircuitBytes gPrimeBytes;
+      try {
+        gPrimeBytes = readCircuitBytes(spec.gPrimePath);
+      } catch (const std::exception&) {
+        (void)io::parseCircuitText(spec.gPath, gBytes.text, kLenient);
+        throw;
+      }
+      // the byte front keys an unchanged pair without parsing it; a miss
+      // parses these same bytes and is remembered only once it succeeded
+      std::optional<ParsedPair> parsed;
+      std::optional<PairFingerprints> fingerprints;
+      ByteKey byteKey;
+      if (options_.cache != nullptr) {
+        byteKey = ByteKey{contentDigest(gBytes.format, gBytes.text),
+                          contentDigest(gPrimeBytes.format, gPrimeBytes.text)};
+        fingerprints = options_.cache->lookupBytes(byteKey);
+      }
+      if (fingerprints) {
+        ++digestHits;
+      } else {
+        parsed = parsePair(spec, gBytes, gPrimeBytes);
+        fingerprints = PairFingerprints{fingerprint(parsed->g),
+                                        fingerprint(parsed->gPrime)};
+        if (options_.cache != nullptr) {
+          options_.cache->rememberBytes(byteKey, *fingerprints);
+        }
+      }
+      const PairKey key{fingerprints->g, fingerprints->gPrime,
+                        configDigest(spec.config)};
       if (options_.cache != nullptr) {
         if (const auto hit = options_.cache->lookup(key)) {
           obs::ScopedSpan pairSpan(pairObs, "svc.pair", "svc");
@@ -273,9 +332,12 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
         // fans out after the pool drains
         continue;
       }
+      if (!parsed) {
+        parsed = parsePair(spec, gBytes, gPrimeBytes);
+      }
       representatives.emplace(key, jobs.size());
-      jobs.push_back(Job{i, std::move(g), std::move(gPrime), key,
-                         &spec.config, {}});
+      jobs.push_back(Job{i, std::move(parsed->g), std::move(parsed->gPrime),
+                         key, &spec.config, {}});
     } catch (const std::exception& e) {
       outcome.equivalence = ec::Equivalence::InvalidInput;
       outcome.error = e.what();
@@ -597,6 +659,7 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
   obs.count("svc.cache.hit", summary.cacheHits);
   obs.count("svc.cache.miss", total - summary.cacheHits);
   obs.count("svc.cache.store", summary.cacheStores);
+  obs.count("svc.cache.digest_hit", digestHits);
   obs.count("svc.pairs.deduped", summary.deduped);
   obs.count("svc.pairs.stalled", summary.stalled);
   obs.count("svc.pairs.dispatched", summary.dispatched);

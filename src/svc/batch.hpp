@@ -9,10 +9,13 @@
 //
 // with optional per-pair overrides of the base configuration (see
 // docs/service.md for the full key list). Pairs are processed as follows:
-// the scheduler walks the manifest in order on the calling thread, parses
-// both circuits, fingerprints them, and consults the VerdictCache; hits are
-// resolved immediately and only misses are dispatched to the ec::WorkerPool
-// — so a fully warm cache dispatches zero checker work. Cache misses are
+// the scheduler walks the manifest in order on the calling thread, reads
+// both files once, keys the pair — from the VerdictCache's byte front when
+// the same bytes were keyed before, else by parsing and fingerprinting
+// them — and consults the VerdictCache; hits are resolved immediately and
+// only misses are dispatched to the ec::WorkerPool (and only they need
+// their circuits parsed) — so a fully warm cache dispatches zero checker
+// work, and with unchanged files parses nothing. Cache misses are
 // additionally deduplicated within the batch: manifest entries sharing the
 // (fingerprint(g), fingerprint(gp), configDigest) triple of an earlier
 // entry are not dispatched at all — the first occurrence's verdict is
@@ -27,9 +30,9 @@
 // misses on the worker that ran the flow, which nests the usual "flow"
 // span), journal events svc.batch.start / svc.pair.start /
 // svc.pair.cache_hit / svc.pair.verdict / svc.batch.done, and
-// svc.cache.{hit,miss,store} counters published into the metrics registry
-// by the scheduler thread after the pool drains (worker threads never touch
-// the registry — it is not thread-safe).
+// svc.cache.{hit,miss,store,digest_hit} counters published into the
+// metrics registry by the scheduler thread after the pool drains (worker
+// threads never touch the registry — it is not thread-safe).
 
 #pragma once
 

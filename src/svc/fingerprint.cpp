@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 namespace qsimec::svc {
 
@@ -104,6 +105,25 @@ Fingerprint fingerprint(const ir::QuantumComputation& qc) {
     for (const double p : op.params()) {
       h.absorb(p);
     }
+  }
+  return h.digest();
+}
+
+Fingerprint contentDigest(io::CircuitFormat format, std::string_view bytes) {
+  Hasher h;
+  h.absorb(static_cast<std::uint64_t>(format));
+  h.absorb(static_cast<std::uint64_t>(bytes.size()));
+  // the length above makes the zero-filled tail word unambiguous
+  std::size_t at = 0;
+  for (; at + 8 <= bytes.size(); at += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, bytes.data() + at, 8);
+    h.absorb(word);
+  }
+  if (at < bytes.size()) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, bytes.data() + at, bytes.size() - at);
+    h.absorb(word);
   }
   return h.digest();
 }

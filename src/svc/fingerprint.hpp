@@ -28,6 +28,7 @@
 #pragma once
 
 #include "ec/flow.hpp"
+#include "io/parse.hpp"
 #include "ir/quantum_computation.hpp"
 
 #include <cstdint>
@@ -50,6 +51,14 @@ struct Fingerprint {
 
 /// Fingerprint a parsed circuit (see file comment for what is hashed).
 [[nodiscard]] Fingerprint fingerprint(const ir::QuantumComputation& qc);
+
+/// Digest of one circuit file's raw bytes: 128 bits over (format, length,
+/// bytes), absorbed eight bytes at a time by the same two-lane mixer. It
+/// keys the verdict cache's byte front (VerdictCache::lookupBytes), which
+/// needs identical bytes in the same format to digest identically, and the
+/// same bytes under another format (another parser) to digest apart.
+[[nodiscard]] Fingerprint contentDigest(io::CircuitFormat format,
+                                        std::string_view bytes);
 
 /// Parse the 32-hex-digit form back (for cache files); std::nullopt on
 /// malformed input.

@@ -74,6 +74,33 @@ void VerdictCache::insertLocked(const PairKey& key,
   }
 }
 
+std::optional<PairFingerprints> VerdictCache::lookupBytes(const ByteKey& key) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = byteIndex_.find(key);
+  if (it == byteIndex_.end()) {
+    return std::nullopt;
+  }
+  ++digestHits_;
+  byteLru_.splice(byteLru_.begin(), byteLru_, it->second);
+  return it->second->second;
+}
+
+void VerdictCache::rememberBytes(const ByteKey& key,
+                                 const PairFingerprints& fingerprints) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (const auto it = byteIndex_.find(key); it != byteIndex_.end()) {
+    it->second->second = fingerprints;
+    byteLru_.splice(byteLru_.begin(), byteLru_, it->second);
+    return;
+  }
+  if (byteLru_.size() >= capacity_) {
+    byteIndex_.erase(byteLru_.back().first);
+    byteLru_.pop_back();
+  }
+  byteLru_.emplace_front(key, fingerprints);
+  byteIndex_.emplace(key, byteLru_.begin());
+}
+
 std::size_t VerdictCache::load(std::istream& is) {
   std::size_t loaded = 0;
   std::string line;
@@ -183,6 +210,10 @@ double VerdictCache::evictedSeconds() const {
 std::uint64_t VerdictCache::corruptLines() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return corruptLines_;
+}
+std::uint64_t VerdictCache::digestHits() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return digestHits_;
 }
 
 } // namespace qsimec::svc

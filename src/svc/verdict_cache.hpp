@@ -32,6 +32,15 @@
 // parseable by util::parseJson. `qsimec-cache-v1` lines (no "seconds")
 // still load — their cost is 0, i.e. first in line for eviction, which is
 // the conservative reading of "cost unknown".
+//
+// In front of the proofs sits a byte front: a bounded map from a pair's
+// bytes (the contentDigest of each file) to the two padded fingerprints they
+// parsed into, so a pair whose files are unchanged is keyed without a parse.
+// Identical bytes in the same format, parsed by the same lenient parser,
+// give the same circuit, so a remembered fingerprint is the one a fresh
+// parse would compute. The batch pre-pass remembers a pair only after its
+// parse and fingerprint succeed; read and parse errors are never kept. The
+// front is LRU-bounded at capacity() entries, and never persisted.
 
 #pragma once
 
@@ -73,6 +82,29 @@ struct PairKeyHash {
   }
 };
 
+/// Identity of a pair's bytes: the contentDigest of each of its two files,
+/// in manifest role order.
+struct ByteKey {
+  Fingerprint g;
+  Fingerprint gPrime;
+
+  [[nodiscard]] bool operator==(const ByteKey&) const = default;
+};
+
+struct ByteKeyHash {
+  [[nodiscard]] std::size_t operator()(const ByteKey& k) const noexcept {
+    return static_cast<std::size_t>(k.g.lo ^
+                                    (k.gPrime.lo * 0x9e3779b97f4a7c15ULL));
+  }
+};
+
+/// The padded fingerprints a pair's bytes parsed into: the circuit half of
+/// its PairKey.
+struct PairFingerprints {
+  Fingerprint g;
+  Fingerprint gPrime;
+};
+
 /// A cached proof: the verdict, the counterexample stimulus that proved
 /// non-equivalence (absent for equivalence proofs), and the wall-seconds
 /// the proof originally cost — the currency of the eviction policy.
@@ -104,6 +136,14 @@ public:
   /// and the entry is new or changed.
   void store(const PairKey& key, const CachedVerdict& verdict);
 
+  /// The fingerprints remembered for a pair's bytes, refreshing its LRU
+  /// position; counts a digest hit when found.
+  [[nodiscard]] std::optional<PairFingerprints> lookupBytes(const ByteKey& key);
+
+  /// Remember what a pair's bytes parsed into; when the front is full, the
+  /// least recently used pair goes.
+  void rememberBytes(const ByteKey& key, const PairFingerprints& fingerprints);
+
   /// Replay a qsimec-cache-v2 (or legacy v1) JSONL stream into the cache
   /// (no persistence echo). Returns the number of entries loaded; malformed
   /// or wrong-schema lines are skipped and counted in corruptLines().
@@ -130,9 +170,12 @@ public:
   /// debt this cache has incurred by being too small.
   [[nodiscard]] double evictedSeconds() const;
   [[nodiscard]] std::uint64_t corruptLines() const;
+  /// Pairs keyed from their bytes by lookupBytes, without a parse.
+  [[nodiscard]] std::uint64_t digestHits() const;
 
 private:
   using Entry = std::pair<PairKey, CachedVerdict>;
+  using ByteEntry = std::pair<ByteKey, PairFingerprints>;
 
   void insertLocked(const PairKey& key, const CachedVerdict& verdict,
                     bool persist);
@@ -146,6 +189,9 @@ private:
   // eviction victim. Each cost bucket is kept in LRU order (lookup moves
   // the touched key to the bucket's back), so ties break deterministically.
   std::multimap<double, PairKey> costIndex_;
+  std::list<ByteEntry> byteLru_; // front = most recently used
+  std::unordered_map<ByteKey, std::list<ByteEntry>::iterator, ByteKeyHash>
+      byteIndex_;
   std::ostream* persistStream_{nullptr};
   std::uint64_t hits_{0};
   std::uint64_t misses_{0};
@@ -153,6 +199,7 @@ private:
   std::uint64_t evictions_{0};
   double evictedSeconds_{0.0};
   std::uint64_t corruptLines_{0};
+  std::uint64_t digestHits_{0};
 };
 
 } // namespace qsimec::svc

@@ -102,6 +102,20 @@ TEST_F(CliTest, GenerateInfoConvertCheckPipeline) {
   EXPECT_NE(check.output.find("equivalent"), std::string::npos);
 }
 
+// A file that cannot be read is a usage error (exit 2) like one that cannot
+// be opened, in every format, and never an invalid circuit (exit 4).
+TEST_F(CliTest, UnreadableCircuitFileExitsWithTwo) {
+  for (const char* name : {"d.qasm", "d.real", "d.tfc"}) {
+    const std::string dir = path(name);
+    fs::create_directories(dir);
+    const auto info = runCli("info " + dir);
+    EXPECT_EQ(info.exitCode, 2) << info.output;
+    EXPECT_NE(info.output.find("cannot read " + dir + ": Is a directory"),
+              std::string::npos)
+        << info.output;
+  }
+}
+
 TEST_F(CliTest, NonEquivalentPairExitsWithOne) {
   const std::string a = path("a.qasm");
   const std::string b = path("b.qasm");

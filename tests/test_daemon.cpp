@@ -223,6 +223,34 @@ TEST_F(DaemonTest, WarmSecondSubmissionDispatchesNothingAndMatchesBytes) {
   d.run();
 }
 
+// The resident cache's byte front answers a warm request without a parse:
+// one digest hit per pair, in the status document and the scrape alike,
+// and the redacted response is byte-identical to the cold one.
+TEST_F(DaemonTest, WarmRequestIsKeyedFromItsBytes) {
+  daemon::Daemon d(baseOptions());
+  d.start();
+  daemon::SubmitOptions submit;
+  submit.redact = true;
+  const daemon::SubmitResult cold =
+      daemon::submitManifestText(path("d.sock"), manifestText(), submit);
+  ASSERT_TRUE(cold.accepted);
+  EXPECT_EQ(status(d).at("cache").at("digest_hits").asUint(), 0U);
+
+  const daemon::SubmitResult warm =
+      daemon::submitManifestText(path("d.sock"), manifestText(), submit);
+  ASSERT_TRUE(warm.accepted);
+  EXPECT_EQ(warm.lines, cold.lines);
+  EXPECT_EQ(status(d).at("cache").at("digest_hits").asUint(), 2U);
+  const std::string metrics = daemon::fetchMetrics(path("d.sock"));
+  EXPECT_TRUE(obs::validateOpenMetrics(metrics).empty());
+  EXPECT_NE(metrics.find("qsimec_svc_cache_digest_hit_total 2\n"),
+            std::string::npos)
+      << metrics;
+
+  d.requestShutdown();
+  d.run();
+}
+
 TEST_F(DaemonTest, PausedEngineDrainsByPriorityThenFifo) {
   daemon::DaemonOptions options = baseOptions();
   options.agingSeconds = 0; // keep priorities exact for the assertion

@@ -442,6 +442,53 @@ TEST(MalformedFiles, WidestCircuitKeepsItsLastQubit) {
   }
 }
 
+// A read that fails is an error of its own, never a short text: a directory
+// named like a circuit file used to parse as an empty one ("expected
+// identifier", "missing .numvars").
+TEST(MalformedFiles, FailedReadIsAReadErrorInEveryFormat) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("qsimec_unreadable_" + std::to_string(::getpid()));
+  for (const char* name : {"d.qasm", "d.real", "d.tfc"}) {
+    const std::string path = (dir / name).string();
+    fs::create_directories(path);
+    for (const bool validate : {true, false}) {
+      try {
+        (void)io::parseCircuitFile(path, {.validate = validate});
+        ADD_FAILURE() << path << " parsed";
+      } catch (const io::ParseError& e) {
+        ADD_FAILURE() << path << ": " << e.what();
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "cannot read " + path + ": Is a directory");
+      }
+    }
+  }
+  fs::remove_all(dir);
+}
+
+// parseCircuitFile is the extension check, readFile and parseCircuitText:
+// the same circuit from the file and from its bytes, and an unknown
+// extension rejected before any read.
+TEST(ParseCircuitText, MatchesTheFileParseAndChecksTheExtensionFirst) {
+  for (const char* name : {"bell.qasm", "peres.real", "tfc/toffoli3.tfc"}) {
+    const std::string path = dataPath(name);
+    const auto fromFile = io::parseCircuitFile(path);
+    const auto fromText = io::parseCircuitText(path, io::readFile(path));
+    EXPECT_EQ(fromText.name(), fromFile.name());
+    EXPECT_EQ(fromText.qubits(), fromFile.qubits());
+    EXPECT_EQ(fromText.ops(), fromFile.ops()) << name;
+  }
+  try {
+    (void)io::parseCircuitFile("/nonexistent/circuit.txt");
+    ADD_FAILURE() << "an unknown extension parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "unrecognized circuit format (want .qasm/.real/.tfc): "
+              "/nonexistent/circuit.txt");
+  }
+}
+
 // --- round-trip lock -------------------------------------------------------
 // Every circuit of the generated corpus (seeds 1-4) and of the Table Ib
 // recipes, written by the writer of its format, parses back op by op: the

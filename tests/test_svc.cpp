@@ -7,6 +7,7 @@
 #include "ec/flow.hpp"
 #include "gen/qft.hpp"
 #include "gen/revlib_like.hpp"
+#include "io/parse.hpp"
 #include "io/qasm.hpp"
 #include "io/real.hpp"
 #include "obs/metrics.hpp"
@@ -97,6 +98,30 @@ TEST(Fingerprint, HexRoundTrip) {
   EXPECT_FALSE(svc::parseFingerprint("abc").has_value());
 }
 
+// The byte front's key: the same bytes in the same format digest alike;
+// another format, one changed byte or one more (zero) byte digests apart.
+TEST(Fingerprint, ContentDigestCoversFormatLengthAndBytes) {
+  const std::string text = ".version 2.0\n.numvars 1\n.variables a\n";
+  const svc::Fingerprint qasm =
+      svc::contentDigest(io::CircuitFormat::Qasm, text);
+  EXPECT_EQ(qasm, svc::contentDigest(io::CircuitFormat::Qasm, text));
+  const svc::Fingerprint real =
+      svc::contentDigest(io::CircuitFormat::Real, text);
+  EXPECT_NE(qasm, real);
+  EXPECT_NE(qasm.hi, real.hi);
+  EXPECT_NE(qasm.lo, real.lo);
+  EXPECT_NE(real, svc::contentDigest(io::CircuitFormat::Tfc, text));
+
+  std::string flipped = text;
+  flipped[20] ^= 1;
+  EXPECT_NE(qasm, svc::contentDigest(io::CircuitFormat::Qasm, flipped));
+  // the tail word is zero-filled, so only the length tells these apart
+  const std::string padded = text + std::string(1, '\0');
+  EXPECT_NE(qasm, svc::contentDigest(io::CircuitFormat::Qasm, padded));
+  EXPECT_NE(svc::contentDigest(io::CircuitFormat::Qasm, ""),
+            svc::contentDigest(io::CircuitFormat::Qasm, std::string(1, '\0')));
+}
+
 TEST(Fingerprint, ConfigDigestCoversVerdictRelevantFieldsOnly) {
   ec::FlowConfiguration base;
   const std::uint64_t digest = svc::configDigest(base);
@@ -154,6 +179,33 @@ TEST(VerdictCache, LruEvictionRefreshesOnLookup) {
   EXPECT_TRUE(cache.lookup(keyFor(1, 1)).has_value());
   EXPECT_FALSE(cache.lookup(keyFor(2, 2)).has_value());
   EXPECT_TRUE(cache.lookup(keyFor(3, 3)).has_value());
+}
+
+TEST(VerdictCache, ByteFrontIsBoundedByCapacity) {
+  svc::VerdictCache cache(2);
+  const auto bytes = [](std::uint64_t a) {
+    return svc::ByteKey{svc::Fingerprint{a, a}, svc::Fingerprint{a, a + 1}};
+  };
+  const auto fingerprints = [](std::uint64_t a) {
+    return svc::PairFingerprints{svc::Fingerprint{a, 0},
+                                 svc::Fingerprint{0, a}};
+  };
+  cache.rememberBytes(bytes(1), fingerprints(1));
+  cache.rememberBytes(bytes(2), fingerprints(2));
+  ASSERT_TRUE(cache.lookupBytes(bytes(1)).has_value()); // 1 is now freshest
+  cache.rememberBytes(bytes(3), fingerprints(3));        // forgets 2, not 1
+
+  EXPECT_FALSE(cache.lookupBytes(bytes(2)).has_value());
+  for (const std::uint64_t a : {1U, 3U}) {
+    const auto found = cache.lookupBytes(bytes(a));
+    ASSERT_TRUE(found.has_value());
+    EXPECT_EQ(found->g, fingerprints(a).g);
+    EXPECT_EQ(found->gPrime, fingerprints(a).gPrime);
+  }
+  EXPECT_EQ(cache.digestHits(), 3U);
+  // the front holds no proofs: the verdict side is untouched
+  EXPECT_EQ(cache.size(), 0U);
+  EXPECT_EQ(cache.hits() + cache.misses(), 0U);
 }
 
 TEST(VerdictCache, OnlyProofsAreCacheable) {
@@ -650,6 +702,181 @@ TEST_F(BatchTest, TooWideCircuitYieldsInvalidInputAndBatchContinues) {
   EXPECT_EQ(result.outcomes[1].equivalence, ec::Equivalence::Equivalent);
   EXPECT_EQ(result.summary.invalid, 2U);
   EXPECT_EQ(result.summary.equivalent, 1U);
+}
+
+// ------------------------------------------------------------ byte front
+
+// A warm rerun keys every pair from its bytes: no parse, one digest hit per
+// pair, and the same redacted lines as the cold run.
+TEST_F(BatchTest, WarmRerunIsKeyedFromTheBytesWithoutAParse) {
+  const svc::BatchManifest m = manifest();
+  svc::VerdictCache cache;
+  obs::MetricsRegistry coldMetrics;
+  obs::Context coldObs;
+  coldObs.metrics = &coldMetrics;
+  const svc::BatchResult cold =
+      svc::BatchScheduler(options(2, &cache)).run(m, coldObs);
+  EXPECT_EQ(coldMetrics.snapshot().counters.at("svc.cache.digest_hit"), 0U);
+
+  obs::MetricsRegistry warmMetrics;
+  obs::Context warmObs;
+  warmObs.metrics = &warmMetrics;
+  const svc::BatchResult warm =
+      svc::BatchScheduler(options(2, &cache)).run(m, warmObs);
+  EXPECT_EQ(warmMetrics.snapshot().counters.at("svc.cache.digest_hit"),
+            m.pairs.size());
+  EXPECT_EQ(cache.digestHits(), m.pairs.size());
+  EXPECT_EQ(warm.summary.cacheHits, m.pairs.size());
+  for (std::size_t i = 0; i < m.pairs.size(); ++i) {
+    EXPECT_EQ(svc::toJsonLine(warm.outcomes[i],
+                              {.redact = true, .verdictOnly = true}),
+              svc::toJsonLine(cold.outcomes[i],
+                              {.redact = true, .verdictOnly = true}));
+  }
+}
+
+// The front keys bytes, not paths or sizes: a file rewritten in place with
+// as many bytes gets a verdict of its own.
+TEST_F(BatchTest, FileRewrittenAtTheSameSizeGetsAFreshVerdict) {
+  const std::string head = "OPENQASM 2.0;\nqreg q[1];\n";
+  std::ofstream(dir_ / "one.qasm") << head << "x q[0];\n";
+  std::ofstream(dir_ / "two.qasm") << head << "x q[0];\n";
+  std::istringstream is("{\"g\": \"" + path("one.qasm") + "\", \"gp\": \"" +
+                        path("two.qasm") + "\"}\n");
+  const svc::BatchManifest m = svc::parseManifest(is, {});
+  svc::VerdictCache cache;
+  const svc::BatchResult before =
+      svc::BatchScheduler(options(1, &cache)).run(m);
+  ASSERT_EQ(before.outcomes[0].equivalence, ec::Equivalence::Equivalent);
+
+  const auto size = fs::file_size(dir_ / "one.qasm");
+  std::ofstream(dir_ / "one.qasm") << head << "z q[0];\n";
+  ASSERT_EQ(fs::file_size(dir_ / "one.qasm"), size);
+  const svc::BatchResult after =
+      svc::BatchScheduler(options(1, &cache)).run(m);
+  EXPECT_EQ(after.outcomes[0].equivalence, ec::Equivalence::NotEquivalent);
+  EXPECT_FALSE(after.outcomes[0].cacheHit);
+  EXPECT_EQ(after.summary.dispatched, 1U);
+  EXPECT_EQ(cache.digestHits(), 0U);
+}
+
+// Only successes are remembered: a pair that fails to parse is read and
+// parsed on every run and reports the text of a file-by-file parse; a
+// parse error of g also comes before a read error of gp.
+TEST_F(BatchTest, ParseErrorPairIsNeverRememberedAndKeepsItsText) {
+  std::ofstream(dir_ / "bad.qasm")
+      << "OPENQASM 2.0;\nqreg q[1];\nbogus q[0];\n";
+  std::string expected;
+  try {
+    (void)io::parseCircuitFile(path("bad.qasm"), {.validate = false});
+  } catch (const std::exception& e) {
+    expected = e.what();
+  }
+  ASSERT_FALSE(expected.empty());
+  std::istringstream is("{\"g\": \"" + path("bad.qasm") + "\", \"gp\": \"" +
+                        path("qft_a.qasm") + "\"}\n"
+                        "{\"g\": \"" + path("bad.qasm") + "\", \"gp\": \"" +
+                        path("missing.qasm") + "\"}\n");
+  const svc::BatchManifest m = svc::parseManifest(is, {});
+  svc::VerdictCache cache;
+  for (int run = 0; run < 3; ++run) {
+    SCOPED_TRACE(run);
+    const svc::BatchResult result =
+        svc::BatchScheduler(options(1, &cache)).run(m);
+    for (const svc::PairOutcome& outcome : result.outcomes) {
+      EXPECT_EQ(outcome.equivalence, ec::Equivalence::InvalidInput);
+      EXPECT_EQ(outcome.error, expected);
+    }
+  }
+  EXPECT_EQ(cache.digestHits(), 0U);
+}
+
+// With room for two pairs and three distinct ones cycling through, the
+// front forgets every pair before it comes round again; each verdict is
+// still the one a cacheless run gives.
+TEST_F(BatchTest, ByteFrontWithinCapacityKeepsEveryVerdict) {
+  const std::string text =
+      "{\"g\": \"" + path("qft_a.qasm") + "\", \"gp\": \"" +
+      path("qft_b.qasm") + "\"}\n"
+      "{\"g\": \"" + path("adder.real") + "\", \"gp\": \"" +
+      path("inc.real") + "\"}\n"
+      "{\"g\": \"" + path("adder.real") + "\", \"gp\": \"" +
+      path("adder.real") + "\"}\n";
+  std::istringstream is(text);
+  ec::FlowConfiguration base;
+  base.complete.timeoutSeconds = 60.0;
+  const svc::BatchManifest m = svc::parseManifest(is, base);
+  const auto verdictLines = [](const svc::BatchResult& result) {
+    std::vector<std::string> lines;
+    for (const svc::PairOutcome& outcome : result.outcomes) {
+      lines.push_back(
+          svc::toJsonLine(outcome, {.redact = true, .verdictOnly = true}));
+    }
+    return lines;
+  };
+  const std::vector<std::string> reference =
+      verdictLines(svc::BatchScheduler(options(1)).run(m));
+
+  svc::VerdictCache cache(2);
+  for (int run = 0; run < 3; ++run) {
+    SCOPED_TRACE(run);
+    EXPECT_EQ(verdictLines(svc::BatchScheduler(options(2, &cache)).run(m)),
+              reference);
+    EXPECT_LE(cache.size(), 2U);
+  }
+  EXPECT_EQ(cache.digestHits(), 0U);
+}
+
+// A manifest tripled with byte-identical copies under new paths: the copies
+// are keyed from the bytes and deduplicated, and the redacted lines are the
+// same at every thread count, with the front or without it.
+TEST_F(BatchTest, ByteIdenticalCopiesDedupAlikeAtEveryThreadCount) {
+  for (const char* copy : {"c1_", "c2_"}) {
+    for (const char* name :
+         {"qft_a.qasm", "qft_b.qasm", "adder.real", "inc.real"}) {
+      fs::copy_file(dir_ / name, dir_ / (std::string(copy) + name));
+    }
+  }
+  const auto pairLine = [this](const std::string& g, const std::string& gp) {
+    return "{\"g\": \"" + path(g) + "\", \"gp\": \"" + path(gp) + "\"}\n";
+  };
+  std::string text;
+  for (const std::string copy : {"", "c1_", "c2_"}) {
+    text += pairLine(copy + "qft_a.qasm", copy + "qft_b.qasm");
+    text += pairLine(copy + "adder.real", copy + "adder.real");
+    text += pairLine(copy + "adder.real", copy + "inc.real");
+    text += pairLine(copy + "qft_a.qasm", copy + "qft_a.qasm");
+  }
+  ec::FlowConfiguration base;
+  base.complete.timeoutSeconds = 60.0;
+  std::string reference;
+  for (const bool front : {false, true}) {
+    for (const unsigned threads : {1U, 2U, 4U}) {
+      SCOPED_TRACE(std::to_string(threads) + (front ? " front" : ""));
+      std::istringstream is(text);
+      const svc::BatchManifest m = svc::parseManifest(is, base);
+      ASSERT_EQ(m.pairs.size(), 12U);
+      EXPECT_EQ(m.pairs[4].gPath, path("c1_qft_a.qasm"));
+      svc::VerdictCache cache;
+      const svc::BatchResult result =
+          svc::BatchScheduler(options(threads, front ? &cache : nullptr))
+              .run(m);
+      EXPECT_EQ(result.summary.deduped, 8U);
+      EXPECT_EQ(result.summary.dispatched, 4U);
+      EXPECT_EQ(cache.digestHits(), front ? 8U : 0U);
+      std::string lines;
+      for (const svc::PairOutcome& outcome : result.outcomes) {
+        lines += svc::toJsonLine(outcome, {.redact = true});
+        lines += '\n';
+      }
+      // the summary's cache_stores differs with and without a cache
+      if (reference.empty()) {
+        reference = lines;
+      } else {
+        EXPECT_EQ(lines, reference);
+      }
+    }
+  }
 }
 
 } // namespace
