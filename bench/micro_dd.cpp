@@ -1,7 +1,8 @@
 // Micro-benchmarks of the decision-diagram substrate (google-benchmark):
 // package construction, a cold package's first run and the between-runs
-// barrier, node construction, gate DDs, matrix-vector application, inner
-// products, full functionality construction, and DD vs dense simulation.
+// barrier, node construction, gate DDs (fresh and rebuilt), matrix-vector
+// application, inner products, full functionality construction, and DD vs
+// dense simulation.
 
 #include "gen/ansatz.hpp"
 #include "gen/qft.hpp"
@@ -82,6 +83,24 @@ void BM_MakeGateDD(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MakeGateDD)->Arg(8)->Arg(16)->Arg(32);
+
+// Rebuilding a gate whose nodes are all in the unique table, as a circuit
+// does for every repeat of a gate: each level ends in a hash-cons hit, so
+// this prices the construction work itself, not node allocation.
+void BM_RebuildGateDD(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  dd::Package pkg(n);
+  const dd::GateMatrix mat = dd::rzMat(0.25);
+  const auto target = static_cast<dd::Var>(n / 2);
+  const std::vector<dd::Control> controls{dd::Control{0, true}};
+  const dd::mEdge first = pkg.makeGateDD(mat, target, controls);
+  pkg.incRef(first);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pkg.makeGateDD(mat, target, controls));
+  }
+  pkg.decRef(first);
+}
+BENCHMARK(BM_RebuildGateDD)->Arg(8)->Arg(16)->Arg(32);
 
 // NOTE: applying the *same* gate to the *same* state every iteration makes
 // this a measurement of the memoized (compute-table hit) path — tens of

@@ -477,6 +477,18 @@ void Daemon::processRequest(PendingRequest& request) {
     }
   }
 
+  // Journaled before the response too: a client that stops the daemon the
+  // moment its submit returns must not get a `daemon.drain` line ahead of
+  // this request's `done`.
+  requestObs.log(obs::JournalLevel::Info, "daemon.request.done")
+      .str("client", request.header.client)
+      .num("pairs", static_cast<std::uint64_t>(result.summary.pairs))
+      .num("cache_hits",
+           static_cast<std::uint64_t>(result.summary.cacheHits))
+      .num("dispatched",
+           static_cast<std::uint64_t>(result.summary.dispatched))
+      .num("seconds", seconds);
+
   if (request.connection.valid()) {
     std::string payload; // the admission line went out at enqueue time
     for (const std::string& line : lines) {
@@ -492,15 +504,6 @@ void Daemon::processRequest(PendingRequest& request) {
   } else {
     respondSpool(request, lines, /*failed=*/false, "");
   }
-
-  requestObs.log(obs::JournalLevel::Info, "daemon.request.done")
-      .str("client", request.header.client)
-      .num("pairs", static_cast<std::uint64_t>(result.summary.pairs))
-      .num("cache_hits",
-           static_cast<std::uint64_t>(result.summary.cacheHits))
-      .num("dispatched",
-           static_cast<std::uint64_t>(result.summary.dispatched))
-      .num("seconds", seconds);
 }
 
 // --------------------------------------------------------------------------

@@ -20,20 +20,13 @@ namespace qsimec::dd {
 /// this are considered the same number and will be canonicalized to a single
 /// table entry.
 ///
-/// The default must sit well above accumulated round-off (~1e-15 per chain
-/// of operations) but well below the smallest angle structure circuits
+/// It must sit well above accumulated round-off (~1e-15 per chain of
+/// operations) but well below the smallest angle structure circuits
 /// produce: e.g. the deepest QFT-64 rotation has 1 - cos(2 pi / 2^64) far
 /// below any representable threshold, and snapping such a value to 1 while
 /// keeping its sine breaks node sharing. 1e-13 keeps equal-by-math weights
 /// pointer-equal without aliasing distinct ones.
-class Tolerance {
-public:
-  [[nodiscard]] static double value() noexcept { return tol_; }
-  static void set(double t) noexcept { tol_ = t; }
-
-private:
-  static inline double tol_ = 1e-13;
-};
+inline constexpr double TOLERANCE = 1e-13;
 
 struct ComplexValue {
   double re{0.0};
@@ -74,12 +67,11 @@ struct ComplexValue {
   [[nodiscard]] double mag() const { return std::hypot(re, im); }
 
   [[nodiscard]] bool approximatelyEquals(const ComplexValue& o) const {
-    return std::abs(re - o.re) <= Tolerance::value() &&
-           std::abs(im - o.im) <= Tolerance::value();
+    return std::abs(re - o.re) <= TOLERANCE &&
+           std::abs(im - o.im) <= TOLERANCE;
   }
   [[nodiscard]] bool approximatelyZero() const {
-    return std::abs(re) <= Tolerance::value() &&
-           std::abs(im) <= Tolerance::value();
+    return std::abs(re) <= TOLERANCE && std::abs(im) <= TOLERANCE;
   }
   [[nodiscard]] bool approximatelyOne() const {
     return approximatelyEquals(ComplexValue{1.0, 0.0});

@@ -47,7 +47,7 @@ vEdge Package::makeVNode(Var v, const std::array<vEdge, 2>& childrenIn) {
   const double m0 = children[0].w.mag2();
   const double m1 = children[1].w.mag2();
   const double maxMag = std::max(m0, m1);
-  const std::size_t arg = (m0 >= maxMag - Tolerance::value()) ? 0 : 1;
+  const std::size_t arg = (m0 >= maxMag - TOLERANCE) ? 0 : 1;
   const ComplexValue norm = children[arg].w.value();
 
   std::array<vEdge, 2> normalized;
@@ -68,7 +68,9 @@ vEdge Package::makeVNode(Var v, const std::array<vEdge, 2>& childrenIn) {
   cand->v = v;
   cand->e = normalized;
   vNode* node = vUnique_.lookup(cand);
-  return {node, cn_.lookup(norm)};
+  // `norm` is the value of a canonical weight, which interns to itself
+  // (real_table.hpp), so the weight is returned without a lookup
+  return {node, children[arg].w};
 }
 
 mEdge Package::makeMNode(Var v, const std::array<mEdge, 4>& childrenIn) {
@@ -94,7 +96,7 @@ mEdge Package::makeMNode(Var v, const std::array<mEdge, 4>& childrenIn) {
   }
   std::size_t arg = 0;
   for (std::size_t i = 0; i < 4; ++i) {
-    if (children[i].w.mag2() >= maxMag - Tolerance::value()) {
+    if (children[i].w.mag2() >= maxMag - TOLERANCE) {
       arg = i;
       break;
     }
@@ -119,7 +121,18 @@ mEdge Package::makeMNode(Var v, const std::array<mEdge, 4>& childrenIn) {
   cand->v = v;
   cand->e = normalized;
   mNode* node = mUnique_.lookup(cand);
-  return {node, cn_.lookup(norm)};
+  return {node, children[arg].w}; // see makeVNode
+}
+
+mEdge Package::tensorIdentity(Var v, const mEdge& e) {
+  pollInterrupt();
+  if (e.w.exactlyZero()) {
+    return mZero();
+  }
+  mNode* cand = mUnique_.getNode();
+  cand->v = v;
+  cand->e = {mEdge{e.p, cn_.one()}, mZero(), mZero(), mEdge{e.p, cn_.one()}};
+  return {mUnique_.lookup(cand), e.w};
 }
 
 // --- vectors -----------------------------------------------------------------
@@ -423,7 +436,7 @@ mEdge Package::makeIdent(std::size_t nq) {
   while (idTable_.size() <= nq) {
     const mEdge below = idTable_.back();
     const Var v = static_cast<Var>(idTable_.size() - 1);
-    mEdge e = makeMNode(v, {below, mZero(), mZero(), below});
+    mEdge e = tensorIdentity(v, below);
     incRef(e); // identities are cached for the package lifetime
     idTable_.push_back(e);
   }
@@ -435,8 +448,15 @@ mEdge Package::makeGateDD(const GateMatrix& mat, Var target,
   if (target < 0 || static_cast<std::size_t>(target) >= nqubits_) {
     throw std::invalid_argument("makeGateDD: target out of range");
   }
-  std::vector<Control> controls = controlsIn;
-  std::sort(controls.begin(), controls.end());
+  // The IR keeps controls sorted by qubit, so only an unsorted list (the
+  // middle CNOT of a controlled SWAP) pays for a sorted copy.
+  std::vector<Control> sortedCopy;
+  if (!std::is_sorted(controlsIn.begin(), controlsIn.end())) {
+    sortedCopy = controlsIn;
+    std::sort(sortedCopy.begin(), sortedCopy.end());
+  }
+  const std::vector<Control>& controls =
+      sortedCopy.empty() ? controlsIn : sortedCopy;
   for (std::size_t i = 0; i < controls.size(); ++i) {
     const Control& c = controls[i];
     if (c.qubit < 0 || static_cast<std::size_t>(c.qubit) >= nqubits_ ||
@@ -454,27 +474,45 @@ mEdge Package::makeGateDD(const GateMatrix& mat, Var target,
     em[i] = w.exactlyZero() ? mZero() : mEdge{mNode::terminal(), w};
   }
 
+  // Levels below the target build the four blocks of the target's node.
+  // Blocks whose step has the same input share its result, so a level costs
+  // one node construction per distinct input, not four.
   auto ctrl = controls.begin();
-  // levels below the target: tensor in identity or condition on controls
   for (Var z = 0; z < target; ++z) {
+    const std::array<mEdge, 4> in = em;
     if (ctrl != controls.end() && ctrl->qubit == z) {
       const mEdge identBelow = makeIdent(static_cast<std::size_t>(z));
       for (std::size_t i = 0; i < 4; ++i) {
         // For the target-diagonal blocks the control-failure branch is the
         // identity on everything processed so far; for off-diagonal blocks
-        // it contributes nothing.
+        // it contributes nothing, so a zero off-diagonal block stays zero.
         const bool diag = (i == 0 || i == 3);
-        const mEdge failCase = diag ? identBelow : mZero();
-        if (ctrl->positive) {
-          em[i] = makeMNode(z, {failCase, mZero(), mZero(), em[i]});
-        } else {
-          em[i] = makeMNode(z, {em[i], mZero(), mZero(), failCase});
+        if (i >= 2 && in[i] == in[3 - i]) { // partner: 3 -> 0, 2 -> 1
+          em[i] = em[3 - i];
+          continue;
         }
+        if (!diag && in[i].w.exactlyZero()) {
+          em[i] = mZero();
+          continue;
+        }
+        const mEdge failCase = diag ? identBelow : mZero();
+        em[i] = ctrl->positive
+                    ? makeMNode(z, {failCase, mZero(), mZero(), in[i]})
+                    : makeMNode(z, {in[i], mZero(), mZero(), failCase});
       }
       ++ctrl;
     } else {
+      // I ⊗ block depends on the block's node only; its weight rides along
       for (std::size_t i = 0; i < 4; ++i) {
-        em[i] = makeMNode(z, {em[i], mZero(), mZero(), em[i]});
+        if (in[i].w.exactlyZero()) {
+          em[i] = mZero();
+          continue;
+        }
+        std::size_t j = 0;
+        while (j < i && (in[j].w.exactlyZero() || in[j].p != in[i].p)) {
+          ++j;
+        }
+        em[i] = j < i ? mEdge{em[j].p, in[i].w} : tensorIdentity(z, in[i]);
       }
     }
   }
@@ -492,7 +530,7 @@ mEdge Package::makeGateDD(const GateMatrix& mat, Var target,
       }
       ++ctrl;
     } else {
-      e = makeMNode(z, {e, mZero(), mZero(), e});
+      e = tensorIdentity(z, e);
     }
   }
   return e;

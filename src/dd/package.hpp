@@ -245,6 +245,13 @@ private:
     }
   }
 
+  /// I ⊗ e one level up: the node {e, 0, 0, e} normalizes to
+  /// {e.p·1, 0, 0, e.p·1} with top weight e.w (the generic argmax picks child
+  /// 0, and e.w / e.w interns to exactly one), so this hash-conses that node
+  /// directly. The same unique-table lookup as makeMNode, minus the argmax,
+  /// the division and the re-interning.
+  mEdge tensorIdentity(Var v, const mEdge& e);
+
   vEdge addImpl(const vEdge& x, const vEdge& y);
   mEdge addImpl(const mEdge& x, const mEdge& y);
   vEdge multiplyImpl(mNode* x, vNode* y);

@@ -47,10 +47,9 @@ void RealTable::insert(RealEntry* e) {
   }
 }
 
-RealEntry* RealTable::searchBucket(std::int64_t bucket, double val,
-                                   double tol) const {
+RealEntry* RealTable::searchBucket(std::int64_t bucket, double val) const {
   for (RealEntry* e = slots_[slotOf(bucket)]; e != nullptr; e = e->next) {
-    if (e->bucket == bucket && std::abs(e->value - val) <= tol) {
+    if (e->bucket == bucket && std::abs(e->value - val) <= TOLERANCE) {
       return e;
     }
   }
@@ -59,7 +58,6 @@ RealEntry* RealTable::searchBucket(std::int64_t bucket, double val,
 
 RealEntry* RealTable::lookup(double val) {
   ++lookups_;
-  const double tol = Tolerance::value();
   // Snap near-zeros to the canonical zero: cancellation residues must
   // collapse exactly for zero-suppressed edges to stay canonical. There is
   // deliberately NO corresponding snap-to-one: forcing cos(eps) -> 1 while
@@ -69,26 +67,26 @@ RealEntry* RealTable::lookup(double val) {
   // swap-routed QFT circuits). Near-one values instead intern like any
   // other value: all computation routes reproduce them to within a few ulp,
   // far inside the tolerance, so sharing is preserved.
-  if (std::abs(val) <= tol) {
+  if (std::abs(val) <= TOLERANCE) {
     ++hits_;
     return zero_;
   }
 
   const std::int64_t bucket = bucketOf(val);
-  if (RealEntry* e = searchBucket(bucket, val, tol)) {
+  if (RealEntry* e = searchBucket(bucket, val)) {
     ++hits_;
     return e;
   }
   // only probe a neighbour when the value is within tolerance of the
   // corresponding bucket boundary
   const double offset = val - static_cast<double>(bucket) * BUCKET_WIDTH;
-  if (offset < -BUCKET_WIDTH / 2 + tol) {
-    if (RealEntry* e = searchBucket(bucket - 1, val, tol)) {
+  if (offset < -BUCKET_WIDTH / 2 + TOLERANCE) {
+    if (RealEntry* e = searchBucket(bucket - 1, val)) {
       ++hits_;
       return e;
     }
-  } else if (offset > BUCKET_WIDTH / 2 - tol) {
-    if (RealEntry* e = searchBucket(bucket + 1, val, tol)) {
+  } else if (offset > BUCKET_WIDTH / 2 - TOLERANCE) {
+    if (RealEntry* e = searchBucket(bucket + 1, val)) {
       ++hits_;
       return e;
     }

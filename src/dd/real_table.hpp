@@ -3,7 +3,7 @@
 //
 // Every edge weight in the decision-diagram package is a pair of pointers
 // into this table. Looking up a value returns a canonical entry whose stored
-// value is within Tolerance of the query, so that numerically equal weights
+// value is within TOLERANCE of the query, so that numerically equal weights
 // become *pointer-equal* — the property node sharing and the compute-table
 // caches rely on.
 //
@@ -20,6 +20,13 @@
 // newest-first across a doubling: lookup returns the first entry within
 // tolerance, so that order decides which of two nearby values a query
 // snaps to.
+//
+// A canonical entry interns to itself: lookup(e->value) == e for every live
+// entry e. Within one bucket no two live entries lie within tolerance of
+// each other (the lookup that would have allocated the second one finds the
+// first), and a value's bucket is searched before any neighbour, so the
+// search for e's own value can stop only at e. Package::makeVNode/makeMNode
+// rely on this to return a child's weight as the top weight unlooked-up.
 //
 // Entries are reference counted: nodes stored in the unique tables hold
 // references on their child edge weights, and top-level edges held by user
@@ -106,8 +113,8 @@ private:
   static constexpr unsigned INITIAL_SLOT_BITS = 10;
 
   RealEntry* allocate(double val, std::int64_t bucket);
-  [[nodiscard]] RealEntry* searchBucket(std::int64_t bucket, double val,
-                                        double tol) const;
+  [[nodiscard]] RealEntry* searchBucket(std::int64_t bucket,
+                                        double val) const;
   void insert(RealEntry* e);
 
   // The top slotBits_ bits of the multiplicative hash: doubling the array

@@ -67,6 +67,26 @@ std::vector<dd::Control> convertControls(const ir::StandardOperation& op) {
   return controls;
 }
 
+/// Call `emit(matrix, target, controls)` for each elementary gate of `op` in
+/// application order. A non-SWAP op is emitted straight from the op with its
+/// controls copied into `buffer`, so a caller that reuses one buffer across
+/// ops allocates nothing per op.
+template <class Emit>
+void forEachElementaryGate(const ir::StandardOperation& op,
+                           std::vector<dd::Control>& buffer, const Emit& emit) {
+  if (op.type() == ir::OpType::SWAP) {
+    for (const ElementaryGate& g : toElementaryGates(op)) {
+      emit(g.matrix, g.target, g.controls);
+    }
+    return;
+  }
+  buffer.clear();
+  for (const ir::Control& c : op.controls()) {
+    buffer.push_back(dd::Control{static_cast<dd::Var>(c.qubit), c.positive});
+  }
+  emit(operationMatrix(op), static_cast<dd::Var>(op.target()), buffer);
+}
+
 } // namespace
 
 std::vector<ElementaryGate> toElementaryGates(const ir::StandardOperation& op) {
@@ -90,10 +110,14 @@ std::vector<ElementaryGate> toElementaryGates(const ir::StandardOperation& op) {
 
 dd::mEdge buildOperationDD(const ir::StandardOperation& op, dd::Package& pkg) {
   dd::mEdge result = pkg.makeIdent();
-  for (const ElementaryGate& g : toElementaryGates(op)) {
-    const dd::mEdge gateDD = pkg.makeGateDD(g.matrix, g.target, g.controls);
-    result = pkg.multiply(gateDD, result);
-  }
+  std::vector<dd::Control> controls;
+  forEachElementaryGate(
+      op, controls,
+      [&](const dd::GateMatrix& matrix, dd::Var target,
+          const std::vector<dd::Control>& gateControls) {
+        result =
+            pkg.multiply(pkg.makeGateDD(matrix, target, gateControls), result);
+      });
   return result;
 }
 
@@ -164,13 +188,18 @@ dd::vEdge simulate(const ir::QuantumComputation& qc, const dd::vEdge& input,
   if (!qc.initialLayout().isIdentity()) {
     applyGate([&] { return buildPermutationDD(qc.initialLayout(), pkg); });
   }
+  std::vector<dd::Control> controls;
   for (const ir::StandardOperation& op : qc) {
     if (deadline != nullptr) {
       deadline->check();
     }
-    for (const ElementaryGate& g : toElementaryGates(op)) {
-      applyGate([&] { return pkg.makeGateDD(g.matrix, g.target, g.controls); });
-    }
+    forEachElementaryGate(
+        op, controls,
+        [&](const dd::GateMatrix& matrix, dd::Var target,
+            const std::vector<dd::Control>& gateControls) {
+          applyGate(
+              [&] { return pkg.makeGateDD(matrix, target, gateControls); });
+        });
   }
   if (!qc.outputPermutation().isIdentity()) {
     applyGate([&] {
@@ -206,13 +235,17 @@ dd::mEdge buildFunctionality(const ir::QuantumComputation& qc,
     pkg.garbageCollect();
   };
 
+  std::vector<dd::Control> controls;
   for (const ir::StandardOperation& op : qc) {
     if (deadline != nullptr) {
       deadline->check();
     }
-    for (const ElementaryGate& g : toElementaryGates(op)) {
-      applyGate(pkg.makeGateDD(g.matrix, g.target, g.controls));
-    }
+    forEachElementaryGate(
+        op, controls,
+        [&](const dd::GateMatrix& matrix, dd::Var target,
+            const std::vector<dd::Control>& gateControls) {
+          applyGate(pkg.makeGateDD(matrix, target, gateControls));
+        });
   }
   if (!qc.outputPermutation().isIdentity()) {
     applyGate(

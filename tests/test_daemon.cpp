@@ -446,6 +446,37 @@ TEST_F(DaemonTest, BadSocketManifestGetsAnExplicitErrorLine) {
   d.run();
 }
 
+// An invalid pair's result line carries an `error` key too; only the
+// manifest error (no `index`) replaces the results. A manifest whose first
+// pair is invalid input comes back whole and exits 4, in the client library
+// and in `qsimec submit` alike.
+TEST_F(DaemonTest, FirstPairInvalidReturnsEveryLine) {
+  std::ofstream(dir_ / "bad.qasm") << "OPENQASM 2.0;\nqreg q[2];\nfoo q[0];\n";
+  const std::string manifest = "{\"g\": \"" + path("bad.qasm") +
+                               "\", \"gp\": \"" + path("bad.qasm") + "\"}\n" +
+                               manifestText();
+  daemon::Daemon d(baseOptions());
+  d.start();
+  const daemon::SubmitResult r =
+      daemon::submitManifestText(path("d.sock"), manifest);
+  ASSERT_TRUE(r.accepted) << r.error << ": " << r.message;
+  ASSERT_EQ(r.lines.size(), 4U); // three results and the summary
+  EXPECT_NE(r.lines[0].find("\"index\":0"), std::string::npos) << r.lines[0];
+  EXPECT_NE(r.lines[0].find("\"error\""), std::string::npos) << r.lines[0];
+  EXPECT_EQ(daemon::submitExitCode(r), 4);
+
+  std::ofstream(dir_ / "m.jsonl") << manifest;
+  const int status = std::system((std::string(QSIMEC_CLI_PATH) + " submit " +
+                                  path("m.jsonl") + " --socket " +
+                                  path("d.sock") + " >/dev/null 2>&1")
+                                     .c_str());
+  ASSERT_NE(status, -1);
+  EXPECT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 4);
+  d.requestShutdown();
+  d.run();
+}
+
 TEST_F(DaemonTest, StatusAndMetricsEndpointsAreWellFormed) {
   daemon::Daemon d(baseOptions());
   d.start();

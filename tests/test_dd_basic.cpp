@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -175,6 +178,196 @@ TEST(PackageGates, ToffoliTruthTable) {
     const auto out = pkg.multiply(ccx, pkg.makeBasisState(i));
     EXPECT_NEAR(pkg.fidelity(out, pkg.makeBasisState(expected)), 1.0, 1e-12)
         << "input " << i;
+  }
+}
+
+namespace {
+
+/// makeGateDD as built before its one-node-per-level fast path: four
+/// generic makeMNode calls per level below the target, one per level above,
+/// every top weight interned again, identities cached (and referenced) on
+/// first use like Package::makeIdent. The reference the production
+/// construction must match id for id.
+class ReferenceGateBuilder {
+public:
+  explicit ReferenceGateBuilder(dd::Package& pkg) : pkg_(pkg) {}
+
+  dd::mEdge gate(const dd::GateMatrix& mat, dd::Var target,
+                 std::vector<dd::Control> controls) {
+    std::sort(controls.begin(), controls.end());
+    std::array<dd::mEdge, 4> em;
+    for (std::size_t i = 0; i < 4; ++i) {
+      const dd::Complex w = pkg_.complexTable().lookup(mat[i]);
+      em[i] = w.exactlyZero() ? pkg_.mZero()
+                              : dd::mEdge{dd::mNode::terminal(), w};
+    }
+    auto ctrl = controls.begin();
+    for (dd::Var z = 0; z < target; ++z) {
+      if (ctrl != controls.end() && ctrl->qubit == z) {
+        const dd::mEdge identBelow = ident(static_cast<std::size_t>(z));
+        for (std::size_t i = 0; i < 4; ++i) {
+          const bool diag = (i == 0 || i == 3);
+          const dd::mEdge failCase = diag ? identBelow : pkg_.mZero();
+          em[i] = ctrl->positive ? node(z, failCase, em[i])
+                                 : node(z, em[i], failCase);
+        }
+        ++ctrl;
+      } else {
+        for (std::size_t i = 0; i < 4; ++i) {
+          em[i] = node(z, em[i], em[i]);
+        }
+      }
+    }
+    dd::mEdge e = makeMNode(target, em);
+    for (auto z = static_cast<dd::Var>(target + 1);
+         z < static_cast<dd::Var>(pkg_.qubits()); ++z) {
+      if (ctrl != controls.end() && ctrl->qubit == z) {
+        const dd::mEdge identBelow = ident(static_cast<std::size_t>(z));
+        e = ctrl->positive ? node(z, identBelow, e) : node(z, e, identBelow);
+        ++ctrl;
+      } else {
+        e = node(z, e, e);
+      }
+    }
+    return e;
+  }
+
+  dd::mEdge swap(dd::Var q0, dd::Var q1) {
+    const dd::mEdge cx01 = gate(dd::Xmat, q1, {dd::Control{q0, true}});
+    const dd::mEdge cx10 = gate(dd::Xmat, q0, {dd::Control{q1, true}});
+    return pkg_.multiply(cx01, pkg_.multiply(cx10, cx01));
+  }
+
+private:
+  /// makeMNode with its top weight interned again, as it used to be.
+  dd::mEdge makeMNode(dd::Var z, const std::array<dd::mEdge, 4>& children) {
+    const dd::mEdge e = pkg_.makeMNode(z, children);
+    return {e.p, pkg_.complexTable().lookup(e.w.value())};
+  }
+
+  /// The block-diagonal node {d0, 0, 0, d1} at level z.
+  dd::mEdge node(dd::Var z, const dd::mEdge& d0, const dd::mEdge& d1) {
+    return makeMNode(z, {d0, pkg_.mZero(), pkg_.mZero(), d1});
+  }
+
+  dd::mEdge ident(std::size_t nq) {
+    if (ids_.empty()) {
+      ids_.push_back(pkg_.mTerminalOne());
+    }
+    while (ids_.size() <= nq) {
+      const dd::mEdge below = ids_.back();
+      const dd::mEdge e =
+          node(static_cast<dd::Var>(ids_.size() - 1), below, below);
+      pkg_.incRef(e);
+      ids_.push_back(e);
+    }
+    return ids_[nq];
+  }
+
+  dd::Package& pkg_;
+  std::vector<dd::mEdge> ids_;
+};
+
+/// Both DDs have the same shape, node ids and weights (ids and values).
+void expectSameDD(const dd::mEdge& a, const dd::mEdge& b) {
+  const auto sameWeight = [](const dd::Complex& x, const dd::Complex& y) {
+    return x.r->id == y.r->id && x.i->id == y.i->id && x.value() == y.value();
+  };
+  ASSERT_TRUE(sameWeight(a.w, b.w));
+  std::vector<std::pair<const dd::mNode*, const dd::mNode*>> stack{{a.p, b.p}};
+  std::unordered_set<const dd::mNode*> seen;
+  while (!stack.empty()) {
+    const auto [x, y] = stack.back();
+    stack.pop_back();
+    ASSERT_EQ(x->id, y->id);
+    ASSERT_EQ(x->v, y->v);
+    if (x->isTerminal() || !seen.insert(x).second) {
+      continue;
+    }
+    for (std::size_t i = 0; i < 4; ++i) {
+      ASSERT_TRUE(sameWeight(x->e[i].w, y->e[i].w)) << "child " << i;
+      stack.emplace_back(x->e[i].p, y->e[i].p);
+    }
+  }
+}
+
+void expectSameNodeCounts(const dd::Package& a, const dd::Package& b) {
+  const dd::PackageStats sa = a.stats();
+  const dd::PackageStats sb = b.stats();
+  EXPECT_EQ(sa.mNodesLive, sb.mNodesLive);
+  EXPECT_EQ(sa.mNodesAllocated, sb.mNodesAllocated);
+  EXPECT_EQ(sa.mNodesPeakLive, sb.mNodesPeakLive);
+  EXPECT_EQ(sa.realsLive, sb.realsLive);
+}
+
+} // namespace
+
+// The fast construction (shared per-level nodes, the identity-tensor step,
+// no re-interning of the top weight) is exact: on a second package, the
+// level-by-level reference replays every gate to the same node ids, weights
+// and node-pool counts.
+TEST(PackageGates, MatchesLevelByLevelReference) {
+  constexpr std::size_t nq = 4;
+  const dd::ComplexValue phase = dd::ComplexValue::fromPolar(1, 0.6);
+  const std::vector<dd::GateMatrix> matrices = {
+      dd::Imat, dd::Hmat, dd::Xmat, dd::Ymat, dd::Zmat, dd::Smat, dd::Sdgmat,
+      dd::Tmat, dd::Tdgmat, dd::Vmat, dd::Vdgmat, dd::SYmat, dd::SYdgmat,
+      dd::rxMat(0.3), dd::ryMat(1.1), dd::rzMat(-0.7), dd::phaseMat(2.5),
+      dd::u2Mat(0.4, -1.3), dd::u3Mat(0.9, 0.2, -2.1),
+      dd::adjoint(dd::u3Mat(0.9, 0.2, -2.1)),
+      dd::GateMatrix{phase, ComplexValue{0, 0}, ComplexValue{0, 0}, phase}};
+  dd::Package fast(nq);
+  dd::Package slow(nq);
+  ReferenceGateBuilder reference(slow);
+  std::size_t built = 0;
+  const auto collectSometimes = [&] {
+    // exercise the pool's free list too, not only its high-water growth
+    if (++built % 37 == 0) {
+      fast.garbageCollect(true);
+      slow.garbageCollect(true);
+    }
+  };
+
+  for (const dd::GateMatrix& mat : matrices) {
+    for (dd::Var target = 0; target < static_cast<dd::Var>(nq); ++target) {
+      // every subset of the other qubits as controls, in every polarity
+      for (unsigned subset = 0; subset < (1U << nq); ++subset) {
+        if ((subset >> target) & 1U) {
+          continue;
+        }
+        const int k = std::popcount(subset);
+        for (unsigned polarity = 0; polarity < (1U << k); ++polarity) {
+          std::vector<dd::Control> controls;
+          for (dd::Var q = 0, bit = 0; q < static_cast<dd::Var>(nq); ++q) {
+            if ((subset >> q) & 1U) {
+              controls.push_back(dd::Control{q, ((polarity >> bit++) & 1U) != 0});
+            }
+          }
+          if (polarity % 2 == 1) { // an unsorted list is sorted, not trusted
+            std::reverse(controls.begin(), controls.end());
+          }
+          const dd::mEdge a = fast.makeGateDD(mat, target, controls);
+          const dd::mEdge b = reference.gate(mat, target, controls);
+          SCOPED_TRACE(::testing::Message()
+                       << "matrix " << (&mat - matrices.data()) << " target "
+                       << target << " subset " << subset << " polarity "
+                       << polarity);
+          expectSameDD(a, b);
+          expectSameNodeCounts(fast, slow);
+          collectSometimes();
+        }
+      }
+    }
+  }
+  for (dd::Var q0 = 0; q0 < static_cast<dd::Var>(nq); ++q0) {
+    for (dd::Var q1 = 0; q1 < static_cast<dd::Var>(nq); ++q1) {
+      if (q0 == q1) {
+        continue;
+      }
+      expectSameDD(fast.makeSwapDD(q0, q1), reference.swap(q0, q1));
+      expectSameNodeCounts(fast, slow);
+      collectSometimes();
+    }
   }
 }
 
@@ -516,7 +709,7 @@ TEST(ComputeTable, StoresOneEntryPerWrittenSlot) {
 
 TEST(RealTable, NearbyEntriesStayNewestFirstAcrossGrowth) {
   dd::RealTable table;
-  const double tol = dd::Tolerance::value();
+  const double tol = dd::TOLERANCE;
   dd::RealEntry* older = table.lookup(0.3);
   dd::RealEntry* newer = table.lookup(0.3 + 1.5 * tol);
   ASSERT_NE(older, newer);

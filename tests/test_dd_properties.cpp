@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <unordered_set>
+#include <vector>
 
 using namespace qsimec;
 
@@ -207,6 +209,32 @@ TEST_P(DDPropertyTest, GarbageCollectionPreservesResults) {
   const dd::vEdge again = sim::simulate(qc, pkg.makeZeroState(), pkg);
   EXPECT_EQ(again, expected);
   pkg.decRef(expected);
+}
+
+// Package::makeVNode/makeMNode return a child's weight as the top weight
+// without interning it again; that is exact only because every canonical
+// weight interns to itself.
+TEST_P(DDPropertyTest, CanonicalWeightsInternToThemselves) {
+  dd::Package pkg(N);
+  const dd::vEdge state = randomState(pkg, N, GetParam());
+  std::vector<dd::Complex> weights{state.w};
+  std::vector<const dd::vNode*> stack{state.p};
+  std::unordered_set<const dd::vNode*> seen;
+  while (!stack.empty()) {
+    const dd::vNode* p = stack.back();
+    stack.pop_back();
+    if (p->isTerminal() || !seen.insert(p).second) {
+      continue;
+    }
+    for (const dd::vEdge& child : p->e) {
+      weights.push_back(child.w);
+      stack.push_back(child.p);
+    }
+  }
+  ASSERT_GT(seen.size(), N);
+  for (const dd::Complex& w : weights) {
+    EXPECT_EQ(pkg.complexTable().lookup(w.value()), w) << w.value();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DDPropertyTest,
