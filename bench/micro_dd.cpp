@@ -1,15 +1,18 @@
 // Micro-benchmarks of the decision-diagram substrate (google-benchmark):
 // package construction, a cold package's first run and the between-runs
 // barrier, node construction, gate DDs (fresh and rebuilt), matrix-vector
-// application, inner products, full functionality construction, and DD vs
-// dense simulation.
+// application, inner products, full functionality construction, DD vs
+// dense simulation, and the stabilizer tier's tableau and checker.
 
+#include "ec/stabilizer_checker.hpp"
 #include "gen/ansatz.hpp"
 #include "gen/qft.hpp"
 #include "gen/random_circuits.hpp"
 #include "gen/supremacy.hpp"
 #include "sim/dd_simulator.hpp"
 #include "sim/dense_simulator.hpp"
+#include "sim/stabilizer_simulator.hpp"
+#include "transform/mapper.hpp"
 
 #include <benchmark/benchmark.h>
 
@@ -181,6 +184,36 @@ void BM_BuildFunctionality(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildFunctionality)->Arg(6)->Arg(8)->Arg(10)
     ->Unit(benchmark::kMillisecond);
+
+// One CNOT on a scrambled n-qubit tableau: the packed columns make it
+// ceil(2n/64) word operations on each of four columns and the phase column.
+void BM_TableauCx(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  sim::StabilizerSimulator tableau(n);
+  tableau.run(gen::randomClifford(n, 8 * n, 5));
+  std::size_t c = 0;
+  for (auto _ : state) {
+    tableau.cx(c, (c + 1) % n);
+    c = (c + 1) % n;
+  }
+  benchmark::DoNotOptimize(tableau.isIdentityConjugation());
+}
+BENCHMARK(BM_TableauCx)->Arg(16)->Arg(48)->Arg(128);
+
+// The stabilizer tier on a batch benchmark recipe: a random Clifford
+// circuit against its copy routed onto a line, an equivalent pair, so all
+// eight randomized runs and the exact tableau check run.
+void BM_StabilizerCheck(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto g = gen::randomClifford(n, 8 * n, 1000 + n);
+  const auto gPrime = tf::mapCircuit(g, tf::CouplingMap::linear(n)).circuit;
+  const ec::StabilizerChecker checker;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(checker.run(g, gPrime));
+  }
+}
+BENCHMARK(BM_StabilizerCheck)->Arg(16)->Arg(48)
+    ->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

@@ -21,14 +21,14 @@ void checkOperation(const ir::StandardOperation& op, std::size_t index,
   };
 
   // QA001: every target and control must address an existing wire.
-  for (const ir::Qubit q : op.usedQubits()) {
+  op.forEachQubit([&](ir::Qubit q) {
     if (q >= nqubits) {
       emit(rules::QubitOutOfRange,
            opLabel(op) + ": qubit index " + std::to_string(q) +
                " out of range for a " + std::to_string(nqubits) +
                "-qubit circuit");
     }
-  }
+  });
 
   // QA009: targets must be distinct (a SWAP on one wire is meaningless).
   const auto& targets = op.targets();
@@ -124,11 +124,11 @@ void lintUnusedQubits(const ir::QuantumComputation& qc,
                       std::vector<Diagnostic>& out) {
   std::vector<bool> used(qc.qubits(), false);
   for (const ir::StandardOperation& op : qc) {
-    for (const ir::Qubit q : op.usedQubits()) {
+    op.forEachQubit([&used](ir::Qubit q) {
       if (q < used.size()) {
         used[q] = true;
       }
-    }
+    });
   }
   for (std::size_t q = 0; q < used.size(); ++q) {
     if (!used[q]) {

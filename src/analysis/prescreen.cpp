@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -39,10 +40,8 @@ struct Canonical {
 };
 
 Canonical canonicalize(const ir::QuantumComputation& qc) {
-  const bool trivial = qc.initialLayout().isIdentity() &&
-                       qc.outputPermutation().isIdentity();
-  const ir::QuantumComputation flat =
-      trivial ? qc : qc.withMaterializedLayouts();
+  std::optional<ir::QuantumComputation> storage;
+  const ir::QuantumComputation& flat = ir::withIdentityLayouts(qc, storage);
 
   Canonical c;
   c.ops.reserve(flat.size());

@@ -93,11 +93,11 @@ CircuitProfile profileCircuit(const ir::QuantumComputation& qc) {
       profile.controlArity.resize(arity + 1, 0);
     }
     ++profile.controlArity[arity];
-    for (const ir::Qubit q : op.usedQubits()) {
+    op.forEachQubit([&used](ir::Qubit q) {
       if (q < used.size()) {
         used[q] = true;
       }
-    }
+    });
     if (!isCliffordOperation(op)) {
       ++profile.cliffordBreakerCount;
       if (profile.cliffordBreakers.size() < kMaxReportedBreakers) {

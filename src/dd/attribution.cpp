@@ -3,7 +3,6 @@
 #include "dd/package.hpp"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 namespace qsimec::dd {
@@ -21,32 +20,35 @@ void AttributionData::mergeFrom(const AttributionData& other) {
   wallNanosTotal += other.wallNanosTotal;
 
   // merge-join on (side, gateIndex): both inputs are side-major and
-  // index-sorted, so an ordered map rebuild keeps the invariant
-  std::map<std::pair<std::uint8_t, std::uint32_t>, GateCostSample> byKey;
-  const auto fold = [&byKey](const std::vector<GateCostSample>& samples) {
-    for (const GateCostSample& s : samples) {
-      const auto key = std::make_pair(static_cast<std::uint8_t>(s.side),
-                                      s.gateIndex);
-      auto [it, inserted] = byKey.try_emplace(key, s);
-      if (!inserted) {
-        GateCostSample& mine = it->second;
-        mine.applications += s.applications;
-        mine.nodesDelta += s.nodesDelta;
-        mine.uniqueLookups += s.uniqueLookups;
-        mine.uniqueHits += s.uniqueHits;
-        mine.computeLookups += s.computeLookups;
-        mine.computeHits += s.computeHits;
-        mine.wallNanos += s.wallNanos;
-      }
-    }
+  // index-sorted with one sample per key, so one linear pass keeps the
+  // invariant
+  const auto key = [](const GateCostSample& s) {
+    return std::make_pair(static_cast<std::uint8_t>(s.side), s.gateIndex);
   };
-  fold(samples);
-  fold(other.samples);
-  samples.clear();
-  samples.reserve(byKey.size());
-  for (auto& [key, sample] : byKey) {
-    samples.push_back(sample);
+  std::vector<GateCostSample> merged;
+  merged.reserve(samples.size() + other.samples.size());
+  auto mine = samples.begin();
+  auto theirs = other.samples.begin();
+  while (mine != samples.end() || theirs != other.samples.end()) {
+    if (theirs == other.samples.end() ||
+        (mine != samples.end() && key(*mine) < key(*theirs))) {
+      merged.push_back(*mine++);
+    } else if (mine == samples.end() || key(*theirs) < key(*mine)) {
+      merged.push_back(*theirs++);
+    } else {
+      GateCostSample sum = *mine++;
+      const GateCostSample& s = *theirs++;
+      sum.applications += s.applications;
+      sum.nodesDelta += s.nodesDelta;
+      sum.uniqueLookups += s.uniqueLookups;
+      sum.uniqueHits += s.uniqueHits;
+      sum.computeLookups += s.computeLookups;
+      sum.computeHits += s.computeHits;
+      sum.wallNanos += s.wallNanos;
+      merged.push_back(sum);
+    }
   }
+  samples = std::move(merged);
 }
 
 void AttributionCollector::beginGate() noexcept {

@@ -47,7 +47,10 @@ vEdge Package::makeVNode(Var v, const std::array<vEdge, 2>& childrenIn) {
   const double m0 = children[0].w.mag2();
   const double m1 = children[1].w.mag2();
   const double maxMag = std::max(m0, m1);
-  const std::size_t arg = (m0 >= maxMag - TOLERANCE) ? 0 : 1;
+  // only a non-zero child can normalize: when every weight is within
+  // TOLERANCE of zero, a zero child would pass the tie test too
+  const std::size_t arg =
+      (!children[0].w.exactlyZero() && m0 >= maxMag - TOLERANCE) ? 0 : 1;
   const ComplexValue norm = children[arg].w.value();
 
   std::array<vEdge, 2> normalized;
@@ -89,14 +92,16 @@ mEdge Package::makeMNode(Var v, const std::array<mEdge, 4>& childrenIn) {
     return mZero();
   }
 
-  // Tolerance-aware argmax preferring the lowest index (see makeVNode).
+  // Tolerance-aware argmax over the non-zero children, preferring the
+  // lowest index (see makeVNode).
   double maxMag = -1.0;
   for (std::size_t i = 0; i < 4; ++i) {
     maxMag = std::max(maxMag, children[i].w.mag2());
   }
   std::size_t arg = 0;
   for (std::size_t i = 0; i < 4; ++i) {
-    if (children[i].w.mag2() >= maxMag - TOLERANCE) {
+    if (!children[i].w.exactlyZero() &&
+        children[i].w.mag2() >= maxMag - TOLERANCE) {
       arg = i;
       break;
     }
@@ -143,7 +148,8 @@ vEdge Package::makeBasisState(std::uint64_t i) {
   }
   vEdge e = vTerminalOne();
   for (std::size_t q = 0; q < nqubits_; ++q) {
-    const bool bit = ((i >> q) & 1U) != 0U;
+    // qubits from 64 up are |0> (a shift by 64 or more is undefined)
+    const bool bit = q < 64 && ((i >> q) & 1U) != 0U;
     if (bit) {
       e = makeVNode(static_cast<Var>(q), {vZero(), e});
     } else {

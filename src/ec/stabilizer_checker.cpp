@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <random>
 #include <stdexcept>
 #include <vector>
@@ -66,19 +67,15 @@ CheckResult StabilizerChecker::run(const ir::QuantumComputation& qc1,
   const auto start = std::chrono::steady_clock::now();
   obs::ScopedSpan span(obs, "tier.stabilizer", "ec");
 
-  const bool trivial1 = qc1.initialLayout().isIdentity() &&
-                        qc1.outputPermutation().isIdentity();
-  const bool trivial2 = qc2.initialLayout().isIdentity() &&
-                        qc2.outputPermutation().isIdentity();
-  const ir::QuantumComputation g = trivial1 ? qc1 : qc1.withMaterializedLayouts();
-  const ir::QuantumComputation gp =
-      trivial2 ? qc2 : qc2.withMaterializedLayouts();
+  std::optional<ir::QuantumComputation> flat1;
+  std::optional<ir::QuantumComputation> flat2;
+  const ir::QuantumComputation& g = ir::withIdentityLayouts(qc1, flat1);
+  const ir::QuantumComputation& gp = ir::withIdentityLayouts(qc2, flat2);
   if (g.qubits() != gp.qubits() || g.qubits() == 0) {
     throw std::invalid_argument(
         "StabilizerChecker: circuits must have the same nonzero width");
   }
   const std::size_t n = g.qubits();
-  const ir::QuantumComputation gpInverse = gp.inverse();
 
   CheckResult result;
   const auto finish = [&](Equivalence verdict) {
@@ -135,11 +132,12 @@ CheckResult StabilizerChecker::run(const ir::QuantumComputation& qc1,
     for (const PrefixGate& pg : prefix) {
       applyPrefixGate(state, pg, /*inverse=*/false);
     }
+    // D = G'^-1 G: G's ops in order, then G''s inverted in reverse order
     for (const ir::StandardOperation& op : g) {
       state.apply(op);
     }
-    for (const ir::StandardOperation& op : gpInverse) {
-      state.apply(op);
+    for (auto it = gp.ops().rbegin(); it != gp.ops().rend(); ++it) {
+      state.applyInverse(*it);
     }
     for (auto it = prefix.rbegin(); it != prefix.rend(); ++it) {
       applyPrefixGate(state, *it, /*inverse=*/true);
@@ -154,18 +152,21 @@ CheckResult StabilizerChecker::run(const ir::QuantumComputation& qc1,
     }
   }
 
-  // no witness: the exact tableau check decides
+  // no witness: the exact tableau check decides, on the same op stream D
+  // as the runs (G's ops, then G''s from the back, inverted)
   sim::StabilizerSimulator tableau(n);
-  std::size_t opCount = 0;
-  for (const ir::QuantumComputation* qc : {&g, &gpInverse}) {
-    for (const ir::StandardOperation& op : *qc) {
-      if (config_.cancelFlag.raised()) {
-        return cancelled();
-      }
-      if (obs.flight != nullptr && (++opCount & 0x3FFU) == 0) {
-        obs.flight->beat(); // tableaus have no DD interrupt poll
-      }
-      tableau.apply(op);
+  const std::size_t total = g.size() + gp.size();
+  for (std::size_t k = 0; k < total; ++k) {
+    if (config_.cancelFlag.raised()) {
+      return cancelled();
+    }
+    if (obs.flight != nullptr && ((k + 1) & 0x3FFU) == 0) {
+      obs.flight->beat(); // tableaus have no DD interrupt poll
+    }
+    if (k < g.size()) {
+      tableau.apply(g.ops()[k]);
+    } else {
+      tableau.applyInverse(gp.ops()[total - 1 - k]);
     }
   }
   if (config_.cancelFlag.raised()) {
@@ -180,15 +181,12 @@ CheckResult StabilizerChecker::run(const ir::QuantumComputation& qc1,
   }
 
   if (n <= config_.phaseProbeMaxQubits) {
-    // D = lambda * I, so one dense run on |0..0> reads lambda directly
-    ir::QuantumComputation diff(n);
-    for (const ir::StandardOperation& op : g) {
-      diff.emplace(op);
+    // D = lambda * I, so one dense run of D on |0..0> reads lambda directly
+    std::vector<sim::Amplitude> state = sim::DenseSimulator::simulate(g, 0);
+    for (auto it = gp.ops().rbegin(); it != gp.ops().rend(); ++it) {
+      sim::DenseSimulator::applyOperation(it->inverse(), state);
     }
-    for (const ir::StandardOperation& op : gpInverse) {
-      diff.emplace(op);
-    }
-    const sim::Amplitude lambda = sim::DenseSimulator::simulate(diff, 0)[0];
+    const sim::Amplitude lambda = state[0];
     return finish(std::abs(lambda - sim::Amplitude{1.0, 0.0}) <= 1e-9
                       ? Equivalence::Equivalent
                       : Equivalence::EquivalentUpToGlobalPhase);

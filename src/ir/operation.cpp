@@ -67,9 +67,7 @@ std::vector<Qubit> StandardOperation::usedQubits() const {
 
 Qubit StandardOperation::maxQubit() const {
   Qubit m = 0;
-  for (const Qubit q : usedQubits()) {
-    m = std::max(m, q);
-  }
+  forEachQubit([&m](Qubit q) { m = std::max(m, q); });
   return m;
 }
 

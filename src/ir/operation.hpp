@@ -64,6 +64,16 @@ public:
   [[nodiscard]] bool actsOn(Qubit q) const noexcept;
   /// All qubits touched by the operation (targets then controls).
   [[nodiscard]] std::vector<Qubit> usedQubits() const;
+  /// Call f(q) for every qubit of usedQubits(), in its order, without
+  /// building the vector.
+  template <class F> void forEachQubit(F&& f) const {
+    for (const Qubit q : targets_) {
+      f(q);
+    }
+    for (const Control& c : controls_) {
+      f(c.qubit);
+    }
+  }
   /// Highest qubit index used.
   [[nodiscard]] Qubit maxQubit() const;
 

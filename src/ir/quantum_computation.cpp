@@ -26,9 +26,7 @@ void QuantumComputation::checkQubit(Qubit q) const {
 }
 
 void QuantumComputation::emplace(StandardOperation op) {
-  for (const Qubit q : op.usedQubits()) {
-    checkQubit(q);
-  }
+  op.forEachQubit([this](Qubit q) { checkQubit(q); });
   ops_.push_back(std::move(op));
 }
 
@@ -90,6 +88,15 @@ QuantumComputation QuantumComputation::withMaterializedLayouts() const {
   return out;
 }
 
+const QuantumComputation&
+withIdentityLayouts(const QuantumComputation& qc,
+                    std::optional<QuantumComputation>& storage) {
+  if (qc.initialLayout().isIdentity() && qc.outputPermutation().isIdentity()) {
+    return qc;
+  }
+  return storage.emplace(qc.withMaterializedLayouts());
+}
+
 void QuantumComputation::append(const QuantumComputation& other) {
   if (other.qubits() != nqubits_) {
     throw std::invalid_argument("append: qubit count mismatch");
@@ -110,7 +117,7 @@ std::size_t QuantumComputation::countType(OpType t) const {
 std::size_t QuantumComputation::twoQubitGateCount() const {
   return static_cast<std::size_t>(std::count_if(
       ops_.begin(), ops_.end(), [](const StandardOperation& op) {
-        return op.usedQubits().size() == 2;
+        return op.targets().size() + op.controls().size() == 2;
       }));
 }
 
@@ -121,12 +128,8 @@ std::size_t QuantumComputation::depth() const {
   std::vector<std::size_t> level(nqubits_, 0);
   for (const StandardOperation& op : ops_) {
     std::size_t maxLevel = 0;
-    for (const Qubit q : op.usedQubits()) {
-      maxLevel = std::max(maxLevel, level[q]);
-    }
-    for (const Qubit q : op.usedQubits()) {
-      level[q] = maxLevel + 1;
-    }
+    op.forEachQubit([&](Qubit q) { maxLevel = std::max(maxLevel, level[q]); });
+    op.forEachQubit([&](Qubit q) { level[q] = maxLevel + 1; });
   }
   return *std::max_element(level.begin(), level.end());
 }

@@ -10,6 +10,7 @@
 #include "ir/permutation.hpp"
 
 #include <cstdint>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -141,5 +142,12 @@ private:
   Permutation initialLayout_;
   Permutation outputPermutation_;
 };
+
+/// The gate stream of `qc` with identity layouts: `qc` itself when both of
+/// its layouts are trivial, else qc.withMaterializedLayouts() held in
+/// `storage`. Copies the circuit only when the layouts require it.
+[[nodiscard]] const QuantumComputation&
+withIdentityLayouts(const QuantumComputation& qc,
+                    std::optional<QuantumComputation>& storage);
 
 } // namespace qsimec::ir

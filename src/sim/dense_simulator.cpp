@@ -1,39 +1,50 @@
 #include "sim/dense_simulator.hpp"
 
 #include "dd/gate_matrices.hpp"
-#include "sim/dd_simulator.hpp" // toElementaryGates
+#include "sim/dd_simulator.hpp" // operationMatrix, toElementaryGates
 
 #include <stdexcept>
+#include <utility>
 
 namespace qsimec::sim {
 
 namespace {
 
-bool controlsSatisfied(const std::vector<dd::Control>& controls,
-                       std::uint64_t idx) {
-  for (const dd::Control& c : controls) {
-    const bool bit = ((idx >> c.qubit) & 1U) != 0U;
-    if (bit != c.positive) {
-      return false;
-    }
+/// The bits a control list reads (mask) and the values they must have.
+template <class Controls>
+std::pair<std::uint64_t, std::uint64_t> controlBits(const Controls& controls) {
+  std::uint64_t mask = 0;
+  std::uint64_t value = 0;
+  for (const auto& c : controls) {
+    mask |= 1ULL << c.qubit;
+    value |= c.positive ? 1ULL << c.qubit : 0;
   }
-  return true;
+  return {mask, value};
 }
 
-void applyElementary(const ElementaryGate& g, std::vector<Amplitude>& state) {
-  const std::uint64_t mask = 1ULL << g.target;
-  const Amplitude m00{g.matrix[0].re, g.matrix[0].im};
-  const Amplitude m01{g.matrix[1].re, g.matrix[1].im};
-  const Amplitude m10{g.matrix[2].re, g.matrix[2].im};
-  const Amplitude m11{g.matrix[3].re, g.matrix[3].im};
-  for (std::uint64_t idx = 0; idx < state.size(); ++idx) {
-    if ((idx & mask) != 0U || !controlsSatisfied(g.controls, idx)) {
+/// Apply the 2x2 matrix `m` on qubit `target` to every amplitude pair
+/// whose control bits (`controlMask`) read `controlValue`.
+void applyElementary(const dd::GateMatrix& m, std::size_t target,
+                     std::uint64_t controlMask, std::uint64_t controlValue,
+                     std::vector<Amplitude>& state) {
+  const std::uint64_t bit = 1ULL << target;
+  const std::uint64_t low = bit - 1;
+  const Amplitude m00{m[0].re, m[0].im};
+  const Amplitude m01{m[1].re, m[1].im};
+  const Amplitude m10{m[2].re, m[2].im};
+  const Amplitude m11{m[3].re, m[3].im};
+  // k enumerates the indices with the target bit clear: a zero is inserted
+  // at the target position, so idx ascends as k does
+  const std::uint64_t pairs = state.size() / 2;
+  for (std::uint64_t k = 0; k < pairs; ++k) {
+    const std::uint64_t idx = ((k & ~low) << 1) | (k & low);
+    if ((idx & controlMask) != controlValue) {
       continue;
     }
     const Amplitude a0 = state[idx];
-    const Amplitude a1 = state[idx | mask];
+    const Amplitude a1 = state[idx | bit];
     state[idx] = m00 * a0 + m01 * a1;
-    state[idx | mask] = m10 * a0 + m11 * a1;
+    state[idx | bit] = m10 * a0 + m11 * a1;
   }
 }
 
@@ -53,9 +64,15 @@ std::uint64_t logicalToWires(std::uint64_t logical, const ir::Permutation& perm)
 
 void DenseSimulator::applyOperation(const ir::StandardOperation& op,
                                     std::vector<Amplitude>& state) {
-  for (const ElementaryGate& g : toElementaryGates(op)) {
-    applyElementary(g, state);
+  if (op.type() == ir::OpType::SWAP) {
+    for (const ElementaryGate& g : toElementaryGates(op)) {
+      const auto [mask, value] = controlBits(g.controls);
+      applyElementary(g.matrix, g.target, mask, value, state);
+    }
+    return;
   }
+  const auto [mask, value] = controlBits(op.controls());
+  applyElementary(operationMatrix(op), op.target(), mask, value, state);
 }
 
 std::vector<Amplitude>

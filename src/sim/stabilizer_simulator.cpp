@@ -1,5 +1,7 @@
 #include "sim/stabilizer_simulator.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -40,87 +42,136 @@ int quarterTurns(double angle) {
 
 } // namespace
 
-StabilizerSimulator::StabilizerSimulator(std::size_t nqubits) : n_(nqubits) {
+StabilizerSimulator::StabilizerSimulator(std::size_t nqubits)
+    : n_(nqubits), words_((2 * nqubits + 63) / 64) {
   if (nqubits == 0) {
     throw std::invalid_argument("StabilizerSimulator: need at least 1 qubit");
   }
-  x_.assign(rows(), std::vector<std::uint8_t>(n_, 0));
-  z_.assign(rows(), std::vector<std::uint8_t>(n_, 0));
-  r_.assign(rows(), 0);
+  bits_.assign((2 * n_ + 1) * words_, 0);
   for (std::size_t i = 0; i < n_; ++i) {
-    x_[i][i] = 1;      // destabilizer X_i
-    z_[n_ + i][i] = 1; // stabilizer Z_i
+    flip(xs(i), i);      // destabilizer X_i
+    flip(zs(i), n_ + i); // stabilizer Z_i
   }
 }
 
 void StabilizerSimulator::rowsum(std::size_t h, std::size_t i) {
-  int phase = 2 * r_[h] + 2 * r_[i];
+  int phase = 2 * static_cast<int>(bit(rs(), h)) +
+              2 * static_cast<int>(bit(rs(), i));
   for (std::size_t j = 0; j < n_; ++j) {
-    phase += phaseG(x_[i][j], z_[i][j], x_[h][j], z_[h][j]);
-    x_[h][j] ^= x_[i][j];
-    z_[h][j] ^= z_[i][j];
+    const bool xi = bit(xs(j), i);
+    const bool zi = bit(zs(j), i);
+    if (!xi && !zi) {
+      continue; // identity factor: no phase, nothing to multiply in
+    }
+    phase += phaseG(xi, zi, bit(xs(j), h), bit(zs(j), h));
+    if (xi) {
+      flip(xs(j), h);
+    }
+    if (zi) {
+      flip(zs(j), h);
+    }
   }
   phase = ((phase % 4) + 4) % 4;
-  r_[h] = static_cast<std::uint8_t>(phase / 2);
+  assign(rs(), h, phase / 2 != 0);
 }
 
 void StabilizerSimulator::rowcopy(std::size_t dst, std::size_t src) {
-  x_[dst] = x_[src];
-  z_[dst] = z_[src];
-  r_[dst] = r_[src];
+  for (std::size_t j = 0; j < n_; ++j) {
+    assign(xs(j), dst, bit(xs(j), src));
+    assign(zs(j), dst, bit(zs(j), src));
+  }
+  assign(rs(), dst, bit(rs(), src));
 }
 
 void StabilizerSimulator::rowclear(std::size_t row) {
-  std::fill(x_[row].begin(), x_[row].end(), 0);
-  std::fill(z_[row].begin(), z_[row].end(), 0);
-  r_[row] = 0;
+  for (std::size_t j = 0; j < n_; ++j) {
+    assign(xs(j), row, false);
+    assign(zs(j), row, false);
+  }
+  assign(rs(), row, false);
 }
 
 void StabilizerSimulator::h(std::size_t q) {
-  for (std::size_t i = 0; i < 2 * n_; ++i) {
-    r_[i] ^= static_cast<std::uint8_t>(x_[i][q] & z_[i][q]);
-    std::swap(x_[i][q], z_[i][q]);
+  Word* xq = xs(q);
+  Word* zq = zs(q);
+  Word* r = rs();
+  for (std::size_t w = 0; w < words_; ++w) {
+    r[w] ^= xq[w] & zq[w];
+    std::swap(xq[w], zq[w]);
   }
 }
 
 void StabilizerSimulator::s(std::size_t q) {
-  for (std::size_t i = 0; i < 2 * n_; ++i) {
-    r_[i] ^= static_cast<std::uint8_t>(x_[i][q] & z_[i][q]);
-    z_[i][q] ^= x_[i][q];
+  Word* xq = xs(q);
+  Word* zq = zs(q);
+  Word* r = rs();
+  for (std::size_t w = 0; w < words_; ++w) {
+    r[w] ^= xq[w] & zq[w];
+    zq[w] ^= xq[w];
+  }
+}
+
+void StabilizerSimulator::sdg(std::size_t q) {
+  // the tableau update of S applied three times
+  Word* xq = xs(q);
+  Word* zq = zs(q);
+  Word* r = rs();
+  for (std::size_t w = 0; w < words_; ++w) {
+    r[w] ^= xq[w] & ~zq[w];
+    zq[w] ^= xq[w];
   }
 }
 
 void StabilizerSimulator::x(std::size_t q) {
-  for (std::size_t i = 0; i < 2 * n_; ++i) {
-    r_[i] ^= z_[i][q];
+  const Word* zq = zs(q);
+  Word* r = rs();
+  for (std::size_t w = 0; w < words_; ++w) {
+    r[w] ^= zq[w];
   }
 }
 
 void StabilizerSimulator::z(std::size_t q) {
-  for (std::size_t i = 0; i < 2 * n_; ++i) {
-    r_[i] ^= x_[i][q];
+  const Word* xq = xs(q);
+  Word* r = rs();
+  for (std::size_t w = 0; w < words_; ++w) {
+    r[w] ^= xq[w];
   }
 }
 
 void StabilizerSimulator::y(std::size_t q) {
-  for (std::size_t i = 0; i < 2 * n_; ++i) {
-    r_[i] ^= static_cast<std::uint8_t>(x_[i][q] ^ z_[i][q]);
+  const Word* xq = xs(q);
+  const Word* zq = zs(q);
+  Word* r = rs();
+  for (std::size_t w = 0; w < words_; ++w) {
+    r[w] ^= xq[w] ^ zq[w];
   }
 }
 
 void StabilizerSimulator::cx(std::size_t control, std::size_t target) {
-  for (std::size_t i = 0; i < 2 * n_; ++i) {
-    r_[i] ^= static_cast<std::uint8_t>(x_[i][control] & z_[i][target] &
-                                       (x_[i][target] ^ z_[i][control] ^ 1U));
-    x_[i][target] ^= x_[i][control];
-    z_[i][control] ^= z_[i][target];
+  const Word* xc = xs(control);
+  Word* zc = zs(control);
+  Word* xt = xs(target);
+  const Word* zt = zs(target);
+  Word* r = rs();
+  for (std::size_t w = 0; w < words_; ++w) {
+    r[w] ^= xc[w] & zt[w] & ~(xt[w] ^ zc[w]);
+    xt[w] ^= xc[w];
+    zc[w] ^= zt[w];
   }
 }
 
 void StabilizerSimulator::cz(std::size_t control, std::size_t target) {
-  h(target);
-  cx(control, target);
-  h(target);
+  // the tableau update of H(target) CX(control, target) H(target)
+  const Word* xc = xs(control);
+  Word* zc = zs(control);
+  const Word* xt = xs(target);
+  Word* zt = zs(target);
+  Word* r = rs();
+  for (std::size_t w = 0; w < words_; ++w) {
+    r[w] ^= xc[w] & xt[w] & (zc[w] ^ zt[w]);
+    zc[w] ^= xt[w];
+    zt[w] ^= xc[w];
+  }
 }
 
 void StabilizerSimulator::cy(std::size_t control, std::size_t target) {
@@ -130,46 +181,45 @@ void StabilizerSimulator::cy(std::size_t control, std::size_t target) {
 }
 
 void StabilizerSimulator::swap(std::size_t a, std::size_t b) {
-  cx(a, b);
-  cx(b, a);
-  cx(a, b);
+  // CX(a,b) CX(b,a) CX(a,b) permutes the columns and leaves every sign
+  std::swap_ranges(xs(a), xs(a) + 2 * words_, xs(b));
 }
 
-void StabilizerSimulator::apply(const ir::StandardOperation& op) {
+void StabilizerSimulator::applyOp(const ir::StandardOperation& op,
+                                  bool inverse) {
   using ir::OpType;
   const auto& controls = op.controls();
   if (controls.size() > 1) {
     throw std::domain_error(
         "StabilizerSimulator: multi-controlled gates are not Clifford");
   }
-  if (!controls.empty() && !controls.front().positive) {
-    // wrap negative control with X
-    x(controls.front().qubit);
-    ir::StandardOperation positive(
-        op.type(), op.targets(),
-        {ir::Control{controls.front().qubit, true}}, op.params());
-    apply(positive);
-    x(controls.front().qubit);
-    return;
-  }
 
   if (controls.size() == 1) {
-    const std::size_t c = controls.front().qubit;
-    const std::size_t t = op.target();
+    // controlled X, Y and Z are self-inverse
+    void (StabilizerSimulator::*gate)(std::size_t, std::size_t) = nullptr;
     switch (op.type()) {
     case OpType::X:
-      cx(c, t);
-      return;
+      gate = &StabilizerSimulator::cx;
+      break;
     case OpType::Y:
-      cy(c, t);
-      return;
+      gate = &StabilizerSimulator::cy;
+      break;
     case OpType::Z:
-      cz(c, t);
-      return;
+      gate = &StabilizerSimulator::cz;
+      break;
     default:
       throw std::domain_error(
           "StabilizerSimulator: unsupported controlled gate");
     }
+    const ir::Control c = controls.front();
+    if (!c.positive) {
+      x(c.qubit); // wrap a negative control with X
+    }
+    (this->*gate)(c.qubit, op.target());
+    if (!c.positive) {
+      x(c.qubit);
+    }
+    return;
   }
 
   const std::size_t t = op.target();
@@ -190,28 +240,32 @@ void StabilizerSimulator::apply(const ir::StandardOperation& op) {
     z(t);
     return;
   case OpType::S:
-    s(t);
-    return;
   case OpType::Sdg:
-    sdg(t);
+    if ((op.type() == OpType::S) != inverse) {
+      s(t);
+    } else {
+      sdg(t);
+    }
     return;
   case OpType::V: // sqrt(X) = H S H exactly
-    h(t);
-    s(t);
-    h(t);
-    return;
   case OpType::Vdg:
     h(t);
-    sdg(t);
+    if ((op.type() == OpType::V) != inverse) {
+      s(t);
+    } else {
+      sdg(t);
+    }
     h(t);
     return;
   case OpType::SY: // sqrt(Y) ∝ H·Z (Z first)
-    z(t);
-    h(t);
-    return;
   case OpType::SYdg:
-    h(t);
-    z(t);
+    if ((op.type() == OpType::SY) != inverse) {
+      z(t);
+      h(t);
+    } else {
+      h(t);
+      z(t);
+    }
     return;
   case OpType::SWAP:
     swap(op.targets()[0], op.targets()[1]);
@@ -219,7 +273,7 @@ void StabilizerSimulator::apply(const ir::StandardOperation& op) {
   case OpType::Phase:
   case OpType::RZ: {
     // multiples of pi/2 reduce to {I, S, Z, Sdg} up to global phase
-    switch (quarterTurns(op.param(0))) {
+    switch (quarterTurns(inverse ? -op.param(0) : op.param(0))) {
     case 0:
       return;
     case 1:
@@ -264,21 +318,39 @@ bool StabilizerSimulator::isClifford(const ir::QuantumComputation& qc) {
 }
 
 bool StabilizerSimulator::isIdentityConjugation() const noexcept {
-  for (std::size_t i = 0; i < 2 * n_; ++i) {
-    if (r_[i] != 0) {
-      return false;
-    }
-    for (std::size_t j = 0; j < n_; ++j) {
-      // initial tableau: x_[i][j] = [i == j], z_[n+i][j] = [i == j],
-      // everything else zero
-      const std::uint8_t wantX = (i < n_ && i == j) ? 1 : 0;
-      const std::uint8_t wantZ = (i >= n_ && i - n_ == j) ? 1 : 0;
-      if (x_[i][j] != wantX || z_[i][j] != wantZ) {
+  // initial tableau: column X(q) holds row q alone, Z(q) row n+q alone, and
+  // every phase bit is clear
+  const auto isUnit = [this](const Word* column, std::size_t row) {
+    for (std::size_t w = 0; w < words_; ++w) {
+      const Word want = w == row / 64 ? Word{1} << (row % 64) : Word{0};
+      if (column[w] != want) {
         return false;
       }
     }
+    return true;
+  };
+  for (std::size_t q = 0; q < n_; ++q) {
+    if (!isUnit(xs(q), q) || !isUnit(zs(q), n_ + q)) {
+      return false;
+    }
   }
-  return true;
+  const Word* r = rs();
+  return std::all_of(r, r + words_, [](Word w) { return w == 0; });
+}
+
+std::size_t
+StabilizerSimulator::firstAnticommutingStabilizer(std::size_t q) const {
+  const Word* xq = xs(q);
+  for (std::size_t w = n_ / 64; w < words_; ++w) {
+    Word word = xq[w];
+    if (w == n_ / 64) {
+      word &= ~Word{0} << (n_ % 64); // destabilizer rows are not candidates
+    }
+    if (word != 0) {
+      return w * 64 + static_cast<std::size_t>(std::countr_zero(word));
+    }
+  }
+  return 2 * n_;
 }
 
 int StabilizerSimulator::deterministicOutcome(std::size_t q) const {
@@ -288,15 +360,20 @@ int StabilizerSimulator::deterministicOutcome(std::size_t q) const {
   std::vector<std::uint8_t> sz(n_, 0);
   int phase = 0;
   for (std::size_t i = 0; i < n_; ++i) {
-    if (x_[i][q] == 0) {
+    if (!bit(xs(q), i)) {
       continue;
     }
     const std::size_t stab = n_ + i;
-    phase += 2 * r_[stab];
+    phase += 2 * static_cast<int>(bit(rs(), stab));
     for (std::size_t j = 0; j < n_; ++j) {
-      phase += phaseG(x_[stab][j], z_[stab][j], sx[j], sz[j]);
-      sx[j] ^= x_[stab][j];
-      sz[j] ^= z_[stab][j];
+      const bool x = bit(xs(j), stab);
+      const bool z = bit(zs(j), stab);
+      if (!x && !z) {
+        continue;
+      }
+      phase += phaseG(x, z, sx[j], sz[j]);
+      sx[j] ^= static_cast<std::uint8_t>(x);
+      sz[j] ^= static_cast<std::uint8_t>(z);
     }
   }
   phase = ((phase % 4) + 4) % 4;
@@ -304,38 +381,38 @@ int StabilizerSimulator::deterministicOutcome(std::size_t q) const {
 }
 
 double StabilizerSimulator::probabilityOfOne(std::size_t q) const {
-  for (std::size_t p = n_; p < 2 * n_; ++p) {
-    if (x_[p][q] != 0) {
-      return 0.5; // some stabilizer anticommutes with Z_q: random outcome
-    }
+  if (firstAnticommutingStabilizer(q) < 2 * n_) {
+    return 0.5; // some stabilizer anticommutes with Z_q: random outcome
   }
   return deterministicOutcome(q) == 1 ? 1.0 : 0.0;
 }
 
 bool StabilizerSimulator::measureWithCoin(
     std::size_t q, const std::function<double()>& random01) {
-  std::size_t p = 2 * n_;
-  for (std::size_t row = n_; row < 2 * n_; ++row) {
-    if (x_[row][q] != 0) {
-      p = row;
-      break;
-    }
-  }
+  const std::size_t p = firstAnticommutingStabilizer(q);
   if (p == 2 * n_) {
     return deterministicOutcome(q) == 1;
   }
 
-  // random outcome: update every other row that anticommutes with Z_q
-  for (std::size_t i = 0; i < 2 * n_; ++i) {
-    if (i != p && x_[i][q] != 0) {
-      rowsum(i, p);
+  // random outcome: update every other row that anticommutes with Z_q.
+  // rowsum(i, p) changes row i alone, so a word of column X(q) read before
+  // its rows are visited still names the rows to update.
+  for (std::size_t w = 0; w < words_; ++w) {
+    Word rowsToUpdate = xs(q)[w];
+    while (rowsToUpdate != 0) {
+      const std::size_t i =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(rowsToUpdate));
+      rowsToUpdate &= rowsToUpdate - 1;
+      if (i != p) {
+        rowsum(i, p);
+      }
     }
   }
   rowcopy(p - n_, p);
   rowclear(p);
   const bool outcome = random01() >= 0.5;
-  z_[p][q] = 1;
-  r_[p] = outcome ? 1 : 0;
+  assign(zs(q), p, true);
+  assign(rs(), p, outcome);
   return outcome;
 }
 

@@ -1,10 +1,18 @@
 // Stabilizer (CHP tableau) simulator, Aaronson-Gottesman style.
 //
-// Simulates Clifford circuits in O(n^2) per gate / measurement — an
-// *independent* substrate used to cross-validate the DD simulator at sizes
-// the dense oracle cannot reach (tests compare single-qubit measurement
-// probabilities on random 16+-qubit Clifford circuits), and to reason about
-// the stabilizer stimuli of ec/stimuli.hpp.
+// An *independent* substrate used to cross-validate the DD simulator at
+// sizes the dense oracle cannot reach (tests compare single-qubit
+// measurement probabilities on random 16+-qubit Clifford circuits), to
+// reason about the stabilizer stimuli of ec/stimuli.hpp, and as the engine
+// of the stabilizer tier (ec/stabilizer_checker.hpp).
+//
+// Storage is a flat, column-major, bit-packed tableau: for every qubit q the
+// X and Z bits of all 2n rows form one bitset each, and the phase bits r one
+// more, each ceil(2n/64) words long. A gate touches only the columns of its
+// qubits, so it costs ceil(2n/64) word operations per column (cx is
+// `r ^= xc & zt & ~(xt ^ zc); xt ^= xc; zc ^= zt` per word). A row is read
+// by bit extraction across the columns: rowsum and a deterministic
+// measurement cost O(n) per row they touch, a random measurement O(n^2).
 //
 // Supported operations: H, X, Y, Z, S, Sdg, V, Vdg, SY, SYdg, CX, CY, CZ,
 // SWAP, GPhase, I, and Phase/RZ whose angle is a multiple of pi/2. Anything
@@ -30,11 +38,7 @@ public:
   // --- elementary Clifford gates -------------------------------------------
   void h(std::size_t q);
   void s(std::size_t q);
-  void sdg(std::size_t q) {
-    s(q);
-    s(q);
-    s(q);
-  }
+  void sdg(std::size_t q);
   void x(std::size_t q);
   void y(std::size_t q);
   void z(std::size_t q);
@@ -44,7 +48,10 @@ public:
   void swap(std::size_t a, std::size_t b);
 
   /// Apply an IR operation (throws std::domain_error if not Clifford).
-  void apply(const ir::StandardOperation& op);
+  void apply(const ir::StandardOperation& op) { applyOp(op, false); }
+  /// Apply the inverse of an IR operation, the same tableau update as
+  /// apply(op.inverse()) without building the inverse operation.
+  void applyInverse(const ir::StandardOperation& op) { applyOp(op, true); }
   /// Run a whole circuit (layouts must be trivial).
   void run(const ir::QuantumComputation& qc);
 
@@ -73,17 +80,51 @@ public:
   }
 
 private:
-  // tableau rows: 0..n-1 destabilizers, n..2n-1 stabilizers, row 2n scratch
-  [[nodiscard]] std::size_t rows() const noexcept { return 2 * n_ + 1; }
+  using Word = std::uint64_t;
+
+  void applyOp(const ir::StandardOperation& op, bool inverse);
+
+  // column bitsets over rows 0..n-1 (destabilizers) and n..2n-1
+  // (stabilizers); bit i of a column lives in word i / 64, bit i % 64
+  [[nodiscard]] Word* xs(std::size_t q) noexcept {
+    return &bits_[2 * q * words_];
+  }
+  [[nodiscard]] Word* zs(std::size_t q) noexcept {
+    return &bits_[(2 * q + 1) * words_];
+  }
+  [[nodiscard]] Word* rs() noexcept { return &bits_[2 * n_ * words_]; }
+  [[nodiscard]] const Word* xs(std::size_t q) const noexcept {
+    return &bits_[2 * q * words_];
+  }
+  [[nodiscard]] const Word* zs(std::size_t q) const noexcept {
+    return &bits_[(2 * q + 1) * words_];
+  }
+  [[nodiscard]] const Word* rs() const noexcept {
+    return &bits_[2 * n_ * words_];
+  }
+  [[nodiscard]] static bool bit(const Word* column, std::size_t row) noexcept {
+    return ((column[row / 64] >> (row % 64)) & 1U) != 0U;
+  }
+  static void flip(Word* column, std::size_t row) noexcept {
+    column[row / 64] ^= Word{1} << (row % 64);
+  }
+  static void assign(Word* column, std::size_t row, bool value) noexcept {
+    const Word mask = Word{1} << (row % 64);
+    column[row / 64] = value ? column[row / 64] | mask
+                             : column[row / 64] & ~mask;
+  }
+
   void rowsum(std::size_t h, std::size_t i);
   void rowcopy(std::size_t dst, std::size_t src);
   void rowclear(std::size_t row);
+  /// First stabilizer row whose X bit on qubit q is set, or 2n if none.
+  [[nodiscard]] std::size_t firstAnticommutingStabilizer(std::size_t q) const;
   [[nodiscard]] int deterministicOutcome(std::size_t q) const;
 
   std::size_t n_;
-  std::vector<std::vector<std::uint8_t>> x_;
-  std::vector<std::vector<std::uint8_t>> z_;
-  std::vector<std::uint8_t> r_;
+  std::size_t words_; // ceil(2n / 64)
+  /// X(0), Z(0), X(1), Z(1), ..., X(n-1), Z(n-1), r: 2n + 1 columns
+  std::vector<Word> bits_;
 };
 
 } // namespace qsimec::sim

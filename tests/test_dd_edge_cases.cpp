@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
 #include <sstream>
 
@@ -136,6 +137,28 @@ TEST(DDEdgeCases, ProductStateValidation) {
                                   {dd::ComplexValue{1, 0},
                                    dd::ComplexValue{0, 0}}}),
       std::invalid_argument); // zero qubit state
+}
+
+TEST(DDEdgeCases, TinyLoneWeightIsNotDropped) {
+  // every non-zero weight of these nodes is within TOLERANCE of zero in
+  // |w|^2, so the tolerant tie test alone would also admit the zero child
+  // as the normalizer (a division by zero, and the entry lost)
+  dd::Package pkg(1);
+  const auto state = pkg.makeProductState(
+      {{dd::ComplexValue{0, 0}, dd::ComplexValue{1e-8, 0}}});
+  EXPECT_FALSE(state.w.exactlyZero());
+  EXPECT_NEAR(pkg.getAmplitude(state, 1).re, 1e-8, 1e-12);
+  EXPECT_EQ(pkg.getAmplitude(state, 0).re, 0.0);
+
+  dd::Package two(2);
+  // cu3(1e-7, 0, 0) controlled from the qubit below its target: the
+  // off-diagonal entries are -+5e-8
+  const auto gate =
+      two.makeGateDD(dd::u3Mat(1e-7, 0, 0), 1, {dd::Control{0, true}});
+  EXPECT_NE(gate, two.makeIdent());
+  EXPECT_NEAR(two.getEntry(gate, 3, 1).re, std::sin(0.5e-7), 1e-12);
+  EXPECT_NEAR(two.getEntry(gate, 1, 3).re, -std::sin(0.5e-7), 1e-12);
+  EXPECT_NEAR(two.getEntry(gate, 3, 3).re, std::cos(0.5e-7), 1e-12);
 }
 
 TEST(DDEdgeCases, InterruptHookFires) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <random>
 
 using namespace qsimec;
@@ -290,4 +291,66 @@ TEST(DenseSimulator, RejectsTooManyQubits) {
   ir::QuantumComputation qc(30);
   EXPECT_THROW((void)sim::DenseSimulator::simulate(qc, 0),
                std::invalid_argument);
+}
+
+namespace {
+
+/// The plain dense kernel: expand the op into elementary gates, visit every
+/// index and read each control bit in turn, with the same arithmetic per
+/// amplitude pair as DenseSimulator::applyOperation.
+void referenceApply(const ir::StandardOperation& op,
+                    std::vector<sim::Amplitude>& state) {
+  for (const sim::ElementaryGate& g : sim::toElementaryGates(op)) {
+    const std::uint64_t bit = 1ULL << g.target;
+    const sim::Amplitude m00{g.matrix[0].re, g.matrix[0].im};
+    const sim::Amplitude m01{g.matrix[1].re, g.matrix[1].im};
+    const sim::Amplitude m10{g.matrix[2].re, g.matrix[2].im};
+    const sim::Amplitude m11{g.matrix[3].re, g.matrix[3].im};
+    for (std::uint64_t idx = 0; idx < state.size(); ++idx) {
+      bool fires = (idx & bit) == 0U;
+      for (const dd::Control& c : g.controls) {
+        fires = fires && (((idx >> c.qubit) & 1U) != 0U) == c.positive;
+      }
+      if (!fires) {
+        continue;
+      }
+      const sim::Amplitude a0 = state[idx];
+      const sim::Amplitude a1 = state[idx | bit];
+      state[idx] = m00 * a0 + m01 * a1;
+      state[idx | bit] = m10 * a0 + m11 * a1;
+    }
+  }
+}
+
+} // namespace
+
+TEST(DenseSimulator, KernelMatchesPlainLoopBitForBit) {
+  const std::size_t n = 7;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    ir::QuantumComputation qc = randomCircuit(n, 80, seed);
+    // multi-controlled ops of both polarities, a controlled SWAP included
+    qc.x(3, {ir::Control{0, false}, ir::Control{6, true}});
+    qc.swap(1, 5, {ir::Control{2, false}});
+    qc.u3(0.3, -1.1, 2.0, 0, {ir::Control{4, true}, ir::Control{5, false}});
+
+    std::mt19937_64 rng(seed);
+    std::normal_distribution<double> gauss;
+    std::vector<sim::Amplitude> fast(1ULL << n);
+    for (sim::Amplitude& a : fast) {
+      a = {gauss(rng), gauss(rng)};
+    }
+    std::vector<sim::Amplitude> plain = fast;
+    for (const ir::StandardOperation& op : qc) {
+      sim::DenseSimulator::applyOperation(op, fast);
+      referenceApply(op, plain);
+    }
+    for (std::size_t i = 0; i < fast.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(fast[i].real()),
+                std::bit_cast<std::uint64_t>(plain[i].real()))
+          << "seed " << seed << " index " << i;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(fast[i].imag()),
+                std::bit_cast<std::uint64_t>(plain[i].imag()))
+          << "seed " << seed << " index " << i;
+    }
+  }
 }
