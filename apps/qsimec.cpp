@@ -103,7 +103,6 @@ usage:
                             the loser is cancelled
       --sim-only            skip the complete check
       --strict-phase        do not treat global phase as equivalent
-      --rewriting           try the syntactic rewriting checker first
       --no-prescreen        skip the static prescreen and tier routing; every
                             pair takes the general simulation + DD path
       --no-attr             disable the per-gate cost attribution profiler
@@ -167,7 +166,7 @@ usage:
                             fatal-signal dump DIR/postmortem-signal.jsonl
       --postmortem-redact   restrict dumps to the deterministic subset
       (plus the check options --sims --stimuli --timeout --strategy --seed
-       --race --sim-only --strict-phase --rewriting --no-attr as the base
+       --race --sim-only --strict-phase --no-attr as the base
        configuration every manifest line starts from)
       exit codes mirror check over the whole batch: 1 if any pair is not
       equivalent, else 4 if any input was invalid, else 3 if any pair was
@@ -202,7 +201,7 @@ usage:
       --postmortem DIR      write stall postmortem dumps under DIR
       --journal FILE        server-lifetime JSONL journal
       (plus the check options --sims --stimuli --timeout --strategy --seed
-       --race --sim-only --strict-phase --rewriting --no-attr as the base
+       --race --sim-only --strict-phase --no-attr as the base
        configuration every manifest line starts from)
   qsimec submit MANIFEST.jsonl --socket PATH [options]
       send a batch manifest to a running daemon and print the result lines
@@ -370,9 +369,11 @@ struct ArgCursor {
   }
 };
 
-/// Flow-configuration flags shared by `check` and `batch` (everything except
-/// --threads, whose meaning differs between the two). Returns 0 on success,
-/// 2 after complaining about a bad enum value.
+/// Flow-configuration flags shared by `check`, `batch` and `serve`
+/// (everything except --threads, whose meaning differs between them).
+/// Returns 0 on success, 2 after complaining about a bad enum value. Each
+/// caller consumes its own flags first, so a `--` argument still left here
+/// is unknown: a usage error naming it, not a circuit or manifest path.
 int parseFlowFlags(ArgCursor& args, ec::FlowConfiguration& config) {
   const std::string simsStr = args.consumeOption("--sims", "10");
   const std::string stimuliStr = args.consumeOption("--stimuli", "basis");
@@ -383,9 +384,14 @@ int parseFlowFlags(ArgCursor& args, ec::FlowConfiguration& config) {
   const bool race = args.consumeFlag("--race");
   const bool simOnly = args.consumeFlag("--sim-only");
   const bool strictPhase = args.consumeFlag("--strict-phase");
-  const bool rewriting = args.consumeFlag("--rewriting");
   const bool noPrescreen = args.consumeFlag("--no-prescreen");
   const bool noAttr = args.consumeFlag("--no-attr");
+  for (std::size_t i = args.pos; i < args.args.size(); ++i) {
+    if (args.args[i].starts_with("--")) {
+      std::cerr << "unknown option: " << args.args[i] << "\n";
+      usage(2);
+    }
+  }
 
   config.prescreen.enabled = !noPrescreen;
   config.simulation.attribution.enabled = !noAttr;
@@ -395,7 +401,6 @@ int parseFlowFlags(ArgCursor& args, ec::FlowConfiguration& config) {
   config.simulation.ignoreGlobalPhase = !strictPhase;
   config.complete.timeoutSeconds = std::stod(timeoutStr);
   config.skipComplete = simOnly;
-  config.tryRewriting = rewriting;
   config.mode = race ? ec::FlowMode::Race : ec::FlowMode::Staged;
 
   const auto stimuli = ec::parseStimuliKind(stimuliStr);

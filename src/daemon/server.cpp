@@ -328,7 +328,7 @@ bool Daemon::tryEnqueue(PendingRequest&& request, std::string* error) {
           .num("queued", static_cast<std::uint64_t>(queue_.size()));
       return true;
     }
-    ++clients_[request.header.client].rejected;
+    ++clientRowLocked(request.header.client).rejected;
     metrics_.add("daemon.requests.rejected");
   }
   obs_.log(obs::JournalLevel::Warn, "daemon.request.rejected")
@@ -345,6 +345,15 @@ bool Daemon::tryEnqueue(PendingRequest&& request, std::string* error) {
 
 // --------------------------------------------------------------------------
 // engine
+
+ClientStats& Daemon::clientRowLocked(const std::string& name) {
+  const std::size_t namedRows =
+      clients_.size() - clients_.count(kOverflowClient);
+  if (namedRows < kMaxClientRows || clients_.contains(name)) {
+    return clients_[name];
+  }
+  return clients_[kOverflowClient];
+}
 
 std::deque<Daemon::PendingRequest>::iterator Daemon::pickNextLocked() {
   const auto now = std::chrono::steady_clock::now();
@@ -456,7 +465,7 @@ void Daemon::processRequest(PendingRequest& request) {
     const std::lock_guard<std::mutex> lock(mutex_);
     metrics_.merge(requestMetrics.snapshot());
     metrics_.add("daemon.requests.completed");
-    ClientStats& stats = clients_[request.header.client];
+    ClientStats& stats = clientRowLocked(request.header.client);
     ++stats.requests;
     stats.pairs += result.summary.pairs;
     stats.cacheHits += result.summary.cacheHits;

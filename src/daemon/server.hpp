@@ -101,6 +101,14 @@ struct DaemonOptions {
   const std::atomic<bool>* stopFlag{nullptr};
 };
 
+/// Named rows of the status document's `clients` table. Any local peer
+/// picks its own name, so the table is bounded: a name first seen once it
+/// is full is counted in the overflow row instead.
+inline constexpr std::size_t kMaxClientRows = 64;
+/// The overflow row's key: the empty name, which no client can take (the
+/// protocol gives an empty name the default `anonymous`).
+inline constexpr char kOverflowClient[] = "";
+
 /// Per-client counters for the status endpoint.
 struct ClientStats {
   std::uint64_t requests{0};
@@ -180,6 +188,9 @@ private:
                     const std::vector<std::string>& lines, bool failed,
                     const std::string& errorText);
   [[nodiscard]] std::deque<PendingRequest>::iterator pickNextLocked();
+  /// The `clients` row that counts `name`: its own while the table has
+  /// room, else the kOverflowClient row.
+  [[nodiscard]] ClientStats& clientRowLocked(const std::string& name);
   [[nodiscard]] std::string statusJsonLocked() const;
   [[nodiscard]] std::string metricsTextLocked() const;
 
@@ -205,6 +216,7 @@ private:
   bool activeRequest_{false};
   std::string activeClient_;
   std::uint64_t nextRequestId_{1};
+  /// At most kMaxClientRows named rows plus the overflow row.
   std::map<std::string, ClientStats> clients_;
   std::deque<RequestRecord> recent_; // newest first, capped
   /// Guarded by mutex_ (not thread-safe). Also the source of every status

@@ -28,7 +28,6 @@ void buildMetrics(FlowResult& result, const std::optional<CheckResult>& sim,
   m.counters["simulation.threads"] = result.numThreads;
   m.counters["complete.timed_out"] = result.completeTimedOut ? 1 : 0;
   m.counters["complete.cancelled"] = result.completeCancelled ? 1 : 0;
-  m.counters["rewriting.proved"] = result.provedByRewriting ? 1 : 0;
   m.counters["flow.diagnostics"] = result.diagnostics.size();
   m.counters["flow.counterexample"] = result.counterexample.has_value() ? 1 : 0;
   m.counters["prescreen.stripped_prefix"] = result.strippedPrefix;
@@ -41,7 +40,6 @@ void buildMetrics(FlowResult& result, const std::optional<CheckResult>& sim,
   m.gauges["prescreen.seconds"] = result.prescreenSeconds;
   m.gauges["preflight.seconds"] = result.preflightSeconds;
   m.gauges["simulation.seconds"] = result.simulationSeconds;
-  m.gauges["rewriting.seconds"] = result.rewritingSeconds;
   m.gauges["complete.seconds"] = result.completeSeconds;
   m.gauges["total.seconds"] = result.totalSeconds();
   if (sim) {
@@ -148,7 +146,7 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
         .str("mode", toString(config_.mode));
 
     // The stage sequence lives in an immediately-invoked lambda so that
-    // every early exit (invalid input, counterexample, rewriting proof)
+    // every early exit (invalid input, static verdict, counterexample)
     // still falls through to the metrics rollup and span finalization.
     [&] {
       // Fig. 3 front-loads cheap simulations before the expensive DD check;
@@ -277,21 +275,6 @@ FlowResult EquivalenceCheckingFlow::run(const ir::QuantumComputation& qc1,
       const bool race = config_.mode == FlowMode::Race && simsTotal != 0 &&
                         !config_.skipComplete;
       result.mode = race ? FlowMode::Race : FlowMode::Staged;
-
-      if (config_.tryRewriting) {
-        // the syntactic proof attempt is cheap: run it before either
-        // expensive strategy
-        enterStage("rewriting");
-        obs::ScopedSpan span(obs, "checker.rewriting", "checker");
-        const CheckResult rewritten = RewritingChecker().run(qc1, qc2);
-        result.rewritingSeconds = rewritten.seconds;
-        span.arg("outcome", toString(rewritten.equivalence));
-        if (provedEquivalent(rewritten.equivalence)) {
-          result.equivalence = rewritten.equivalence;
-          result.provedByRewriting = true;
-          return;
-        }
-      }
 
       // Raised by the first strategy to reach a conclusive verdict. In race
       // mode it cancels the other one (the winner has already finished, so

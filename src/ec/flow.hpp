@@ -13,14 +13,14 @@
 //                             equivalence (stronger than the state of the
 //                             art's "no information").
 //
-// Before either strategy, an error-level preflight rejects malformed pairs,
-// the prescreen routes the pair to a tier (static verdict, stabilizer
-// tableau, or this general flow), and the optional rewriting checker tries
-// a cheap syntactic proof. Besides the staged ordering, the flow offers a
-// *race* mode that launches the complete check on its own thread next to
-// the simulation portfolio and cancels the loser: whichever strategy
-// reaches a conclusive verdict first decides. Both modes share every stage
-// and one verdict rule (see docs/parallelism.md for the exact semantics).
+// Before either strategy, an error-level preflight rejects malformed pairs
+// and the prescreen routes the pair to a tier (static verdict, stabilizer
+// tableau, or this general flow). Besides the staged ordering, the flow
+// offers a *race* mode that launches the complete check on its own thread
+// next to the simulation portfolio and cancels the loser: whichever
+// strategy reaches a conclusive verdict first decides. Both modes share
+// every stage and one verdict rule (see docs/parallelism.md for the exact
+// semantics).
 
 #pragma once
 
@@ -29,7 +29,6 @@
 #include "analysis/profile.hpp"
 #include "ec/alternating_checker.hpp"
 #include "ec/result.hpp"
-#include "ec/rewriting_checker.hpp"
 #include "ec/simulation_checker.hpp"
 #include "ir/quantum_computation.hpp"
 #include "obs/context.hpp"
@@ -86,8 +85,8 @@ enum class RaceWinner {
 /// Live progress snapshot handed to FlowConfiguration::progress.
 struct FlowProgress {
   /// The stage that just started (or "done" once the verdict is in):
-  /// "preflight", "prescreen", "stabilizer", "simulation", "rewriting",
-  /// "complete", "race".
+  /// "preflight", "prescreen", "stabilizer", "simulation", "complete",
+  /// "race".
   std::string_view stage;
   /// Completed stimulus runs so far (monotonic across the whole flow).
   std::size_t simulationsDone{0};
@@ -128,11 +127,6 @@ struct FlowConfiguration {
   /// first conclusive verdict wins). Race degenerates to Staged when either
   /// strategy is skipped (a zero stimulus budget or skipComplete).
   FlowMode mode{FlowMode::Staged};
-  /// Try the (cheap, incomplete) rewriting checker first, before the
-  /// simulation stage and the complete check of either mode; a syntactic
-  /// proof short-circuits both. Off by default — the paper's Fig. 3 flow
-  /// has no such stage.
-  bool tryRewriting{false};
   /// Skip the complete check (simulation only; outcome is then either
   /// NotEquivalent or ProbablyEquivalent).
   bool skipComplete{false};
@@ -150,7 +144,6 @@ struct FlowResult {
   double preflightSeconds{0.0};
   double prescreenSeconds{0.0};
   double simulationSeconds{0.0};
-  double rewritingSeconds{0.0};
   double completeSeconds{0.0};
   /// The tier the pair routed to (General when the prescreen is disabled).
   analysis::TierHint tier{analysis::TierHint::General};
@@ -160,7 +153,6 @@ struct FlowResult {
   std::size_t mergedRotations{0};
   /// The pair profile, when the prescreen ran.
   std::optional<analysis::PairProfile> profile;
-  bool provedByRewriting{false};
   bool completeTimedOut{false};
   bool simulationTimedOut{false};
   /// The mode the flow actually ran in.
@@ -193,7 +185,7 @@ struct FlowResult {
 
   [[nodiscard]] double totalSeconds() const noexcept {
     return preflightSeconds + prescreenSeconds + simulationSeconds +
-           rewritingSeconds + completeSeconds;
+           completeSeconds;
   }
 };
 
@@ -206,8 +198,8 @@ public:
   /// Equivalence::InvalidInput (with the diagnostics in
   /// FlowResult::diagnostics) instead of throws deep inside the simulators.
   /// An attached obs::Context records a root "flow" span enclosing one span
-  /// per stage that runs (stage.preflight, checker.rewriting,
-  /// checker.simulation, checker.alternating) and merges
+  /// per stage that runs (stage.preflight, checker.simulation,
+  /// checker.alternating) and merges
   /// FlowResult::metrics into the registry.
   [[nodiscard]] FlowResult run(const ir::QuantumComputation& qc1,
                                const ir::QuantumComputation& qc2,

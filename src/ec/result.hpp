@@ -131,7 +131,7 @@ struct CheckResult {
   /// docs/parallelism.md for the determinism contract.
   unsigned numThreads{1};
   /// Profile of the DD package(s) the check ran on (zeroed for checkers
-  /// that build no decision diagrams, e.g. the rewriting checker; merged
+  /// that build no decision diagrams, e.g. the stabilizer checker; merged
   /// across workers for the parallel simulation portfolio).
   dd::PackageStats ddStats;
   /// Per-gate cost attribution, present when the checker ran with

@@ -167,13 +167,11 @@ std::string toJson(const FlowResult& result, const SerializeOptions& options) {
     json.field("preflight_seconds", result.preflightSeconds)
         .field("prescreen_seconds", result.prescreenSeconds)
         .field("simulation_seconds", result.simulationSeconds)
-        .field("rewriting_seconds", result.rewritingSeconds)
         .field("complete_seconds", result.completeSeconds)
         .field("total_seconds", result.totalSeconds())
         .field("num_threads", result.numThreads);
   }
-  json.field("proved_by_rewriting", result.provedByRewriting)
-      .field("complete_timed_out", result.completeTimedOut)
+  json.field("complete_timed_out", result.completeTimedOut)
       .field("simulation_timed_out", result.simulationTimedOut);
   if (result.mode == FlowMode::Race && !options.redactProfile) {
     // whether the loser also finished is timing-dependent, so the

@@ -52,8 +52,6 @@ void applyOverride(ec::FlowConfiguration& config, const std::string& key,
     config.simulation.ignoreGlobalPhase = !value.asBool();
   } else if (key == "sim_only") {
     config.skipComplete = value.asBool();
-  } else if (key == "rewriting") {
-    config.tryRewriting = value.asBool();
   } else if (key == "race") {
     config.mode = value.asBool() ? ec::FlowMode::Race : ec::FlowMode::Staged;
   } else if (key == "attr") {

@@ -169,7 +169,9 @@ std::uint64_t configDigest(const ec::FlowConfiguration& config) {
   h.absorb(config.simulation.maxSimulations == 0 ? std::uint64_t{1}
                                                  : std::uint64_t{0});
   h.absorb(config.skipComplete ? std::uint64_t{1} : std::uint64_t{0});
-  h.absorb(config.tryRewriting ? std::uint64_t{1} : std::uint64_t{0});
+  // slot of the removed rewriting-checker option: absorbing its old
+  // default (off) keeps every digest and every existing cache file valid
+  h.absorb(std::uint64_t{0});
   // slot of the removed validateInputs knob: preflight always runs, as it
   // did by default, so absorbing its old default keeps every digest (and
   // every existing cache file) valid

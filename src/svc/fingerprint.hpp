@@ -68,7 +68,7 @@ struct Fingerprint {
 /// component of a pair key. Covers every knob that can change a *proved*
 /// verdict or its counterexample (stimuli family and seed, simulation count,
 /// fidelity tolerance, global-phase handling, the stage skips, and the
-/// rewriting toggle) and deliberately excludes pure-performance fields:
+/// prescreen settings) and deliberately excludes pure-performance fields:
 /// thread counts, timeouts, node budgets, the staged/race mode, and progress
 /// callbacks change how fast a proof is found, never which proof is found
 /// (docs/service.md spells out the safety argument).

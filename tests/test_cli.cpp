@@ -81,6 +81,24 @@ TEST_F(CliTest, UnknownCommandFails) {
   }
 }
 
+TEST_F(CliTest, UnknownFlowOptionIsAUsageError) {
+  // an unknown flag after the positional arguments is named, not ignored;
+  // the retired rewriting stage's flag is one
+  const std::string flag = std::string("--") + "rewriting";
+  const std::string a = path("a.qasm");
+  const std::string manifest = path("pairs.jsonl");
+  ASSERT_EQ(runCli("gen ghz 3 " + a).exitCode, 0);
+  std::ofstream(manifest) << R"({"g": ")" << a << R"(", "gp": ")" << a
+                          << "\"}\n";
+  for (const std::string& command :
+       {"check " + a + " " + a, "batch " + manifest}) {
+    const auto result = runCli(command + " " + flag);
+    EXPECT_EQ(result.exitCode, 2) << command;
+    EXPECT_NE(result.output.find("unknown option: " + flag), std::string::npos)
+        << result.output;
+  }
+}
+
 TEST_F(CliTest, GenerateInfoConvertCheckPipeline) {
   const std::string real = path("hwb.real");
   const std::string qasm = path("hwb.qasm");

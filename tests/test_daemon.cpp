@@ -574,6 +574,70 @@ TEST_F(DaemonTest, StatusCountersEqualTheScrapeCounters) {
   d.run();
 }
 
+// Any local peer names itself, so the clients table keeps at most
+// kMaxClientRows named rows; later names share the overflow row, and the
+// rows still add up to the status totals.
+TEST_F(DaemonTest, ClientTableIsBoundedAndAddsUpToTheTotals) {
+  daemon::DaemonOptions options = baseOptions();
+  options.maxQueueDepth = 1;
+  daemon::Daemon d(options);
+  d.start();
+  const std::size_t names = daemon::kMaxClientRows + 3;
+  daemon::SubmitOptions submit;
+  for (std::size_t i = 0; i < names; ++i) {
+    submit.client = std::to_string(i);
+    ASSERT_TRUE(
+        daemon::submitManifestText(path("d.sock"), manifestText(), submit)
+            .accepted)
+        << submit.client;
+  }
+
+  // a queued request fills the queue; every later submit is rejected
+  d.pauseEngine();
+  submit.wait = false;
+  submit.client = "queued";
+  ASSERT_TRUE(
+      daemon::submitManifestText(path("d.sock"), manifestText(), submit)
+          .accepted);
+  for (const std::string client : {"0", "r0", "r1", "r2"}) {
+    submit.client = client;
+    EXPECT_EQ(
+        daemon::submitManifestText(path("d.sock"), manifestText(), submit)
+            .error,
+        "overload")
+        << client;
+  }
+  d.resumeEngine();
+  awaitCompleted(d, names + 1);
+
+  const util::JsonValue doc = status(d);
+  const util::JsonValue& clients = doc.at("clients");
+  EXPECT_EQ(clients.members().size(), daemon::kMaxClientRows + 1);
+  const util::JsonValue& overflow = clients.at(daemon::kOverflowClient);
+  // the three names past the cap, then "queued"
+  EXPECT_EQ(overflow.at("requests").asUint(), 4U);
+  EXPECT_EQ(overflow.at("rejected").asUint(), 3U); // r0..r2
+  EXPECT_EQ(clients.at("0").at("rejected").asUint(), 1U);
+
+  std::map<std::string, std::uint64_t> sums;
+  for (const auto& [name, row] : clients.members()) {
+    for (const char* field :
+         {"requests", "pairs", "cache_hits", "dispatched", "rejected"}) {
+      sums[field] += row.at(field).asUint();
+    }
+  }
+  EXPECT_EQ(sums["requests"], doc.at("requests").at("completed").asUint());
+  EXPECT_EQ(sums["pairs"], doc.at("pairs").at("total").asUint());
+  EXPECT_EQ(sums["cache_hits"], doc.at("pairs").at("cache_hits").asUint());
+  EXPECT_EQ(sums["dispatched"], doc.at("pairs").at("dispatched").asUint());
+  EXPECT_EQ(sums["rejected"], doc.at("admission").at("rejected").asUint());
+  EXPECT_EQ(sums["requests"], names + 1);
+  EXPECT_EQ(sums["rejected"], 4U);
+
+  d.requestShutdown();
+  d.run();
+}
+
 // One request followed by its id: from admission to its done line every
 // journal line carries `request_id`, the pair, flow and GC lines also
 // `pair_id`, and the stalled pair's postmortem is labelled with both.

@@ -5,7 +5,6 @@
 #include "ec/construction_checker.hpp"
 #include "ec/diff_analysis.hpp"
 #include "ec/error_localization.hpp"
-#include "ec/rewriting_checker.hpp"
 #include "ec/simulation_checker.hpp"
 #include "gen/random_circuits.hpp"
 #include "util/deadline.hpp"
@@ -314,9 +313,28 @@ TEST(Localization, Validation) {
                std::invalid_argument);
 }
 
-TEST(RewritingChecker, ProvesSyntacticEquivalence) {
-  // G' = G with redundant gates: cancellation proves equivalence without
-  // any functional construction
+namespace {
+
+/// The flow's verdict on (g, gPrime) in staged and in race mode; each
+/// mode must reach `expected`.
+void expectFlowVerdict(const ir::QuantumComputation& g,
+                       const ir::QuantumComputation& gPrime,
+                       Equivalence expected) {
+  for (const ec::FlowMode mode : {ec::FlowMode::Staged, ec::FlowMode::Race}) {
+    SCOPED_TRACE(toString(mode));
+    ec::FlowConfiguration config;
+    config.mode = mode;
+    config.simulation.seed = 2;
+    config.simulation.numThreads = 2;
+    const ec::EquivalenceCheckingFlow flow(config);
+    EXPECT_EQ(flow.run(g, gPrime).equivalence, expected);
+  }
+}
+
+} // namespace
+
+TEST(Flow, RedundantGatePairIsEquivalent) {
+  // G' = G with cancelling gate pairs inserted
   ir::QuantumComputation g(3);
   g.h(0);
   g.cx(0, 1);
@@ -329,44 +347,37 @@ TEST(RewritingChecker, ProvesSyntacticEquivalence) {
   gPrime.s(1);
   gPrime.sdg(1);
   gPrime.t(2);
-  const ec::RewritingChecker checker;
-  EXPECT_EQ(checker.run(g, gPrime).equivalence, Equivalence::Equivalent);
-  EXPECT_TRUE(checker.remainder(g, gPrime).empty());
+  expectFlowVerdict(g, gPrime, Equivalence::Equivalent);
 }
 
-TEST(RewritingChecker, DetectsGlobalPhaseRemainder) {
+TEST(Flow, GPhasePairIsEquivalentUpToGlobalPhase) {
   ir::QuantumComputation a(1);
   a.h(0);
   ir::QuantumComputation b(1);
   b.h(0);
   b.gate(ir::OpType::GPhase, 0, {}, {0.7, 0, 0});
-  const ec::RewritingChecker checker;
-  EXPECT_EQ(checker.run(a, b).equivalence,
-            Equivalence::EquivalentUpToGlobalPhase);
+  expectFlowVerdict(a, b, Equivalence::EquivalentUpToGlobalPhase);
 }
 
-TEST(RewritingChecker, InconclusiveOnStructurallyDifferentPairs) {
-  // equivalent but not syntactically reducible: H Z H = X
+TEST(Flow, HZHAgainstXIsEquivalent) {
+  // equivalent, but no gate of one side cancels against the other: H Z H = X
   ir::QuantumComputation a(1);
   a.h(0);
   a.z(0);
   a.h(0);
   ir::QuantumComputation b(1);
   b.x(0);
-  const ec::RewritingChecker checker;
-  EXPECT_EQ(checker.run(a, b).equivalence, Equivalence::NoInformation);
+  expectFlowVerdict(a, b, Equivalence::Equivalent);
 }
 
-TEST(RewritingChecker, HandlesMappedLayouts) {
-  // a mapped circuit against itself: materialized layouts + cancellation
+TEST(Flow, MappedQftAgainstItselfIsProvedEquivalent) {
+  // a mapped circuit carries layouts on both sides
   const auto g = gen::qft(5);
   const auto mapped = tf::mapCircuit(g, tf::CouplingMap::linear(5));
-  const ec::RewritingChecker checker;
-  EXPECT_TRUE(ec::provedEquivalent(
-      checker.run(mapped.circuit, mapped.circuit).equivalence));
+  expectFlowVerdict(mapped.circuit, mapped.circuit, Equivalence::Equivalent);
 }
 
-TEST(Flow, RewritingStageShortCircuits) {
+TEST(Flow, CancellingPairIsEquivalentInBothModes) {
   ir::QuantumComputation g(2);
   g.h(0);
   g.cx(0, 1);
@@ -375,20 +386,7 @@ TEST(Flow, RewritingStageShortCircuits) {
   gPrime.t(1);
   gPrime.tdg(1);
   gPrime.cx(0, 1);
-  // rewriting runs before either strategy in both modes
-  for (const ec::FlowMode mode : {ec::FlowMode::Staged, ec::FlowMode::Race}) {
-    SCOPED_TRACE(toString(mode));
-    ec::FlowConfiguration config;
-    config.mode = mode;
-    config.simulation.seed = 2;
-    config.tryRewriting = true;
-    const ec::EquivalenceCheckingFlow flow(config);
-    const auto result = flow.run(g, gPrime);
-    EXPECT_TRUE(ec::provedEquivalent(result.equivalence));
-    EXPECT_TRUE(result.provedByRewriting);
-    EXPECT_EQ(result.simulations, 0U);
-    EXPECT_EQ(result.completeSeconds, 0.0);
-  }
+  expectFlowVerdict(g, gPrime, Equivalence::Equivalent);
 }
 
 TEST(Flow, NonEquivalentDetectedBySimulation) {

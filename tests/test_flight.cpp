@@ -496,7 +496,7 @@ std::multiset<std::string> ringNames(const obs::FlightRecorder& recorder,
 
 // A span reaches every span sink its context carries: over flow runs that
 // cross every span site of the flow (the stabilizer tier and the general
-// tier with rewriting, simulation, the complete check and DD collections)
+// tier with simulation, the complete check and DD collections)
 // and a batch whose second pass is served from the cache, the Chrome trace
 // and the flight ring name the same spans.
 TEST(SpanMirror, TraceAndFlightRingNameTheSameSpans) {
@@ -514,7 +514,6 @@ TEST(SpanMirror, TraceAndFlightRingNameTheSameSpans) {
   const ir::QuantumComputation mapped =
       tf::mapCircuit(qft, tf::CouplingMap::linear(4)).circuit;
   ec::FlowConfiguration config;
-  config.tryRewriting = true;
   config.simulation.numThreads = 2;
   const ec::EquivalenceCheckingFlow flow(config);
   EXPECT_EQ(flow.run(clifford, swapped, obs).tier,
@@ -544,9 +543,8 @@ TEST(SpanMirror, TraceAndFlightRingNameTheSameSpans) {
   }
   for (const char* site :
        {"flow", "stage.preflight", "analysis.profile", "analysis.prescreen",
-        "tier.stabilizer", "tier.stabilizer.run", "checker.rewriting",
-        "checker.simulation", "sim.stimulus", "checker.alternating", "dd.gc",
-        "svc.batch"}) {
+        "tier.stabilizer", "tier.stabilizer.run", "checker.simulation",
+        "sim.stimulus", "checker.alternating", "dd.gc", "svc.batch"}) {
     EXPECT_TRUE(traced.contains(site)) << site;
   }
   EXPECT_EQ(traced.count("svc.pair"), 2U); // the miss, then the cache hit

@@ -152,11 +152,10 @@ TEST(Fingerprint, ConfigDigestCoversVerdictRelevantFieldsOnly) {
   other.simulation.maxSimulations = 16;
   other.simulation.seed = 7;
   other.simulation.stimuli = ec::StimuliKind::RandomStabilizer;
-  other.tryRewriting = true;
   other.skipComplete = true;
   other.prescreen.enabled = false;
   other.prescreen.stabilizerStimuli = 4;
-  EXPECT_EQ(svc::configDigest(other), 0xf0c84af8dbea25deULL);
+  EXPECT_EQ(svc::configDigest(other), 0x8129eebbfb2b5645ULL);
 }
 
 // --------------------------------------------------------------- VerdictCache
@@ -488,7 +487,9 @@ TEST_F(BatchTest, ManifestErrorsNameTheLine) {
   }
   for (const auto& [key, message] :
        {std::pair{"stimuli", "unknown stimuli kind: bogus"},
-        std::pair{"strategy", "unknown strategy: bogus"}}) {
+        std::pair{"strategy", "unknown strategy: bogus"},
+        // the retired rewriting stage's key is as unknown as any other
+        std::pair{"rewriting", "manifest line 1: unknown key: rewriting"}}) {
     std::istringstream is(std::string("{\"g\": \"a\", \"gp\": \"b\", \"") +
                           key + "\": \"bogus\"}\n");
     try {
