@@ -348,8 +348,12 @@ struct ArgCursor {
                                           std::string fallback) {
     const auto it = std::find(args.begin() + static_cast<std::ptrdiff_t>(pos),
                               args.end(), flag);
-    if (it == args.end() || it + 1 == args.end()) {
+    if (it == args.end()) {
       return fallback;
+    }
+    if (it + 1 == args.end()) {
+      std::cerr << "missing value for " << flag << "\n";
+      usage(2);
     }
     std::string value = *(it + 1);
     args.erase(it, it + 2);

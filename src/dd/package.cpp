@@ -354,8 +354,7 @@ vEdge Package::addImpl(const vEdge& xIn, const vEdge& yIn) {
   // Factor the left weight out of the cache key: x.w (X + (y.w/x.w) Y).
   // Without this, recursing into phase-rich diagrams produces a distinct
   // weight pair on every path and the cache never hits (exponential adds).
-  const ComplexValue xw = x.w.value();
-  const Complex ratio = cn_.lookup(y.w.value() / xw);
+  const Complex ratio = cn_.lookup(y.w.value() / x.w.value());
   if (ratio.exactlyZero()) {
     return x; // y is negligible relative to x
   }
@@ -364,7 +363,7 @@ vEdge Package::addImpl(const vEdge& xIn, const vEdge& yIn) {
     if (cached->w.exactlyZero()) {
       return vZero();
     }
-    const Complex w = cn_.lookup(cached->w.value() * xw);
+    const Complex w = mulWeights(cached->w, x.w);
     return w.exactlyZero() ? vZero() : vEdge{cached->p, w};
   }
 
@@ -375,7 +374,7 @@ vEdge Package::addImpl(const vEdge& xIn, const vEdge& yIn) {
     const vEdge& cx = x.p->e[i];
     vEdge cy = y.p->e[i];
     if (!cy.w.exactlyZero()) {
-      cy.w = cn_.lookup(cy.w.value() * ratio.value());
+      cy.w = mulWeights(cy.w, ratio);
     }
     children[i] = add(cx, cy);
   }
@@ -384,8 +383,32 @@ vEdge Package::addImpl(const vEdge& xIn, const vEdge& yIn) {
   if (result.w.exactlyZero()) {
     return vZero();
   }
-  const Complex w = cn_.lookup(result.w.value() * xw);
+  const Complex w = mulWeights(result.w, x.w);
   return w.exactlyZero() ? vZero() : vEdge{result.p, w};
+}
+
+Complex Package::mulWeights(const Complex& a, const Complex& b) {
+  if (a.exactlyOne()) {
+    return b;
+  }
+  if (b.exactlyOne()) {
+    return a;
+  }
+  return cn_.lookup(a.value() * b.value());
+}
+
+Complex Package::mulWeights(const Complex& a, const Complex& b,
+                            const Complex& c) {
+  if (a.exactlyOne()) {
+    return mulWeights(b, c);
+  }
+  if (b.exactlyOne()) {
+    return mulWeights(a, c);
+  }
+  if (c.exactlyOne()) {
+    return mulWeights(a, b);
+  }
+  return cn_.lookup(a.value() * b.value() * c.value());
 }
 
 vEdge Package::multiply(const mEdge& m, const vEdge& v) {
@@ -398,7 +421,7 @@ vEdge Package::multiply(const mEdge& m, const vEdge& v) {
   if (r.w.exactlyZero()) {
     return vZero();
   }
-  const Complex w = cn_.lookup(r.w.value() * m.w.value() * v.w.value());
+  const Complex w = mulWeights(r.w, m.w, v.w);
   if (w.exactlyZero()) {
     return vZero();
   }
@@ -578,8 +601,7 @@ mEdge Package::addImpl(const mEdge& xIn, const mEdge& yIn) {
   }
 
   // weight-factored cache key; see the vector overload for the rationale
-  const ComplexValue xw = x.w.value();
-  const Complex ratio = cn_.lookup(y.w.value() / xw);
+  const Complex ratio = cn_.lookup(y.w.value() / x.w.value());
   if (ratio.exactlyZero()) {
     return x;
   }
@@ -588,7 +610,7 @@ mEdge Package::addImpl(const mEdge& xIn, const mEdge& yIn) {
     if (cached->w.exactlyZero()) {
       return mZero();
     }
-    const Complex w = cn_.lookup(cached->w.value() * xw);
+    const Complex w = mulWeights(cached->w, x.w);
     return w.exactlyZero() ? mZero() : mEdge{cached->p, w};
   }
 
@@ -599,7 +621,7 @@ mEdge Package::addImpl(const mEdge& xIn, const mEdge& yIn) {
     const mEdge& cx = x.p->e[i];
     mEdge cy = y.p->e[i];
     if (!cy.w.exactlyZero()) {
-      cy.w = cn_.lookup(cy.w.value() * ratio.value());
+      cy.w = mulWeights(cy.w, ratio);
     }
     children[i] = add(cx, cy);
   }
@@ -608,7 +630,7 @@ mEdge Package::addImpl(const mEdge& xIn, const mEdge& yIn) {
   if (result.w.exactlyZero()) {
     return mZero();
   }
-  const Complex w = cn_.lookup(result.w.value() * xw);
+  const Complex w = mulWeights(result.w, x.w);
   return w.exactlyZero() ? mZero() : mEdge{result.p, w};
 }
 
@@ -622,7 +644,7 @@ mEdge Package::multiply(const mEdge& x, const mEdge& y) {
   if (r.w.exactlyZero()) {
     return mZero();
   }
-  const Complex w = cn_.lookup(r.w.value() * x.w.value() * y.w.value());
+  const Complex w = mulWeights(r.w, x.w, y.w);
   if (w.exactlyZero()) {
     return mZero();
   }
@@ -676,8 +698,7 @@ mEdge Package::kronecker(const mEdge& x, const mEdge& y) {
           continue;
         }
         const mEdge sub = (*this)(ca.p, b);
-        children[i] = {sub.p,
-                       pkg.cn_.lookup(sub.w.value() * ca.w.value())};
+        children[i] = {sub.p, pkg.mulWeights(sub.w, ca.w)};
         if (children[i].w.exactlyZero()) {
           children[i] = pkg.mZero();
         }
@@ -689,7 +710,7 @@ mEdge Package::kronecker(const mEdge& x, const mEdge& y) {
     }
   } rec{*this};
   const mEdge r = rec(x.p, y.p);
-  const Complex w = cn_.lookup(r.w.value() * x.w.value() * y.w.value());
+  const Complex w = mulWeights(r.w, x.w, y.w);
   if (w.exactlyZero()) {
     return mZero();
   }

@@ -213,6 +213,14 @@ public:
 
   [[nodiscard]] ComplexTable& complexTable() noexcept { return cn_; }
 
+  /// The canonical weight of a·b (of a·b·c, multiplied left to right):
+  /// complexTable().lookup of the product, with no lookup when a factor is
+  /// exactly one. In IEEE arithmetic (1,0)·(x,y) is (x,y) up to the sign of
+  /// a zero, which the table folds, and a canonical weight interns to itself
+  /// (real_table.hpp), so the product of the other factors is the answer.
+  Complex mulWeights(const Complex& a, const Complex& b);
+  Complex mulWeights(const Complex& a, const Complex& b, const Complex& c);
+
 private:
   template <class EdgeT> void incRefImpl(const EdgeT& e) noexcept {
     ComplexTable::incRef(e.w);

@@ -64,8 +64,8 @@ void applyOverride(ec::FlowConfiguration& config, const std::string& key,
 }
 
 /// One dispatched (cache-missed) pair: the parsed circuits live here until
-/// the worker consumes them, so the whole miss set is resident at once —
-/// fine for design-flow batches, where the checking dominates memory anyway.
+/// its run takes them, and are freed when that run ends, so only the queued
+/// misses are resident at once.
 struct Job {
   std::size_t index{0};
   ir::QuantumComputation g;
@@ -113,6 +113,23 @@ ParsedPair parsePair(const BatchPairSpec& spec, const CircuitBytes& g,
   pair.gPrime = tf::padQubits(pair.gPrime, width);
   return pair;
 }
+
+/// Waits for the pool's jobs when it leaves scope (by an exception too), so
+/// no job outlives the run state it refers to. Null: nothing to wait for.
+class DrainOnExit {
+public:
+  explicit DrainOnExit(ec::WorkerPool*& pool) : pool_(pool) {}
+  ~DrainOnExit() {
+    if (pool_ != nullptr) {
+      pool_->wait();
+    }
+  }
+  DrainOnExit(const DrainOnExit&) = delete;
+  DrainOnExit& operator=(const DrainOnExit&) = delete;
+
+private:
+  ec::WorkerPool*& pool_;
+};
 
 /// The batch's Context narrowed to one manifest entry: every line logged
 /// through it carries the entry's `pair_id`.
@@ -209,7 +226,7 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
   if (obs.flight == nullptr && wantWatchdog) {
     obs.flight = &ownFlight.emplace();
   }
-  // Started only once a pair is dispatched (below): a batch served
+  // Started at the first dispatch (below): a batch served
   // entirely from the cache has nothing to watch and spawns no thread.
   std::optional<obs::Watchdog> watchdog;
 
@@ -232,120 +249,25 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
     }
   }
 
-  std::atomic<std::size_t> doneCount{0};
+  // the count behind onPairDone is taken under its lock, so the callback sees
+  // 1, 2, ... total in call order whichever thread resolved the pair
+  std::size_t doneCount = 0;
   std::mutex progressMutex;
   const auto reportDone = [&] {
-    const std::size_t done =
-        doneCount.fetch_add(1, std::memory_order_relaxed) + 1;
     if (options_.onPairDone) {
       const std::lock_guard<std::mutex> lock(progressMutex);
-      options_.onPairDone(done, total);
+      options_.onPairDone(++doneCount, total);
     }
   };
 
-  // Scheduler-thread pre-pass in manifest order: read both files, key the
-  // pair (from the cache's byte front, or by a parse and fingerprint), and
-  // consult the cache; only misses become pool jobs, and misses repeating
-  // an earlier miss's (fp(g), fp(gp), configDigest) triple are coalesced
-  // onto the first occurrence's job instead of being dispatched again.
-  // Only dispatched pairs need their circuits, so only they are parsed
-  // after a byte-front hit.
+  // Reserved up front: a submitted Job& must never move while the pre-pass
+  // keeps appending.
   std::vector<Job> jobs;
+  jobs.reserve(total);
   std::unordered_map<PairKey, std::size_t, PairKeyHash> representatives;
   std::size_t cacheHits = 0;
   std::size_t digestHits = 0;
   std::size_t dedupedPairs = 0;
-  for (std::size_t i = 0; i < total; ++i) {
-    const BatchPairSpec& spec = manifest.pairs[i];
-    PairOutcome& outcome = result.outcomes[i];
-    outcome.index = i;
-    outcome.gPath = spec.gPath;
-    outcome.gPrimePath = spec.gPrimePath;
-    const obs::Context pairObs = forPair(obs, i);
-    pairObs.log(obs::JournalLevel::Info, "svc.pair.start")
-        .str("g", spec.gPath)
-        .str("gp", spec.gPrimePath);
-    if (cancelFlags[i].load(std::memory_order_relaxed)) {
-      outcome.cancelled = true;
-      reportDone();
-      continue;
-    }
-    try {
-      // each file is read once; a read error of gp comes second to a parse
-      // error of g, as when the files are parsed one after the other
-      const CircuitBytes gBytes = readCircuitBytes(spec.gPath);
-      CircuitBytes gPrimeBytes;
-      try {
-        gPrimeBytes = readCircuitBytes(spec.gPrimePath);
-      } catch (const std::exception&) {
-        (void)io::parseCircuitText(spec.gPath, gBytes.text, kLenient);
-        throw;
-      }
-      // the byte front keys an unchanged pair without parsing it; a miss
-      // parses these same bytes and is remembered only once it succeeded
-      std::optional<ParsedPair> parsed;
-      std::optional<PairFingerprints> fingerprints;
-      ByteKey byteKey;
-      if (options_.cache != nullptr) {
-        byteKey = ByteKey{contentDigest(gBytes.format, gBytes.text),
-                          contentDigest(gPrimeBytes.format, gPrimeBytes.text)};
-        fingerprints = options_.cache->lookupBytes(byteKey);
-      }
-      if (fingerprints) {
-        ++digestHits;
-      } else {
-        parsed = parsePair(spec, gBytes, gPrimeBytes);
-        fingerprints = PairFingerprints{fingerprint(parsed->g),
-                                        fingerprint(parsed->gPrime)};
-        if (options_.cache != nullptr) {
-          options_.cache->rememberBytes(byteKey, *fingerprints);
-        }
-      }
-      const PairKey key{fingerprints->g, fingerprints->gPrime,
-                        configDigest(spec.config)};
-      if (options_.cache != nullptr) {
-        if (const auto hit = options_.cache->lookup(key)) {
-          obs::ScopedSpan pairSpan(pairObs, "svc.pair", "svc");
-          pairSpan.arg("index", static_cast<std::uint64_t>(i));
-          pairSpan.arg("cache_hit", std::uint64_t{1});
-          outcome.cacheHit = true;
-          outcome.equivalence = hit->equivalence;
-          outcome.counterexample = hit->counterexample;
-          ++cacheHits;
-          pairObs.log(obs::JournalLevel::Info, "svc.pair.cache_hit")
-              .str("verdict", ec::toString(outcome.equivalence));
-          reportDone();
-          continue;
-        }
-      }
-      if (const auto rep = representatives.find(key);
-          rep != representatives.end()) {
-        jobs[rep->second].duplicates.push_back(i);
-        outcome.deduped = true;
-        ++dedupedPairs;
-        pairObs.log(obs::JournalLevel::Info, "svc.pair.dedup")
-            .num("representative",
-                 static_cast<std::uint64_t>(jobs[rep->second].index));
-        // resolved (and reported done) when the representative's verdict
-        // fans out after the pool drains
-        continue;
-      }
-      if (!parsed) {
-        parsed = parsePair(spec, gBytes, gPrimeBytes);
-      }
-      representatives.emplace(key, jobs.size());
-      jobs.push_back(Job{i, std::move(parsed->g), std::move(parsed->gPrime),
-                         key, &spec.config, {}});
-    } catch (const std::exception& e) {
-      outcome.equivalence = ec::Equivalence::InvalidInput;
-      outcome.error = e.what();
-      pairObs.log(obs::JournalLevel::Error, "svc.pair.verdict")
-          .str("outcome", ec::toString(outcome.equivalence))
-          .str("error", outcome.error);
-      reportDone();
-    }
-  }
-
   std::atomic<std::size_t> cacheStores{0};
   std::atomic<std::size_t> stalledPairs{0};
   // Per-pair resolution claims: a dispatched pair is committed exactly once,
@@ -353,6 +275,35 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
   // watchdog declaring a stall. The loser's write is discarded, so a late
   // result from a formerly-wedged worker cannot race the batch summary.
   std::vector<std::atomic<bool>> resolved(total);
+
+  // Verdicts stored while the pre-pass still runs are held, and flushed in
+  // job order when it ends: the pre-pass never sees a store made by this
+  // batch, so every pair is classified as if the jobs ran after it, and a
+  // small cache evicts as it would then.
+  std::mutex storeMutex;
+  bool holdStores = true;
+  std::vector<std::pair<const Job*, CachedVerdict>> heldStores;
+  const auto storeVerdict = [&](const Job& job, CachedVerdict verdict) {
+    {
+      const std::lock_guard<std::mutex> lock(storeMutex);
+      if (holdStores) {
+        heldStores.emplace_back(&job, std::move(verdict));
+        return;
+      }
+    }
+    options_.cache->store(job.key, verdict);
+  };
+  const auto flushHeldStores = [&] {
+    const std::lock_guard<std::mutex> lock(storeMutex);
+    holdStores = false;
+    std::sort(heldStores.begin(), heldStores.end(),
+              [](const auto& a, const auto& b) {
+                return a.first->index < b.first->index;
+              });
+    for (const auto& [job, verdict] : heldStores) {
+      options_.cache->store(job->key, verdict);
+    }
+  };
 
   const auto onStall = [&](std::size_t index,
                            const obs::Watchdog::StallInfo& info) {
@@ -390,6 +341,10 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
 
   const auto runJob = [&](Job& job) {
     const std::size_t index = job.index;
+    // the circuits leave the job here, so they are freed as soon as this
+    // pair is done, not when the batch is
+    const ir::QuantumComputation g = std::move(job.g);
+    const ir::QuantumComputation gPrime = std::move(job.gPrime);
     PairOutcome local;
     local.index = index;
     local.gPath = manifest.pairs[index].gPath;
@@ -469,8 +424,7 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
     config.complete.cancelFlag = &cancelFlags[index];
     try {
       const ec::FlowResult flow =
-          ec::EquivalenceCheckingFlow(config).run(job.g, job.gPrime,
-                                                  workerObs);
+          ec::EquivalenceCheckingFlow(config).run(g, gPrime, workerObs);
       local.equivalence = flow.equivalence;
       local.counterexample = flow.counterexample;
       local.completeTimedOut = flow.completeTimedOut;
@@ -498,10 +452,8 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
           isCacheable(local.equivalence)) {
         // the proof's wall-seconds ride along as its eviction cost —
         // cheapest-to-reprove entries leave a full cache first
-        options_.cache->store(job.key,
-                              CachedVerdict{local.equivalence,
-                                            local.counterexample,
-                                            local.seconds});
+        storeVerdict(job, CachedVerdict{local.equivalence,
+                                        local.counterexample, local.seconds});
         cacheStores.fetch_add(1, std::memory_order_relaxed);
       }
     } catch (const std::exception& e) {
@@ -526,33 +478,142 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
     }
   };
 
-  if (!jobs.empty()) {
-    if (wantWatchdog) {
-      watchdog.emplace(*obs.flight);
+  {
+    // The pool the jobs run on, started at the first dispatch: the resident
+    // one, or an own pool when more than one thread is wanted (with one, the
+    // jobs run inline after the pre-pass). Leaving this block, by an
+    // exception too, drains it before the state its jobs use goes away.
+    std::optional<ec::WorkerPool> ownPool;
+    ec::WorkerPool* pool = nullptr;
+    const DrainOnExit drain(pool);
+    const auto dispatch = [&](Job& job) {
+      if (jobs.size() == 1) {
+        if (wantWatchdog) {
+          watchdog.emplace(*obs.flight);
+        }
+        if (options_.pool != nullptr) {
+          // resident pool: the workers (and their flight-recorder slots)
+          // belong to the caller and outlive this run
+          pool = options_.pool;
+        } else if (const std::size_t workers =
+                       std::min<std::size_t>(threads, total - job.index);
+                   workers > 1) {
+          pool = &ownPool.emplace(static_cast<unsigned>(workers), obs.flight);
+        }
+      }
+      if (pool != nullptr) {
+        pool->submit([&runJob, &job] { runJob(job); });
+      }
+    };
+
+    // Scheduler-thread pre-pass in manifest order: read both files, key the
+    // pair (from the cache's byte front, or by a parse and fingerprint), and
+    // consult the cache; a miss repeating an earlier miss's (fp(g), fp(gp),
+    // configDigest) triple is coalesced onto the first occurrence's job, and
+    // any other miss becomes a job, submitted at once, so the workers check
+    // while this loop keys the rest. Only dispatched pairs need their
+    // circuits, so only they are parsed after a byte-front hit.
+    for (std::size_t i = 0; i < total; ++i) {
+      const BatchPairSpec& spec = manifest.pairs[i];
+      PairOutcome& outcome = result.outcomes[i];
+      outcome.index = i;
+      outcome.gPath = spec.gPath;
+      outcome.gPrimePath = spec.gPrimePath;
+      const obs::Context pairObs = forPair(obs, i);
+      pairObs.log(obs::JournalLevel::Info, "svc.pair.start")
+          .str("g", spec.gPath)
+          .str("gp", spec.gPrimePath);
+      if (cancelFlags[i].load(std::memory_order_relaxed)) {
+        outcome.cancelled = true;
+        reportDone();
+        continue;
+      }
+      std::optional<Job> job;
+      try {
+        // each file is read once; a read error of gp comes second to a
+        // parse error of g, as when the files are parsed one after the other
+        const CircuitBytes gBytes = readCircuitBytes(spec.gPath);
+        CircuitBytes gPrimeBytes;
+        try {
+          gPrimeBytes = readCircuitBytes(spec.gPrimePath);
+        } catch (const std::exception&) {
+          (void)io::parseCircuitText(spec.gPath, gBytes.text, kLenient);
+          throw;
+        }
+        // the byte front keys an unchanged pair without parsing it; a miss
+        // parses these same bytes and is remembered only once it succeeded
+        std::optional<ParsedPair> parsed;
+        std::optional<PairFingerprints> fingerprints;
+        ByteKey byteKey;
+        if (options_.cache != nullptr) {
+          byteKey = ByteKey{contentDigest(gBytes.format, gBytes.text),
+                            contentDigest(gPrimeBytes.format, gPrimeBytes.text)};
+          fingerprints = options_.cache->lookupBytes(byteKey);
+        }
+        if (fingerprints) {
+          ++digestHits;
+        } else {
+          parsed = parsePair(spec, gBytes, gPrimeBytes);
+          fingerprints = PairFingerprints{fingerprint(parsed->g),
+                                          fingerprint(parsed->gPrime)};
+          if (options_.cache != nullptr) {
+            options_.cache->rememberBytes(byteKey, *fingerprints);
+          }
+        }
+        const PairKey key{fingerprints->g, fingerprints->gPrime,
+                          configDigest(spec.config)};
+        if (options_.cache != nullptr) {
+          if (const auto hit = options_.cache->lookup(key)) {
+            obs::ScopedSpan pairSpan(pairObs, "svc.pair", "svc");
+            pairSpan.arg("index", static_cast<std::uint64_t>(i));
+            pairSpan.arg("cache_hit", std::uint64_t{1});
+            outcome.cacheHit = true;
+            outcome.equivalence = hit->equivalence;
+            outcome.counterexample = hit->counterexample;
+            ++cacheHits;
+            pairObs.log(obs::JournalLevel::Info, "svc.pair.cache_hit")
+                .str("verdict", ec::toString(outcome.equivalence));
+            reportDone();
+            continue;
+          }
+        }
+        if (const auto rep = representatives.find(key);
+            rep != representatives.end()) {
+          jobs[rep->second].duplicates.push_back(i);
+          outcome.deduped = true;
+          ++dedupedPairs;
+          pairObs.log(obs::JournalLevel::Info, "svc.pair.dedup")
+              .num("representative",
+                   static_cast<std::uint64_t>(jobs[rep->second].index));
+          // resolved (and reported done) when the representative's verdict
+          // fans out after the pool drains
+          continue;
+        }
+        if (!parsed) {
+          parsed = parsePair(spec, gBytes, gPrimeBytes);
+        }
+        job.emplace(Job{i, std::move(parsed->g), std::move(parsed->gPrime),
+                        key, &spec.config, {}});
+      } catch (const std::exception& e) {
+        outcome.equivalence = ec::Equivalence::InvalidInput;
+        outcome.error = e.what();
+        pairObs.log(obs::JournalLevel::Error, "svc.pair.verdict")
+            .str("outcome", ec::toString(outcome.equivalence))
+            .str("error", outcome.error);
+        reportDone();
+        continue;
+      }
+      representatives.emplace(job->key, jobs.size());
+      dispatch(jobs.emplace_back(std::move(*job)));
     }
-    if (options_.pool != nullptr) {
-      // resident pool: the workers (and their flight-recorder slots) belong
-      // to the caller and outlive this run — wait() is the drain barrier
+    flushHeldStores();
+    if (pool == nullptr) {
       for (Job& job : jobs) {
-        options_.pool->submit([&runJob, &job] { runJob(job); });
-      }
-      options_.pool->wait();
-    } else {
-      const unsigned poolThreads = static_cast<unsigned>(
-          std::min<std::size_t>(threads, jobs.size()));
-      if (poolThreads <= 1) {
-        for (Job& job : jobs) {
-          runJob(job);
-        }
-      } else {
-        ec::WorkerPool pool(poolThreads, obs.flight);
-        for (Job& job : jobs) {
-          pool.submit([&runJob, &job] { runJob(job); });
-        }
-        pool.wait();
+        runJob(job);
       }
     }
-  }
+  } // the drain waits for the pool, then an own pool joins its workers
+
   // Join the watchdog thread before touching the outcomes: a stall callback
   // dispatched just before its unwatch may still be running, and it writes
   // result slots and counters this thread is about to read.

@@ -19,7 +19,11 @@
 // additionally deduplicated within the batch: manifest entries sharing the
 // (fingerprint(g), fingerprint(gp), configDigest) triple of an earlier
 // entry are not dispatched at all — the first occurrence's verdict is
-// fanned back out to them in manifest order once it resolves. Results are
+// fanned back out to them in manifest order once it resolves. Each miss is
+// submitted the moment it is keyed, so the workers check while the
+// scheduler keys the rest; with one thread the misses run inline after the
+// walk. Verdicts proved during the walk are held and stored when it ends,
+// so the walk never sees a store of its own batch. Results are
 // reported in manifest order regardless of completion order, and the
 // redacted serialization of a batch is byte-identical for every thread
 // count (the per-pair flow verdicts are deterministic by the parallelism

@@ -99,6 +99,26 @@ TEST_F(CliTest, UnknownFlowOptionIsAUsageError) {
   }
 }
 
+TEST_F(CliTest, TrailingValuedFlagIsAUsageError) {
+  // a valued flag given last without its value is named, not read as absent
+  const std::string g = path("g.qasm");
+  const auto gen = runCli("gen grover 3 " + g + " --seed");
+  EXPECT_EQ(gen.exitCode, 2) << gen.output;
+  EXPECT_NE(gen.output.find("missing value for --seed"), std::string::npos)
+      << gen.output;
+  EXPECT_FALSE(fs::exists(g));
+
+  const std::string a = path("a.qasm");
+  ASSERT_EQ(runCli("gen ghz 3 " + a).exitCode, 0);
+  const auto check = runCli("check " + a + " " + a + " --timeout");
+  EXPECT_EQ(check.exitCode, 2) << check.output;
+  EXPECT_NE(check.output.find("missing value for --timeout"),
+            std::string::npos)
+      << check.output;
+  EXPECT_EQ(check.output.find("unknown option"), std::string::npos)
+      << check.output;
+}
+
 TEST_F(CliTest, GenerateInfoConvertCheckPipeline) {
   const std::string real = path("hwb.real");
   const std::string qasm = path("hwb.qasm");

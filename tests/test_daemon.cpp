@@ -477,6 +477,52 @@ TEST_F(DaemonTest, FirstPairInvalidReturnsEveryLine) {
   d.run();
 }
 
+// The resident pool checks a request's first misses while the scheduler
+// keys the rest of it. A request with a repeated pair, an unreadable pair
+// and pairs an earlier request made warm gets the same response and the
+// same counts at every pool size.
+TEST_F(DaemonTest, RequestAnswersAlikeAtEveryPoolSize) {
+  const auto pairLine = [this](const std::string& g, const std::string& gp) {
+    return "{\"g\": \"" + path(g) + "\", \"gp\": \"" + path(gp) + "\"}\n";
+  };
+  const std::string manifest =
+      pairLine("qft_a.qasm", "qft_b.qasm") + pairLine("inc.real", "inc.real") +
+      pairLine("missing.qasm", "inc.real") +
+      pairLine("qft_a.qasm", "qft_b.qasm") +
+      pairLine("qft_b.qasm", "qft_a.qasm") + pairLine("inc.real", "inc.real");
+  std::vector<std::string> reference;
+  for (const unsigned threads : {1U, 2U, 4U}) {
+    SCOPED_TRACE(threads);
+    daemon::DaemonOptions options = baseOptions();
+    options.threads = threads;
+    daemon::Daemon d(options);
+    d.start();
+    daemon::SubmitOptions submit;
+    submit.redact = true;
+    submit.client = "primer";
+    ASSERT_TRUE(daemon::submitManifestText(path("d.sock"),
+                                           pairLine("inc.real", "inc.real"),
+                                           submit)
+                    .accepted);
+    submit.client = "mixed";
+    const daemon::SubmitResult r =
+        daemon::submitManifestText(path("d.sock"), manifest, submit);
+    ASSERT_TRUE(r.accepted) << r.error << ": " << r.message;
+    ASSERT_EQ(r.lines.size(), 7U);
+    if (reference.empty()) {
+      reference = r.lines;
+    } else {
+      EXPECT_EQ(r.lines, reference);
+    }
+    const util::JsonValue row = status(d).at("clients").at("mixed");
+    EXPECT_EQ(row.at("pairs").asUint(), 6U);
+    EXPECT_EQ(row.at("cache_hits").asUint(), 2U);
+    EXPECT_EQ(row.at("dispatched").asUint(), 2U);
+    d.requestShutdown();
+    d.run();
+  }
+}
+
 TEST_F(DaemonTest, StatusAndMetricsEndpointsAreWellFormed) {
   daemon::Daemon d(baseOptions());
   d.start();

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <tuple>
 #include <unordered_set>
 #include <vector>
 
@@ -234,6 +235,58 @@ TEST_P(DDPropertyTest, CanonicalWeightsInternToThemselves) {
   ASSERT_GT(seen.size(), N);
   for (const dd::Complex& w : weights) {
     EXPECT_EQ(pkg.complexTable().lookup(w.value()), w) << w.value();
+  }
+}
+
+// Package::mulWeights returns a factor unlooked-up when the other is exactly
+// one; it must name the entry the full lookup of the product would.
+TEST_P(DDPropertyTest, MulWeightsMatchesTheLookupOfTheProduct) {
+  dd::Package pkg(N);
+  const dd::vEdge state = randomState(pkg, N, GetParam());
+  const dd::mEdge unitary = randomUnitary(pkg, N, GetParam() + 100);
+  std::vector<dd::Complex> weights{state.w, unitary.w,
+                                   pkg.complexTable().one()};
+  std::vector<const dd::vNode*> vStack{state.p};
+  std::vector<const dd::mNode*> mStack{unitary.p};
+  std::unordered_set<const void*> seen;
+  while (!vStack.empty()) {
+    const dd::vNode* p = vStack.back();
+    vStack.pop_back();
+    if (p->isTerminal() || !seen.insert(p).second) {
+      continue;
+    }
+    for (const dd::vEdge& child : p->e) {
+      weights.push_back(child.w);
+      vStack.push_back(child.p);
+    }
+  }
+  while (!mStack.empty()) {
+    const dd::mNode* p = mStack.back();
+    mStack.pop_back();
+    if (p->isTerminal() || !seen.insert(p).second) {
+      continue;
+    }
+    for (const dd::mEdge& child : p->e) {
+      weights.push_back(child.w);
+      mStack.push_back(child.p);
+    }
+  }
+  ASSERT_GT(seen.size(), 2 * N);
+  dd::ComplexTable& table = pkg.complexTable();
+  const dd::Complex one = table.one();
+  for (const dd::Complex& a : weights) {
+    for (const dd::Complex& b : {one, a, weights[weights.size() / 2]}) {
+      EXPECT_EQ(pkg.mulWeights(a, b), table.lookup(a.value() * b.value()))
+          << a.value() << " * " << b.value();
+      EXPECT_EQ(pkg.mulWeights(b, a), table.lookup(b.value() * a.value()))
+          << b.value() << " * " << a.value();
+      for (const auto& [x, y, z] : {std::tuple{one, a, b}, std::tuple{a, one, b},
+                                    std::tuple{a, b, one}}) {
+        EXPECT_EQ(pkg.mulWeights(x, y, z),
+                  table.lookup(x.value() * y.value() * z.value()))
+            << x.value() << " * " << y.value() << " * " << z.value();
+      }
+    }
   }
 }
 

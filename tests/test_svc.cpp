@@ -5,6 +5,7 @@
 // cache dispatching zero checker work).
 
 #include "ec/flow.hpp"
+#include "ec/parallel.hpp"
 #include "gen/qft.hpp"
 #include "gen/revlib_like.hpp"
 #include "io/parse.hpp"
@@ -17,10 +18,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -877,6 +881,207 @@ TEST_F(BatchTest, ByteIdenticalCopiesDedupAlikeAtEveryThreadCount) {
         EXPECT_EQ(lines, reference);
       }
     }
+  }
+}
+
+// ------------------------------------------------------- overlapped pre-pass
+
+// The scheduler submits each miss as soon as it is keyed, so workers check
+// while the pre-pass keys the rest; the classification must still be the
+// serial pre-pass's. The manifest mixes repeats, an unreadable pair and
+// pairs whose verdicts a previous batch already stored.
+TEST_F(BatchTest, OverlappedPrePassClassifiesAlikeAtEveryThreadCount) {
+  const auto pairLine = [this](const std::string& g, const std::string& gp) {
+    return "{\"g\": \"" + path(g) + "\", \"gp\": \"" + path(gp) + "\"}\n";
+  };
+  const std::string primer = pairLine("adder.real", "adder.real") +
+                             pairLine("qft_b.qasm", "qft_a.qasm");
+  const std::string text =
+      pairLine("qft_a.qasm", "qft_b.qasm") +   // dispatched
+      pairLine("adder.real", "adder.real") +   // primed: a hit
+      pairLine("missing.qasm", "qft_a.qasm") + // invalid
+      pairLine("qft_a.qasm", "qft_b.qasm") +   // deduped onto 0
+      pairLine("adder.real", "inc.real") +     // dispatched
+      pairLine("qft_b.qasm", "qft_a.qasm") +   // primed: a hit
+      pairLine("adder.real", "inc.real") +     // deduped onto 4
+      pairLine("adder.real", "adder.real") +   // primed: a hit
+      pairLine("qft_a.qasm", "qft_a.qasm");    // dispatched
+  ec::FlowConfiguration base;
+  base.complete.timeoutSeconds = 60.0;
+  std::string reference;
+  for (const unsigned threads : {1U, 2U, 4U}) {
+    SCOPED_TRACE(threads);
+    svc::VerdictCache cache;
+    std::istringstream primerIs(primer);
+    (void)svc::BatchScheduler(options(1, &cache))
+        .run(svc::parseManifest(primerIs, base));
+    std::istringstream is(text);
+    const svc::BatchResult result =
+        svc::BatchScheduler(options(threads, &cache))
+            .run(svc::parseManifest(is, base));
+    EXPECT_EQ(result.summary.cacheHits, 3U);
+    EXPECT_EQ(result.summary.deduped, 2U);
+    EXPECT_EQ(result.summary.dispatched, 3U);
+    EXPECT_EQ(result.summary.cacheStores, 3U);
+    EXPECT_EQ(result.summary.invalid, 1U);
+    for (const std::size_t i : {1U, 5U, 7U}) {
+      EXPECT_TRUE(result.outcomes[i].cacheHit) << i;
+    }
+    for (const std::size_t i : {3U, 6U}) {
+      EXPECT_TRUE(result.outcomes[i].deduped) << i;
+    }
+    const std::string lines = redactedLines(result);
+    if (reference.empty()) {
+      reference = lines;
+    } else {
+      EXPECT_EQ(lines, reference);
+    }
+  }
+}
+
+// A repeat keyed after its representative's verdict committed is still a
+// dedup, never a hit on the store that verdict made. The done callback of
+// the unreadable pair holds the pre-pass (it runs on the scheduler thread)
+// long enough for the representative to be checked first.
+TEST_F(BatchTest, RepeatKeyedAfterItsRepresentativeCommittedIsDeduped) {
+  std::istringstream is(
+      "{\"g\": \"" + path("adder.real") + "\", \"gp\": \"" +
+      path("inc.real") + "\"}\n"
+      "{\"g\": \"" + path("missing.qasm") + "\", \"gp\": \"" +
+      path("inc.real") + "\"}\n"
+      "{\"g\": \"" + path("adder.real") + "\", \"gp\": \"" +
+      path("inc.real") + "\"}\n");
+  const svc::BatchManifest m = svc::parseManifest(is, {});
+  svc::VerdictCache cache;
+  svc::BatchOptions o = options(2, &cache);
+  const std::thread::id scheduler = std::this_thread::get_id();
+  bool held = false;
+  o.onPairDone = [scheduler, &held](std::size_t, std::size_t) {
+    if (std::this_thread::get_id() == scheduler && !held) {
+      held = true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    }
+  };
+  const svc::BatchResult result = svc::BatchScheduler(o).run(m);
+  EXPECT_EQ(result.outcomes[0].equivalence, ec::Equivalence::NotEquivalent);
+  EXPECT_EQ(result.outcomes[1].equivalence, ec::Equivalence::InvalidInput);
+  EXPECT_TRUE(result.outcomes[2].deduped);
+  EXPECT_FALSE(result.outcomes[2].cacheHit);
+  EXPECT_EQ(result.outcomes[2].equivalence, ec::Equivalence::NotEquivalent);
+  EXPECT_EQ(result.summary.cacheHits, 0U);
+  EXPECT_EQ(result.summary.deduped, 1U);
+  EXPECT_EQ(result.summary.dispatched, 1U);
+  EXPECT_EQ(result.summary.cacheStores, 1U);
+  EXPECT_EQ(cache.hits(), 0U);
+  EXPECT_EQ(cache.misses(), 2U); // the repeat looked up, and missed
+}
+
+// Stores made while the pre-pass runs are held until it ends: a verdict
+// checked early cannot evict, from a cache with room for two, a primed
+// entry a later pair hits. The unreadable pair's done callback holds the
+// pre-pass so that, without the hold, the early store would land first.
+TEST_F(BatchTest, SmallCacheCountsAlikeAtOneAndFourThreads) {
+  const auto pairLine = [this](const std::string& g, const std::string& gp) {
+    return "{\"g\": \"" + path(g) + "\", \"gp\": \"" + path(gp) + "\"}\n";
+  };
+  const std::string primer = pairLine("adder.real", "adder.real") +
+                             pairLine("qft_a.qasm", "qft_a.qasm");
+  const std::string text = pairLine("adder.real", "inc.real") +
+                           pairLine("missing.qasm", "inc.real") +
+                           pairLine("adder.real", "adder.real") +
+                           pairLine("qft_a.qasm", "qft_a.qasm") +
+                           pairLine("adder.real", "inc.real") +
+                           pairLine("qft_a.qasm", "qft_b.qasm");
+  ec::FlowConfiguration base;
+  base.complete.timeoutSeconds = 60.0;
+  std::vector<svc::BatchSummary> summaries;
+  std::vector<std::string> lines;
+  for (const unsigned threads : {1U, 4U}) {
+    SCOPED_TRACE(threads);
+    svc::VerdictCache cache(2);
+    std::istringstream primerIs(primer);
+    (void)svc::BatchScheduler(options(1, &cache))
+        .run(svc::parseManifest(primerIs, base));
+    ASSERT_EQ(cache.size(), 2U);
+    svc::BatchOptions o = options(threads, &cache);
+    const std::thread::id scheduler = std::this_thread::get_id();
+    bool held = false;
+    o.onPairDone = [scheduler, &held](std::size_t, std::size_t) {
+      if (std::this_thread::get_id() == scheduler && !held) {
+        held = true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+      }
+    };
+    std::istringstream is(text);
+    const svc::BatchResult result =
+        svc::BatchScheduler(o).run(svc::parseManifest(is, base));
+    summaries.push_back(result.summary);
+    lines.push_back(redactedLines(result));
+    EXPECT_EQ(cache.size(), 2U);
+  }
+  for (const svc::BatchSummary& summary : summaries) {
+    EXPECT_EQ(summary.cacheHits, 2U);
+    EXPECT_EQ(summary.deduped, 1U);
+    EXPECT_EQ(summary.dispatched, 2U);
+    EXPECT_EQ(summary.cacheStores, 2U);
+  }
+  EXPECT_EQ(lines[0], lines[1]);
+}
+
+// cancel() raised while the pre-pass runs: the pairs already submitted
+// finish or abandon, every later pair resolves as cancelled, each pair is
+// reported done once, and run() returns with no job left running, on an
+// own pool and on a resident one alike.
+TEST_F(BatchTest, CancelDuringThePrePassResolvesEveryPair) {
+  const auto pairLine = [this](const std::string& g, const std::string& gp) {
+    return "{\"g\": \"" + path(g) + "\", \"gp\": \"" + path(gp) + "\"}\n";
+  };
+  std::string text = pairLine("qft_a.qasm", "qft_b.qasm") +
+                     pairLine("adder.real", "inc.real") +
+                     pairLine("missing.qasm", "inc.real");
+  for (int i = 0; i < 6; ++i) {
+    text += pairLine("adder.real", "adder.real");
+    text += pairLine("qft_b.qasm", "qft_a.qasm");
+  }
+  ec::FlowConfiguration base;
+  base.complete.timeoutSeconds = 60.0;
+  ec::WorkerPool resident(3);
+  for (const bool own : {true, false}) {
+    SCOPED_TRACE(own ? "own pool" : "resident pool");
+    std::istringstream is(text);
+    const svc::BatchManifest m = svc::parseManifest(is, base);
+    svc::BatchOptions o = options(4);
+    if (!own) {
+      o.pool = &resident;
+    }
+    std::vector<std::size_t> reported;
+    svc::BatchScheduler* target = nullptr;
+    const std::thread::id scheduler = std::this_thread::get_id();
+    o.onPairDone = [&](std::size_t done, std::size_t) {
+      reported.push_back(done);
+      if (std::this_thread::get_id() == scheduler && target != nullptr) {
+        target->cancel(); // the unreadable pair is the first resolved here
+        target = nullptr;
+      }
+    };
+    svc::BatchScheduler batch(o);
+    target = &batch;
+    const svc::BatchResult result = batch.run(m);
+    ASSERT_EQ(result.outcomes.size(), m.pairs.size());
+    EXPECT_EQ(result.outcomes[2].equivalence, ec::Equivalence::InvalidInput);
+    for (std::size_t i = 3; i < m.pairs.size(); ++i) {
+      EXPECT_TRUE(result.outcomes[i].cancelled) << i;
+    }
+    for (const std::size_t i : {0U, 1U}) {
+      const svc::PairOutcome& outcome = result.outcomes[i];
+      EXPECT_TRUE(outcome.cancelled ||
+                  outcome.equivalence != ec::Equivalence::NoInformation)
+          << i;
+    }
+    EXPECT_EQ(result.summary.dispatched, 2U);
+    std::vector<std::size_t> expected(m.pairs.size());
+    std::iota(expected.begin(), expected.end(), std::size_t{1});
+    EXPECT_EQ(reported, expected);
   }
 }
 
