@@ -979,8 +979,7 @@ int runStatus(ArgCursor& args) {
               << (queue.at("paused").asBool() ? " [paused]" : "") << "\n"
               << "requests: " << requests.at("accepted").asUint()
               << " accepted, " << requests.at("completed").asUint()
-              << " completed, " << requests.at("failed").asUint()
-              << " failed, " << doc.at("admission").at("rejected").asUint()
+              << " completed, " << doc.at("admission").at("rejected").asUint()
               << " rejected\n"
               << "pairs: " << pairs.at("total").asUint() << " total, "
               << pairs.at("cache_hits").asUint() << " cache hit(s), "

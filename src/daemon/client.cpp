@@ -48,19 +48,6 @@ void applyAdmissionLine(const std::string& line, SubmitResult* result) {
   }
 }
 
-/// Whether a line after the accepted line is the post-admission manifest
-/// error: it carries an `error` key and no `index`, which every result line
-/// carries (an invalid pair's result has an `error` key too).
-bool isManifestError(const std::string& line) {
-  try {
-    const util::JsonValue doc = util::parseJson(line);
-    return doc.find("error") != nullptr && doc.find("index") == nullptr;
-  } catch (const util::JsonParseError& e) {
-    throw std::runtime_error(std::string("malformed daemon response: ") +
-                             e.what());
-  }
-}
-
 std::string roundTrip(const std::string& socketPath, RequestOp op,
                       double timeoutSeconds) {
   const Socket connection = connectUnix(socketPath);
@@ -105,15 +92,9 @@ SubmitResult submitManifestText(const std::string& socketPath,
   if (lines.empty()) {
     throw std::runtime_error("daemon closed the connection without a reply");
   }
+  // after the accepted line every line is a result line
   applyAdmissionLine(lines.front(), &result);
   lines.erase(lines.begin());
-  // a post-admission failure (unparseable manifest) arrives as an error
-  // line in place of results
-  if (result.accepted && !lines.empty() && isManifestError(lines.front())) {
-    applyAdmissionLine(lines.front(), &result);
-    result.accepted = false;
-    lines.clear();
-  }
   result.lines = std::move(lines);
   return result;
 }

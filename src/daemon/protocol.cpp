@@ -106,9 +106,9 @@ RequestHeader parseRequestHeader(std::string_view line) {
     }
     if (const util::JsonValue* priority = doc.find("priority");
         priority != nullptr && !priority->isNull()) {
-      const double value = priority->asNumber();
-      header.priority = std::clamp(static_cast<int>(value), 0,
-                                   kPriorities - 1);
+      // clamped as a double: the cast is undefined outside int's range
+      header.priority = static_cast<int>(
+          std::clamp(priority->asNumber(), 0.0, double{kPriorities - 1}));
     }
     if (const util::JsonValue* redact = doc.find("redact");
         redact != nullptr && !redact->isNull()) {

@@ -59,6 +59,19 @@ std::uint64_t counterOf(const obs::MetricsRegistry& metrics,
   return it == counters.end() ? 0 : it->second;
 }
 
+/// A submitted manifest, parsed at admission; a parse error leaves the
+/// manifest empty and its message in `error`.
+svc::BatchManifest parseSubmitted(std::istream& is,
+                                  const ec::FlowConfiguration& base,
+                                  std::string& error) {
+  try {
+    return svc::parseManifest(is, base);
+  } catch (const std::exception& e) {
+    error = e.what();
+    return {};
+  }
+}
+
 } // namespace
 
 Daemon::Daemon(DaemonOptions options)
@@ -285,19 +298,25 @@ void Daemon::handleConnection(Socket connection) {
   }
   PendingRequest pending;
   pending.header = header;
-  pending.manifestText =
-      newline == std::string::npos ? std::string() : request.substr(newline + 1);
+  std::istringstream manifest(
+      newline == std::string::npos ? std::string() : request.substr(newline + 1));
+  std::string manifestError;
+  pending.manifest = parseSubmitted(manifest, options_.base, manifestError);
   pending.connection = std::move(connection);
   // on rejection tryEnqueue writes the error line on the connection itself
-  (void)tryEnqueue(std::move(pending), nullptr);
+  (void)tryEnqueue(std::move(pending), manifestError);
 }
 
-bool Daemon::tryEnqueue(PendingRequest&& request, std::string* error) {
+bool Daemon::tryEnqueue(PendingRequest&& request,
+                        const std::string& manifestError) {
   const bool fromSpool = !request.spoolName.empty();
   std::string rejection;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (draining_) {
+    if (!manifestError.empty()) {
+      // refused whatever the queue holds: resubmitting cannot help it
+      rejection = errorLine("manifest", manifestError);
+    } else if (draining_) {
       rejection = errorLine("draining", "server is draining; resubmit later");
     } else if (queue_.size() >= options_.maxQueueDepth) {
       rejection = errorLine(
@@ -308,7 +327,9 @@ bool Daemon::tryEnqueue(PendingRequest&& request, std::string* error) {
     if (rejection.empty()) {
       request.id = nextRequestId_++;
       request.enqueuedAt = std::chrono::steady_clock::now();
-      metrics_.add("daemon.requests.accepted");
+      tallyLocked(request.header.client, [](obs::MetricsRegistry& m) {
+        m.add("daemon.requests.accepted");
+      });
       obs::Context requestObs = obs_;
       requestObs.requestId = request.id;
       const std::string client = request.header.client;
@@ -328,25 +349,21 @@ bool Daemon::tryEnqueue(PendingRequest&& request, std::string* error) {
           .num("queued", static_cast<std::uint64_t>(queue_.size()));
       return true;
     }
-    ++clientRowLocked(request.header.client).rejected;
-    metrics_.add("daemon.requests.rejected");
+    tallyLocked(request.header.client, [](obs::MetricsRegistry& m) {
+      m.add("daemon.requests.rejected");
+    });
   }
   obs_.log(obs::JournalLevel::Warn, "daemon.request.rejected")
       .str("client", request.header.client)
       .str("line", rejection);
-  if (request.connection.valid()) {
-    tryWriteLine(request.connection, rejection);
-  }
-  if (error != nullptr) {
-    *error = rejection;
-  }
+  tryWriteLine(request.connection, rejection);
   return false;
 }
 
 // --------------------------------------------------------------------------
 // engine
 
-ClientStats& Daemon::clientRowLocked(const std::string& name) {
+obs::MetricsRegistry& Daemon::clientRowLocked(const std::string& name) {
   const std::size_t namedRows =
       clients_.size() - clients_.count(kOverflowClient);
   if (namedRows < kMaxClientRows || clients_.contains(name)) {
@@ -413,24 +430,6 @@ void Daemon::processRequest(PendingRequest& request) {
   requestObs.requestId = request.id;
   requestObs.log(obs::JournalLevel::Info, "daemon.request.start")
       .str("client", request.header.client);
-  svc::BatchManifest manifest;
-  try {
-    std::istringstream is(request.manifestText);
-    manifest = svc::parseManifest(is, options_.base);
-  } catch (const std::exception& e) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      metrics_.add("daemon.requests.completed");
-      metrics_.add("daemon.requests.failed");
-    }
-    if (request.connection.valid()) {
-      tryWriteLine(request.connection, errorLine("manifest", e.what()));
-      request.connection.close();
-    } else {
-      respondSpool(request, {}, /*failed=*/true, e.what());
-    }
-    return;
-  }
 
   svc::BatchOptions batchOptions;
   batchOptions.pool = &*pool_;
@@ -446,7 +445,7 @@ void Daemon::processRequest(PendingRequest& request) {
   obs.metrics = &requestMetrics;
   obs.flight = &flight_;
   svc::BatchScheduler scheduler(batchOptions);
-  svc::BatchResult result = scheduler.run(manifest, obs);
+  svc::BatchResult result = scheduler.run(request.manifest, obs);
 
   const svc::BatchSerializeOptions serialize{request.header.redact,
                                              request.header.redact};
@@ -463,13 +462,10 @@ void Daemon::processRequest(PendingRequest& request) {
   const double seconds = watch.seconds();
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    metrics_.merge(requestMetrics.snapshot());
-    metrics_.add("daemon.requests.completed");
-    ClientStats& stats = clientRowLocked(request.header.client);
-    ++stats.requests;
-    stats.pairs += result.summary.pairs;
-    stats.cacheHits += result.summary.cacheHits;
-    stats.dispatched += result.summary.dispatched;
+    tallyLocked(request.header.client, [&](obs::MetricsRegistry& m) {
+      m.merge(requestMetrics.snapshot());
+      m.add("daemon.requests.completed");
+    });
     RequestRecord record;
     record.id = request.id;
     record.client = request.header.client;
@@ -511,7 +507,7 @@ void Daemon::processRequest(PendingRequest& request) {
     }
     request.connection.close();
   } else {
-    respondSpool(request, lines, /*failed=*/false, "");
+    respondSpool(request, lines);
   }
 }
 
@@ -521,6 +517,7 @@ void Daemon::processRequest(PendingRequest& request) {
 void Daemon::spoolLoop() {
   const fs::path in = fs::path(options_.spoolDir) / "in";
   const fs::path work = fs::path(options_.spoolDir) / "work";
+  const fs::path failed = fs::path(options_.spoolDir) / "failed";
   while (true) {
     {
       std::unique_lock<std::mutex> lock(mutex_);
@@ -551,22 +548,29 @@ void Daemon::spoolLoop() {
       if (!is) {
         continue;
       }
-      std::ostringstream text;
-      text << is.rdbuf();
-      is.close();
       PendingRequest request;
       request.header.op = RequestOp::Submit;
       request.header.client = "spool";
       request.header.priority = kDefaultPriority;
-      request.manifestText = text.str();
+      std::string manifestError;
+      request.manifest = parseSubmitted(is, options_.base, manifestError);
+      is.close();
       request.spoolName = file.filename().string();
+      if (!manifestError.empty()) {
+        // refused at intake: quarantined with the reason beside it
+        (void)tryEnqueue(std::move(request), manifestError);
+        std::ofstream(failed / (file.stem().string() + ".error.txt"))
+            << manifestError << '\n';
+        fs::rename(file, failed / file.filename(), ec);
+        continue;
+      }
       // claim the file before enqueueing: once the request is visible to
       // the engine it may finish (and move work/ -> done/) at any moment
       fs::rename(file, work / file.filename(), ec);
       if (ec) {
         continue;
       }
-      if (!tryEnqueue(std::move(request), nullptr)) {
+      if (!tryEnqueue(std::move(request), /*manifestError=*/{})) {
         // raced to full between the check and the enqueue: unclaim so the
         // file is retried on a later sweep
         fs::rename(work / file.filename(), file, ec);
@@ -577,18 +581,11 @@ void Daemon::spoolLoop() {
 }
 
 void Daemon::respondSpool(const PendingRequest& request,
-                          const std::vector<std::string>& lines, bool failed,
-                          const std::string& errorText) {
+                          const std::vector<std::string>& lines) {
   const fs::path spool(options_.spoolDir);
   const fs::path workFile = spool / "work" / request.spoolName;
   const fs::path stem = fs::path(request.spoolName).stem();
   std::error_code ec;
-  if (failed) {
-    std::ofstream err(spool / "failed" / (stem.string() + ".error.txt"));
-    err << errorText << '\n';
-    fs::rename(workFile, spool / "failed" / request.spoolName, ec);
-    return;
-  }
   std::ofstream out(spool / "out" / (stem.string() + ".results.jsonl"));
   for (const std::string& line : lines) {
     out << line << '\n';
@@ -640,7 +637,6 @@ std::string Daemon::statusJsonLocked() const {
   requests.beginObject()
       .field("accepted", counterOf(metrics_, "daemon.requests.accepted"))
       .field("completed", counterOf(metrics_, "daemon.requests.completed"))
-      .field("failed", counterOf(metrics_, "daemon.requests.failed"))
       .endObject();
   json.rawField("requests", requests.str());
 
@@ -657,25 +653,26 @@ std::string Daemon::statusJsonLocked() const {
   cacheJson.beginObject()
       .field("size", static_cast<std::uint64_t>(cache_.size()))
       .field("capacity", static_cast<std::uint64_t>(cache_.capacity()))
-      .field("hits", cache_.hits())
-      .field("misses", cache_.misses())
-      .field("stores", cache_.stores())
+      .field("hits", counterOf(metrics_, "svc.cache.hit"))
+      .field("misses", counterOf(metrics_, "svc.cache.miss"))
+      .field("stores", counterOf(metrics_, "svc.cache.store"))
       .field("evictions", cache_.evictions())
       .field("evicted_seconds", cache_.evictedSeconds())
-      .field("digest_hits", cache_.digestHits())
+      .field("digest_hits", counterOf(metrics_, "svc.cache.digest_hit"))
       .endObject();
   json.rawField("cache", cacheJson.str());
 
   util::JsonWriter clientsJson;
   clientsJson.beginObject();
-  for (const auto& [name, stats] : clients_) {
+  // the totals' counter names, read from each row's registry
+  for (const auto& [name, row] : clients_) {
     util::JsonWriter one;
     one.beginObject()
-        .field("requests", stats.requests)
-        .field("pairs", stats.pairs)
-        .field("cache_hits", stats.cacheHits)
-        .field("dispatched", stats.dispatched)
-        .field("rejected", stats.rejected)
+        .field("requests", counterOf(row, "daemon.requests.completed"))
+        .field("pairs", counterOf(row, "svc.pairs"))
+        .field("cache_hits", counterOf(row, "svc.cache.hit"))
+        .field("dispatched", counterOf(row, "svc.pairs.dispatched"))
+        .field("rejected", counterOf(row, "daemon.requests.rejected"))
         .endObject();
     clientsJson.rawField(name, one.str());
   }

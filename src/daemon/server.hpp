@@ -9,8 +9,9 @@
 //   acceptor  owns the listening socket. Reads one request per connection
 //             (docs/daemon.md has the wire format), answers status /
 //             metrics / ping / shutdown inline, and runs admission control
-//             for submits: a full queue is an immediate, explicit
-//             `overload` error line — never a silent hang. Admitted
+//             for submits: a manifest that does not parse and a full
+//             queue are immediate, explicit `manifest` and `overload`
+//             error lines — never a silent hang. Admitted
 //             requests join the priority queue with their connection
 //             attached; the response is written when the engine gets to
 //             them.
@@ -109,15 +110,6 @@ inline constexpr std::size_t kMaxClientRows = 64;
 /// protocol gives an empty name the default `anonymous`).
 inline constexpr char kOverflowClient[] = "";
 
-/// Per-client counters for the status endpoint.
-struct ClientStats {
-  std::uint64_t requests{0};
-  std::uint64_t pairs{0};
-  std::uint64_t cacheHits{0};
-  std::uint64_t dispatched{0};
-  std::uint64_t rejected{0};
-};
-
 /// One completed request, kept in a short ring for `qsimec status`.
 struct RequestRecord {
   std::uint64_t id{0};
@@ -171,7 +163,7 @@ private:
   struct PendingRequest {
     std::uint64_t id{0};
     RequestHeader header;
-    std::string manifestText;
+    svc::BatchManifest manifest; // parsed at admission
     Socket connection;     // invalid for spool requests
     std::string spoolName; // manifest file name for spool requests
     std::chrono::steady_clock::time_point enqueuedAt;
@@ -181,16 +173,24 @@ private:
   void engineLoop();
   void spoolLoop();
   void handleConnection(Socket connection);
-  /// Admission control; on false `error` holds the rejection line.
-  bool tryEnqueue(PendingRequest&& request, std::string* error);
+  /// Admission control: a manifest that did not parse (`manifestError`
+  /// non-empty), a drain or a full queue refuses the request with one error
+  /// line; otherwise it joins the queue behind the accepted line.
+  bool tryEnqueue(PendingRequest&& request, const std::string& manifestError);
   void processRequest(PendingRequest& request);
   void respondSpool(const PendingRequest& request,
-                    const std::vector<std::string>& lines, bool failed,
-                    const std::string& errorText);
+                    const std::vector<std::string>& lines);
   [[nodiscard]] std::deque<PendingRequest>::iterator pickNextLocked();
   /// The `clients` row that counts `name`: its own while the table has
   /// room, else the kOverflowClient row.
-  [[nodiscard]] ClientStats& clientRowLocked(const std::string& name);
+  [[nodiscard]] obs::MetricsRegistry& clientRowLocked(const std::string& name);
+  /// Every count goes through here: `record` is applied to the totals and
+  /// to the client's row alike, so the rows add up to the totals.
+  template <typename Record>
+  void tallyLocked(const std::string& client, const Record& record) {
+    record(metrics_);
+    record(clientRowLocked(client));
+  }
   [[nodiscard]] std::string statusJsonLocked() const;
   [[nodiscard]] std::string metricsTextLocked() const;
 
@@ -216,8 +216,9 @@ private:
   bool activeRequest_{false};
   std::string activeClient_;
   std::uint64_t nextRequestId_{1};
-  /// At most kMaxClientRows named rows plus the overflow row.
-  std::map<std::string, ClientStats> clients_;
+  /// At most kMaxClientRows named rows plus the overflow row; each receives
+  /// what metrics_ receives for its client's requests.
+  std::map<std::string, obs::MetricsRegistry> clients_;
   std::deque<RequestRecord> recent_; // newest first, capped
   /// Guarded by mutex_ (not thread-safe). Also the source of every status
   /// counter: `daemon.requests.*` and the batches' `svc.*` counters.

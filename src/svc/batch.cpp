@@ -266,6 +266,7 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
   jobs.reserve(total);
   std::unordered_map<PairKey, std::size_t, PairKeyHash> representatives;
   std::size_t cacheHits = 0;
+  std::size_t cacheMisses = 0;
   std::size_t digestHits = 0;
   std::size_t dedupedPairs = 0;
   std::atomic<std::size_t> cacheStores{0};
@@ -576,6 +577,7 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
             reportDone();
             continue;
           }
+          ++cacheMisses;
         }
         if (const auto rep = representatives.find(key);
             rep != representatives.end()) {
@@ -716,7 +718,7 @@ BatchResult BatchScheduler::run(const BatchManifest& manifest,
   // Published from the scheduler thread only, after the pool has drained.
   obs.count("svc.pairs", summary.pairs);
   obs.count("svc.cache.hit", summary.cacheHits);
-  obs.count("svc.cache.miss", total - summary.cacheHits);
+  obs.count("svc.cache.miss", cacheMisses);
   obs.count("svc.cache.store", summary.cacheStores);
   obs.count("svc.cache.digest_hit", digestHits);
   obs.count("svc.pairs.deduped", summary.deduped);

@@ -12,18 +12,17 @@ namespace qsimec::svc {
 
 std::optional<CachedVerdict> VerdictCache::lookup(const PairKey& key) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++misses_;
+  const auto it = entries_.find(key);
+  if (it == entries_.end()) {
     return std::nullopt;
   }
-  ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second); // refresh recency
-  // refresh the cost index too: reinsertion lands at the back of its cost
-  // bucket, so among equal costs the victim is the least recently used
-  eraseCostLocked(it->second->second.proofSeconds, key);
-  costIndex_.emplace(it->second->second.proofSeconds, key);
-  return it->second->second;
+  // a lookup refreshes the entry's recency: same cost, newest tick
+  Slot& slot = it->second;
+  auto node = evictionOrder_.extract({slot.verdict.proofSeconds, slot.tick});
+  slot.tick = ++ticks_;
+  node.key().second = slot.tick;
+  evictionOrder_.insert(std::move(node));
+  return slot.verdict;
 }
 
 void VerdictCache::store(const PairKey& key, const CachedVerdict& verdict) {
@@ -32,43 +31,25 @@ void VerdictCache::store(const PairKey& key, const CachedVerdict& verdict) {
   }
   const std::lock_guard<std::mutex> lock(mutex_);
   insertLocked(key, verdict, /*persist=*/true);
-  ++stores_;
-}
-
-void VerdictCache::eraseCostLocked(double seconds, const PairKey& key) {
-  const auto [lo, hi] = costIndex_.equal_range(seconds);
-  for (auto it = lo; it != hi; ++it) {
-    if (it->second == key) {
-      costIndex_.erase(it);
-      return;
-    }
-  }
 }
 
 void VerdictCache::insertLocked(const PairKey& key,
                                 const CachedVerdict& verdict, bool persist) {
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    eraseCostLocked(it->second->second.proofSeconds, key);
-    it->second->second = verdict;
-    lru_.splice(lru_.begin(), lru_, it->second);
+  auto it = entries_.find(key);
+  if (it != entries_.end()) {
+    evictionOrder_.erase({it->second.verdict.proofSeconds, it->second.tick});
+    it->second = Slot{verdict, ++ticks_};
   } else {
-    if (lru_.size() >= capacity_) {
-      // cheapest-to-reprove goes first; among equal costs the bucket is
-      // kept in LRU order (lookup refreshes), so the victim is the least
-      // recently used of the cheapest — deterministic either way
-      const auto victim = costIndex_.begin();
-      const auto victimEntry = index_.find(victim->second);
-      evictedSeconds_ += victim->first;
-      lru_.erase(victimEntry->second);
-      index_.erase(victimEntry);
-      costIndex_.erase(victim);
+    if (entries_.size() >= capacity_) {
+      const auto victim = evictionOrder_.begin();
+      evictedSeconds_ += victim->first.first;
+      entries_.erase(victim->second);
+      evictionOrder_.erase(victim);
       ++evictions_;
     }
-    lru_.emplace_front(key, verdict);
-    index_.emplace(key, lru_.begin());
+    it = entries_.emplace(key, Slot{verdict, ++ticks_}).first;
   }
-  costIndex_.emplace(verdict.proofSeconds, key);
+  evictionOrder_.emplace(Rank{verdict.proofSeconds, it->second.tick}, key);
   if (persist && persistStream_ != nullptr) {
     *persistStream_ << toJsonLine(key, verdict) << '\n' << std::flush;
   }
@@ -80,7 +61,6 @@ std::optional<PairFingerprints> VerdictCache::lookupBytes(const ByteKey& key) {
   if (it == byteIndex_.end()) {
     return std::nullopt;
   }
-  ++digestHits_;
   byteLru_.splice(byteLru_.begin(), byteLru_, it->second);
   return it->second->second;
 }
@@ -185,19 +165,7 @@ std::string VerdictCache::toJsonLine(const PairKey& key,
 
 std::size_t VerdictCache::size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return lru_.size();
-}
-std::uint64_t VerdictCache::hits() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
-}
-std::uint64_t VerdictCache::misses() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
-}
-std::uint64_t VerdictCache::stores() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return stores_;
+  return entries_.size();
 }
 std::uint64_t VerdictCache::evictions() const {
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -210,10 +178,6 @@ double VerdictCache::evictedSeconds() const {
 std::uint64_t VerdictCache::corruptLines() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return corruptLines_;
-}
-std::uint64_t VerdictCache::digestHits() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return digestHits_;
 }
 
 } // namespace qsimec::svc

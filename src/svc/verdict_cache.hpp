@@ -1,4 +1,4 @@
-// Thread-safe LRU cache of proven equivalence verdicts, keyed by
+// Thread-safe bounded cache of proven equivalence verdicts, keyed by
 // (fingerprint(G), fingerprint(G'), config digest), with optional JSONL
 // persistence — the memory of the batch checking service.
 //
@@ -15,10 +15,10 @@
 //
 // Eviction is cost-aware rather than pure LRU: every entry carries the
 // wall-seconds its proof originally cost, and when the cache is full the
-// *cheapest-to-reprove* entry goes first (LRU among equal costs, so the
-// policy is deterministic and degrades to plain LRU when no costs are
-// known — e.g. a cache loaded from v1 lines). Losing a 0.01 s proof costs
-// one re-check;
+// *cheapest-to-reprove* entry goes first (among equal costs the one least
+// recently stored or looked up, so the policy is deterministic and degrades
+// to plain LRU when no costs are known — e.g. a cache loaded from v1
+// lines). Losing a 0.01 s proof costs one re-check;
 // losing a 300 s proof costs five minutes — under a long-lived daemon the
 // expensive proofs are exactly the ones worth pinning. The cumulative cost
 // thrown away is exposed as evictedSeconds() and published as the
@@ -128,7 +128,7 @@ public:
   explicit VerdictCache(std::size_t capacity = 4096)
       : capacity_(capacity == 0 ? 1 : capacity) {}
 
-  /// Look the key up, refreshing its LRU position. Counts a hit or a miss.
+  /// Look the key up, refreshing its recency among equal-cost entries.
   [[nodiscard]] std::optional<CachedVerdict> lookup(const PairKey& key);
 
   /// Insert (or refresh) a proof; silently ignores non-cacheable verdicts.
@@ -137,7 +137,7 @@ public:
   void store(const PairKey& key, const CachedVerdict& verdict);
 
   /// The fingerprints remembered for a pair's bytes, refreshing its LRU
-  /// position; counts a digest hit when found.
+  /// position.
   [[nodiscard]] std::optional<PairFingerprints> lookupBytes(const ByteKey& key);
 
   /// Remember what a pair's bytes parsed into; when the front is full, the
@@ -162,44 +162,39 @@ public:
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::uint64_t hits() const;
-  [[nodiscard]] std::uint64_t misses() const;
-  [[nodiscard]] std::uint64_t stores() const;
   [[nodiscard]] std::uint64_t evictions() const;
   /// Cumulative proof wall-seconds discarded by eviction — the re-proving
   /// debt this cache has incurred by being too small.
   [[nodiscard]] double evictedSeconds() const;
   [[nodiscard]] std::uint64_t corruptLines() const;
-  /// Pairs keyed from their bytes by lookupBytes, without a parse.
-  [[nodiscard]] std::uint64_t digestHits() const;
 
 private:
-  using Entry = std::pair<PairKey, CachedVerdict>;
+  /// An entry's place in the eviction order: (proof seconds, last-touch
+  /// tick). Ticks are unique, so every entry has its own rank.
+  using Rank = std::pair<double, std::uint64_t>;
+  struct Slot {
+    CachedVerdict verdict;
+    std::uint64_t tick{0};
+  };
   using ByteEntry = std::pair<ByteKey, PairFingerprints>;
 
   void insertLocked(const PairKey& key, const CachedVerdict& verdict,
                     bool persist);
-  void eraseCostLocked(double seconds, const PairKey& key);
 
   std::size_t capacity_;
   mutable std::mutex mutex_;
-  std::list<Entry> lru_; // front = most recently used
-  std::unordered_map<PairKey, std::list<Entry>::iterator, PairKeyHash> index_;
-  // proofSeconds -> key; begin() is the cheapest-to-reprove entry and the
-  // eviction victim. Each cost bucket is kept in LRU order (lookup moves
-  // the touched key to the bucket's back), so ties break deterministically.
-  std::multimap<double, PairKey> costIndex_;
+  std::unordered_map<PairKey, Slot, PairKeyHash> entries_;
+  // begin() is the eviction victim: the cheapest proof, and among equal
+  // costs the one least recently stored or looked up
+  std::map<Rank, PairKey> evictionOrder_;
+  std::uint64_t ticks_{0};
   std::list<ByteEntry> byteLru_; // front = most recently used
   std::unordered_map<ByteKey, std::list<ByteEntry>::iterator, ByteKeyHash>
       byteIndex_;
   std::ostream* persistStream_{nullptr};
-  std::uint64_t hits_{0};
-  std::uint64_t misses_{0};
-  std::uint64_t stores_{0};
   std::uint64_t evictions_{0};
   double evictedSeconds_{0.0};
   std::uint64_t corruptLines_{0};
-  std::uint64_t digestHits_{0};
 };
 
 } // namespace qsimec::svc

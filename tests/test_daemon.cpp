@@ -74,6 +74,18 @@ TEST(DaemonProtocol, HeaderClampsAndRejects) {
   const daemon::RequestHeader high = daemon::parseRequestHeader(
       "{\"schema\":\"qsimec-daemon-v1\",\"op\":\"submit\",\"priority\":99}");
   EXPECT_EQ(high.priority, daemon::kPriorities - 1);
+  // beyond int's range too: the value is clamped before it becomes an int
+  for (const auto& [text, want] :
+       {std::pair{"1e10", daemon::kPriorities - 1},
+        std::pair{"1e300", daemon::kPriorities - 1}, std::pair{"-1e10", 0}}) {
+    SCOPED_TRACE(text);
+    EXPECT_EQ(daemon::parseRequestHeader(
+                  std::string("{\"schema\":\"qsimec-daemon-v1\",\"op\":"
+                              "\"submit\",\"priority\":") +
+                  text + "}")
+                  .priority,
+              want);
+  }
 
   EXPECT_THROW((void)daemon::parseRequestHeader("not json"),
                std::runtime_error);
@@ -430,26 +442,52 @@ TEST_F(DaemonTest, UnparseableSpoolManifestLandsInFailed) {
   }
   EXPECT_TRUE(fs::exists(dir_ / "spool" / "failed" / "bad.error.txt"));
   EXPECT_TRUE(fs::is_empty(dir_ / "spool" / "out"));
+  // refused at intake, on the one rejection path
+  const util::JsonValue doc = status(d);
+  EXPECT_EQ(doc.at("clients").at("spool").at("rejected").asUint(), 1U);
+  EXPECT_EQ(doc.at("admission").at("rejected").asUint(), 1U);
+  EXPECT_EQ(doc.at("requests").at("accepted").asUint(), 0U);
   d.requestShutdown();
   d.run();
 }
 
+// A manifest that does not parse is refused at admission: the response is
+// one error line, with no accepted line before it.
 TEST_F(DaemonTest, BadSocketManifestGetsAnExplicitErrorLine) {
   daemon::Daemon d(baseOptions());
   d.start();
+  const daemon::Socket raw = daemon::connectUnix(path("d.sock"));
+  daemon::RequestHeader header;
+  header.op = daemon::RequestOp::Submit;
+  daemon::writeAll(raw, daemon::toJsonLine(header) + "\ndefinitely not json\n");
+  daemon::shutdownWrite(raw);
+  const std::string response = daemon::readAll(raw, 30.0);
+  ASSERT_EQ(std::count(response.begin(), response.end(), '\n'), 1) << response;
+  const util::JsonValue line = util::parseJson(response);
+  EXPECT_FALSE(line.at("accepted").asBool());
+  EXPECT_EQ(line.at("error").asString(), "manifest");
+
   const daemon::SubmitResult r =
       daemon::submitManifestText(path("d.sock"), "definitely not json\n");
   EXPECT_FALSE(r.accepted);
   EXPECT_EQ(r.error, "manifest");
+  EXPECT_TRUE(r.lines.empty());
   EXPECT_EQ(daemon::submitExitCode(r), 5);
+  daemon::SubmitOptions fireAndForget;
+  fireAndForget.wait = false;
+  EXPECT_EQ(daemon::submitManifestText(path("d.sock"), "definitely not json\n",
+                                       fireAndForget)
+                .error,
+            "manifest");
+  EXPECT_EQ(d.rejectedRequests(), 3U);
   d.requestShutdown();
   d.run();
 }
 
-// An invalid pair's result line carries an `error` key too; only the
-// manifest error (no `index`) replaces the results. A manifest whose first
-// pair is invalid input comes back whole and exits 4, in the client library
-// and in `qsimec submit` alike.
+// An invalid pair's result line carries an `error` key, yet it is a result
+// line like any other after the accepted line. A manifest whose first pair
+// is invalid input comes back whole and exits 4, in the client library and
+// in `qsimec submit` alike.
 TEST_F(DaemonTest, FirstPairInvalidReturnsEveryLine) {
   std::ofstream(dir_ / "bad.qasm") << "OPENQASM 2.0;\nqreg q[2];\nfoo q[0];\n";
   const std::string manifest = "{\"g\": \"" + path("bad.qasm") +
@@ -557,8 +595,8 @@ TEST_F(DaemonTest, StatusAndMetricsEndpointsAreWellFormed) {
   d.run();
 }
 
-// Every status counter is read from the metrics registry, so after
-// accepted, rejected and failed requests it equals its scrape counter.
+// Every status counter is read from the metrics registry, so after accepted
+// requests and overloaded and malformed ones it equals its scrape counter.
 TEST_F(DaemonTest, StatusCountersEqualTheScrapeCounters) {
   daemon::DaemonOptions options = baseOptions();
   options.maxQueueDepth = 1;
@@ -603,26 +641,35 @@ TEST_F(DaemonTest, StatusCountersEqualTheScrapeCounters) {
     EXPECT_EQ(field.asUint(), value);
   };
   const util::JsonValue& requests = doc.at("requests");
-  expectCounter(requests.at("accepted"), "daemon_requests_accepted", 3);
-  expectCounter(requests.at("completed"), "daemon_requests_completed", 3);
-  expectCounter(requests.at("failed"), "daemon_requests_failed", 1);
+  expectCounter(requests.at("accepted"), "daemon_requests_accepted", 2);
+  expectCounter(requests.at("completed"), "daemon_requests_completed", 2);
+  EXPECT_EQ(requests.find("failed"), nullptr);
+  EXPECT_EQ(scraped.count("qsimec_daemon_requests_failed_total"), 0U);
   expectCounter(doc.at("admission").at("rejected"),
-                "daemon_requests_rejected", 1);
+                "daemon_requests_rejected", 2);
   const util::JsonValue& pairs = doc.at("pairs");
   expectCounter(pairs.at("total"), "svc_pairs", 4);
   expectCounter(pairs.at("cache_hits"), "svc_cache_hit", 2);
   expectCounter(pairs.at("dispatched"), "svc_pairs_dispatched", 2);
   expectCounter(pairs.at("stalled"), "svc_pairs_stalled", 0);
-  EXPECT_EQ(d.completedRequests(), 3U);
-  EXPECT_EQ(d.rejectedRequests(), 1U);
+  // a cold request (two misses, two stores), then a warm one keyed from
+  // its bytes (two hits)
+  const util::JsonValue& cache = doc.at("cache");
+  expectCounter(cache.at("hits"), "svc_cache_hit", 2);
+  expectCounter(cache.at("misses"), "svc_cache_miss", 2);
+  expectCounter(cache.at("stores"), "svc_cache_store", 2);
+  expectCounter(cache.at("digest_hits"), "svc_cache_digest_hit", 2);
+  EXPECT_EQ(d.completedRequests(), 2U);
+  EXPECT_EQ(d.rejectedRequests(), 2U);
 
   d.requestShutdown();
   d.run();
 }
 
 // Any local peer names itself, so the clients table keeps at most
-// kMaxClientRows named rows; later names share the overflow row, and the
-// rows still add up to the status totals.
+// kMaxClientRows named rows; later names share the overflow row, and over
+// accepted, overloaded and malformed requests the rows still add up to the
+// status totals.
 TEST_F(DaemonTest, ClientTableIsBoundedAndAddsUpToTheTotals) {
   daemon::DaemonOptions options = baseOptions();
   options.maxQueueDepth = 1;
@@ -653,6 +700,12 @@ TEST_F(DaemonTest, ClientTableIsBoundedAndAddsUpToTheTotals) {
         "overload")
         << client;
   }
+  // the manifest is decided first: a full queue does not hide its error
+  submit.client = "1";
+  EXPECT_EQ(daemon::submitManifestText(path("d.sock"), "definitely not json\n",
+                                       submit)
+                .error,
+            "manifest");
   d.resumeEngine();
   awaitCompleted(d, names + 1);
 
@@ -664,6 +717,7 @@ TEST_F(DaemonTest, ClientTableIsBoundedAndAddsUpToTheTotals) {
   EXPECT_EQ(overflow.at("requests").asUint(), 4U);
   EXPECT_EQ(overflow.at("rejected").asUint(), 3U); // r0..r2
   EXPECT_EQ(clients.at("0").at("rejected").asUint(), 1U);
+  EXPECT_EQ(clients.at("1").at("rejected").asUint(), 1U);
 
   std::map<std::string, std::uint64_t> sums;
   for (const auto& [name, row] : clients.members()) {
@@ -678,7 +732,7 @@ TEST_F(DaemonTest, ClientTableIsBoundedAndAddsUpToTheTotals) {
   EXPECT_EQ(sums["dispatched"], doc.at("pairs").at("dispatched").asUint());
   EXPECT_EQ(sums["rejected"], doc.at("admission").at("rejected").asUint());
   EXPECT_EQ(sums["requests"], names + 1);
-  EXPECT_EQ(sums["rejected"], 4U);
+  EXPECT_EQ(sums["rejected"], 5U);
 
   d.requestShutdown();
   d.run();
